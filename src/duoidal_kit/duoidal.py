@@ -4,7 +4,9 @@ Every instance exposes the same duck interface: objects are opaque hashable
 values, `box0`/`box1` are strictly associative and strictly unital on
 objects, and the structure maps `interchange`, `delta_e`, `mu_v`, `iota`
 are ordinary morphisms of the instance.  Composition is diagrammatic
-throughout: ``compose(f, g)`` means "f then g".
+throughout: ``compose(f, g)`` means "f then g".  ``memoize(f)`` returns f, or
+a map equal to f that stores its value at each point it is applied to; the
+instance decides which, and operads keep their compositions through it.
 """
 
 from __future__ import annotations

@@ -64,10 +64,7 @@ class Letter:
                 raise SizeError(f"letter {self!r} has {n if n is not None else 'unbounded'} elements (cap {cap})")
             ins = word_elements(self.dom_word, cap)
             outs = word_elements(self.cod_word, cap)
-            elems = tuple(
-                graph_of(zip(ins, choice))
-                for choice in itertools.product(outs, repeat=len(ins))
-            )
+            elems = tuple(tuple(zip(ins, choice)) for choice in itertools.product(outs, repeat=len(ins)))
             self._elems = elems
             return elems
         raise SizeError(f"letter {self!r} has no enumerable element set")
@@ -107,15 +104,46 @@ def word_size(word):
 
 
 def word_elements(word, cap=DEFAULT_CAP):
+    """The elements of a word, in lexicographic order of its letters' elements.
+
+    This order is also `skey` order: every letter lists its elements
+    `skey`-sorted (atoms are sorted when built, and a function letter lists
+    its graphs in lexicographic order of their values, which is `skey` order
+    since all of them share the same arguments), all elements of one word
+    are tuples of the same length, `skey` compares such tuples slot by slot,
+    and a product of sorted lists is sorted lexicographically.  A function
+    element over an enumerable word, the tuple of its (argument, value)
+    pairs in this order, is therefore already its canonical graph.
+    """
     n = word_size(word)
     if n is None or n > cap:
         raise SizeError(f"word of size {n if n is not None else 'unbounded'} exceeds cap {cap}")
     return tuple(itertools.product(*(letter.elements(cap) for letter in word)))
 
 
-def graph_of(pairs):
-    """Canonical hashable graph of a function element."""
-    return tuple(sorted(pairs, key=lambda p: skey(p[0])))
+def word_enumerable(word):
+    """Whether `word_elements(word)` lists the word rather than raising.
+
+    The elements of such a word are plain values, compared and hashed by
+    value: a function element over an enumerable word is a graph, never an
+    `FnElt`.  This one predicate decides both which function elements are
+    graphs (`kcat.fn_elt_of`) and which maps may store their values
+    (`CartesianFinSet.memoize`).
+    """
+    n = word_size(word)
+    return (
+        n is not None
+        and n <= DEFAULT_CAP
+        and all(
+            letter._elems is not None
+            or (
+                letter.size() <= DEFAULT_CAP
+                and word_enumerable(letter.dom_word)
+                and word_enumerable(letter.cod_word)
+            )
+            for letter in word
+        )
+    )
 
 
 class FnElt:
@@ -131,34 +159,43 @@ class FnElt:
         return f"FnElt({self.label})"
 
 
-_graph_lookup_cache: dict = {}
+def fn_eval(el):
+    """The function of a function element, as a callable on its arguments.
 
-
-def apply_fn_elt(el, arg):
+    A graph is turned into a lookup table, so a caller that evaluates one
+    element at many points calls this once and keeps the result.
+    """
     if isinstance(el, FnElt):
-        return el.call(arg)
-    lookup = _graph_lookup_cache.get(el)
-    if lookup is None:
-        lookup = dict(el)
-        _graph_lookup_cache[el] = lookup
-    return lookup[arg]
+        return el.call
+    return dict(el).__getitem__
 
 
 class CartMap:
-    """A map of words, evaluated lazily with an optional materialized table."""
+    """A map of words, evaluated lazily with an optional materialized table.
 
-    __slots__ = ("dom", "cod", "_fn", "_table")
+    A memoized map (see `CartesianFinSet.memoize`) stores its value at each
+    point it has been applied to.
+    """
+
+    __slots__ = ("dom", "cod", "_fn", "_table", "_memo")
 
     def __init__(self, dom, cod, fn=None, table=None):
         self.dom = tuple(dom)
         self.cod = tuple(cod)
         self._fn = fn
         self._table = table
+        self._memo = None
 
     def apply(self, x):
         if self._table is not None:
             return self._table[x]
-        return self._fn(x)
+        memo = self._memo
+        if memo is None:
+            return self._fn(x)
+        out = memo.get(x)
+        if out is None:
+            out = memo[x] = self._fn(x)
+        return out
 
     def materialize(self, cap=DEFAULT_CAP):
         if self._table is None:
@@ -223,6 +260,20 @@ class CartesianFinSet:
 
     def apply(self, f, elt):
         return f.apply(elt)
+
+    def memoize(self, f):
+        """f, storing its value at each point it is applied to.
+
+        Only a map whose domain is enumerable is memoized: its points are
+        plain values, so the stored table is keyed by value and holds at most
+        one entry per element of the domain.  Any other map is returned as
+        it is, since its points may hold `FnElt`s, which hash by identity.
+        """
+        if f._table is not None or not word_enumerable(f.dom):
+            return f
+        out = CartMap(f.dom, f.cod, fn=f._fn)
+        out._memo = {}
+        return out
 
     def hom(self, x, y, cap=DEFAULT_CAP):
         ins = word_elements(x, cap)

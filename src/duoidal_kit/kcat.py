@@ -15,30 +15,35 @@ from .finset import (
     CartMap,
     DEFAULT_CAP,
     FnElt,
-    SizeError,
-    apply_fn_elt,
+    fn_eval,
     fn_letter,
-    graph_of,
     word_elements,
-    word_size,
+    word_enumerable,
 )
 from .monoids import Monoid
 from .report import CheckReport
 
 
-def fn_elt_of(dom_word, call, cap=DEFAULT_CAP):
-    """A function element: a graph when the domain is enumerable, else lazy."""
-    n = word_size(dom_word)
-    if n is not None and n <= cap:
-        return graph_of((x, call(x)) for x in word_elements(dom_word, cap))
+def fn_elt_of(dom_word, call):
+    """A function element: a graph when the domain is enumerable, else lazy.
+
+    The graph lists its (argument, value) pairs in `word_elements` order,
+    which is already the canonical order (see `word_elements`).
+    """
+    if word_enumerable(dom_word):
+        return tuple((x, call(x)) for x in word_elements(dom_word))
     return FnElt(call)
 
 
 def compose_fn_elts(f_el, g_el):
-    """Elementwise composition f then g of function elements."""
+    """Elementwise composition f then g of function elements.
+
+    A graph keeps its argument order, so the composite is canonical too.
+    """
+    g = fn_eval(g_el)
     if isinstance(f_el, tuple):
-        return graph_of((x, apply_fn_elt(g_el, y)) for x, y in f_el)
-    return FnElt(lambda x: apply_fn_elt(g_el, f_el.call(x)))
+        return tuple((x, g(y)) for x, y in f_el)
+    return FnElt(lambda x: g(f_el.call(x)))
 
 
 class CartesianSelfEnriched:
@@ -89,12 +94,8 @@ class CartesianSelfEnriched:
         cut = len(x)
 
         def act(t):
-            f_el, g_el = t
-
-            def prod(arg, f_el=f_el, g_el=g_el):
-                return apply_fn_elt(f_el, arg[:cut]) + apply_fn_elt(g_el, arg[cut:])
-
-            return (fn_elt_of(tuple(x) + tuple(z), prod),)
+            f, g = (fn_eval(el) for el in t)
+            return (fn_elt_of(tuple(x) + tuple(z), lambda arg: f(arg[:cut]) + g(arg[cut:])),)
 
         return CartMap(dom, self.hom_obj(self.odot(x, z), self.odot(y, w)), fn=act)
 
@@ -175,7 +176,7 @@ def k_monoid_from_monoid(m: Monoid, K, letter=None) -> KMonoid:
             letter = atom_letter(m.name, m.elements)
     carrier = (letter,)
     squared = carrier + carrier
-    nu_el = graph_of([((), (m.unit,))])
+    nu_el = (((), (m.unit,)),)
     nu_bar = CartMap((), K.hom_obj((), carrier), table={(): (nu_el,)})
     mu_el = fn_elt_of(squared, lambda t: (m.mult(t[0], t[1]),))
     mu_bar = CartMap((), K.hom_obj(squared, carrier), table={(): (mu_el,)})
@@ -345,8 +346,3 @@ def monoid_from_one_object(C: KCategory) -> KMonoid:
         raise ValueError("expected a K-category with exactly one object")
     x = C.objects[0]
     return KMonoid(C.K, C.hom[(x, x)], C.units[x], C.comps[(x, x, x)], C.u[(x, x)], name=C.name)
-
-
-def underlying_hom(K, x, y, cap=DEFAULT_CAP):
-    """The hom-set of the underlying category: D(e, K(x, y))."""
-    return und_hom(K, x, y, cap)

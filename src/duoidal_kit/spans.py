@@ -455,6 +455,10 @@ class SpanDuoidal:
             return False
         return self.materialize(f) == self.materialize(g)
 
+    def memoize(self, f):
+        """Every lazy `SpanMor` already stores its values."""
+        return f
+
     def apply_at(self, f, key, elt):
         return f.apply(key, elt)
 

@@ -45,7 +45,6 @@ from duoidal_kit.operads import (
     cosimplicial_from_multiplicative,
     hochschild_oracle_coface,
     hochschild_oracle_codegeneracy,
-    monoid_to_algebra,
     multiplicative_from_k_monoid,
 )
 from duoidal_kit.spans import Globe, identity_globe
@@ -224,12 +223,12 @@ def test_criterion_06_all_v_algebra_correspondence():
         M = k_monoid_from_monoid(m, K)
         rep = check_fass_algebra_diagrams(M)
         assert rep.all_passed, (m.name, rep.render())
-        A = monoid_to_algebra(M, bound=3)
+        A = multiplicative_from_k_monoid(M, bound=3)
         M2 = algebra_to_monoid(A, K, M.carrier, name=m.name)
         assert D.maps_equal(M2.nu_bar, M.nu_bar), m.name
         assert D.maps_equal(M2.mu_bar, M.mu_bar), m.name
         assert D.maps_equal(M2.u, M.u), m.name
-        A2 = monoid_to_algebra(M2, bound=3)
+        A2 = multiplicative_from_k_monoid(M2, bound=3)
         for n in range(4):
             assert D.maps_equal(A2.mult(n), A.mult(n)), (m.name, n)
         count += 1

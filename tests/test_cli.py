@@ -72,6 +72,16 @@ def test_check_operad_monoid_and_corrupted_table():
     assert "FAIL" in bad.stdout and "witness" in bad.stdout
 
 
+def test_check_operad_counts_skipped_arities():
+    # A(2) and A(3) of t2 have 4^16 and 4^64 elements: skipped and counted
+    out = run_cli("check-operad", "--monoid", str(CORPUS / "t2.json"), "--bound", "3")
+    assert out.returncode == 0, out.stderr
+    rows = out.stdout.splitlines()
+    for name in ("unit law (inner)", "unit law (outer)", "v-action bimodule square"):
+        assert f"PASS  {name}  [k <= 3; 2 skipped]" in rows
+    assert "-- ALL PASS (6 checks)" in rows
+
+
 def test_cosimplicial_verify():
     out = run_cli("cosimplicial-verify", "--monoid", str(CORPUS / "z2.json"), "--levels", "3")
     assert out.returncode == 0

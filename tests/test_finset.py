@@ -8,8 +8,10 @@ from duoidal_kit.finset import (
     fn_letter,
     virtual_letter,
     word_elements,
+    word_enumerable,
     word_size,
 )
+from duoidal_kit.kcat import fn_elt_of
 
 D = CartesianFinSet()
 X = (atom_letter("x", ["p", "q"]),)
@@ -70,3 +72,35 @@ def test_subobject_and_corestriction():
     g = CartMap(X, Y, table={("p",): (1,), ("q",): (2,)})
     with pytest.raises(KeyError):
         D.corestrict_map(g, sub, {None: [(0,), (2,)]})
+
+
+def test_no_module_level_cache():
+    from duoidal_kit import finset
+
+    held = {name: type(v).__name__ for name, v in vars(finset).items() if isinstance(v, (dict, list, set))}
+    assert not {name for name in held if not name.startswith("__")}, held
+
+
+def test_memoize_only_enumerable_domains():
+    f = CartMap(X, Y, fn=lambda t: (len(t[0]),))
+    memo = D.memoize(f)
+    assert memo.apply(("p",)) == (1,) and memo._memo == {("p",): (1,)}
+    lazy = CartMap((virtual_letter("free"),), Y, fn=lambda t: (0,))
+    assert D.memoize(lazy) is lazy
+
+
+def test_word_enumerable_agrees_with_word_elements():
+    ten = atom_letter("ten", range(10))
+    one = atom_letter("one", [0])
+    wide = fn_letter((ten,) * 6, (one,))  # one element, but its domain is past the cap
+    huge = fn_letter((ten, ten), (ten,))
+    words = [(), X, X + Y, (fn_letter(X, Y),), (ten,) * 6, (virtual_letter("free"),), (wide,), (atom_letter("none", []), huge)]
+    for word in words:
+        try:
+            word_elements(word)
+            listed = True
+        except SizeError:
+            listed = False
+        assert word_enumerable(word) is listed, word
+        el = fn_elt_of(word, lambda t: (0,))
+        assert isinstance(el, tuple) is listed, word

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from duoidal_kit.duoidal import chain
-from duoidal_kit.finset import CartesianFinSet, apply_fn_elt, graph_of
+from duoidal_kit.finset import CartesianFinSet, fn_eval, word_elements, word_enumerable
 from duoidal_kit.instances import additive_instance, bool_lattice_instance
 from duoidal_kit.kcat import (
     CartesianSelfEnriched,
@@ -12,11 +12,13 @@ from duoidal_kit.kcat import (
     k_monoid_from_monoid,
     monoid_from_one_object,
     sigma,
-    underlying_hom,
+    und_hom,
 )
 from duoidal_kit.monoids import FreeWordMonoid, cyclic, full_transformation2, monoid_corpus
+from duoidal_kit.report import skey
 from duoidal_kit.operads import (
     MultOperad,
+    OneOperad,
     algebra_to_monoid,
     certify_cosimplicial_generic,
     check_cosimplicial_identities,
@@ -31,7 +33,6 @@ from duoidal_kit.operads import (
     fass,
     hochschild_oracle_coface,
     hochschild_oracle_codegeneracy,
-    monoid_to_algebra,
     multiplicative_from_k_monoid,
 )
 
@@ -62,9 +63,9 @@ def test_sigma_round_trip():
 
 def test_underlying_hom_sizes():
     # one-point homs for the unit object; the function count in general
-    assert len(underlying_hom(K, (), ())) == 1
+    assert len(und_hom(K, (), ())) == 1
     M = k_monoid_from_monoid(cyclic(2), K).carrier
-    assert len(underlying_hom(K, M, M)) == 4
+    assert len(und_hom(K, M, M)) == 4
 
 
 @pytest.mark.parametrize("make", [fass, eass], ids=["fass", "eass"])
@@ -81,11 +82,11 @@ def test_end_operad_axioms_and_substitution(z2_monoid):
     assert rep.all_passed, rep.render()
     # gamma is literally function substitution
     g = A.gamma(2, (1, 1))
-    f_el = graph_of([((0,), (1,)), ((1,), (0,))])
-    id_el = graph_of([((0,), (0,)), ((1,), (1,))])
-    mul = graph_of([((a, b), ((a + b) % 2,)) for a in (0, 1) for b in (0, 1)])
+    f_el = (((0,), (1,)), ((1,), (0,)))
+    id_el = (((0,), (0,)), ((1,), (1,)))
+    mul = tuple(((a, b), ((a + b) % 2,)) for a in (0, 1) for b in (0, 1))
     out = g.apply((f_el, id_el, mul))[0]
-    want = graph_of([((a, b), ((a + 1 + b) % 2,)) for a in (0, 1) for b in (0, 1)])
+    want = tuple(((a, b), ((a + 1 + b) % 2,)) for a in (0, 1) for b in (0, 1))
     assert out == want
 
 
@@ -121,13 +122,13 @@ def test_algebra_diagrams_d1_to_d5():
 def test_monoid_algebra_round_trip():
     for m in (cyclic(3), full_transformation2()):
         M = k_monoid_from_monoid(m, K)
-        A = monoid_to_algebra(M, bound=3)
+        A = multiplicative_from_k_monoid(M, bound=3)
         M2 = algebra_to_monoid(A, K, M.carrier, name=m.name)
         assert D.maps_equal(M2.nu_bar, M.nu_bar)
         assert D.maps_equal(M2.mu_bar, M.mu_bar)
         assert D.maps_equal(M2.u, M.u)
         # and back: the induced multiplicative structures agree levelwise
-        A2 = monoid_to_algebra(M2, bound=3)
+        A2 = multiplicative_from_k_monoid(M2, bound=3)
         for n in range(4):
             assert D.maps_equal(A2.mult(n), A.mult(n))
 
@@ -183,7 +184,7 @@ def test_generic_certificate_detects_corruption():
 
     def value(map_, n_in, n_out):
         out = map_.apply((_probe_function(n_in),))[0]
-        return apply_fn_elt(out, _probe_point(n_out))
+        return fn_eval(out)(_probe_point(n_out))
 
     lhs = chain(D, coface(A, 0, 0), codegeneracy(A, 0, 0))
     rhs = chain(D, coface(A, 0, 1), codegeneracy(A, 0, 0))
@@ -200,3 +201,57 @@ def test_fass_cosimplicial_is_trivial():
     for n in range(2):
         for i in range(n + 2):
             assert X.d(n, i) == "a0"  # every structure map is the unit arrow
+
+
+def _canonical(graph):
+    return tuple(sorted(graph, key=lambda pair: skey(pair[0])))
+
+
+def test_graphs_are_built_in_canonical_order():
+    # the graphs A(0..2) lists, and those its structure maps build, equal
+    # their skey-sorted forms for every corpus monoid
+    for m in monoid_corpus():
+        A = multiplicative_from_k_monoid(k_monoid_from_monoid(m, K), bound=2)
+        built = [A.mult(n).apply(())[0] for n in range(3)]
+        built.append(A.base.gamma(2, (1, 1)).apply((built[1], built[1], built[2]))[0])
+        for n in range(3):
+            (letter,) = A.base.component(n)
+            if letter.size() <= 20000:
+                built.extend(letter.elements())
+        for graph in built:
+            assert graph == _canonical(graph), m.name
+
+
+def test_memoized_gamma_agrees_with_a_fresh_one(z2_monoid):
+    A = end_operad(K, z2_monoid.carrier, bound=2)
+    for n, ks in ((2, (1, 1)), (1, (2,))):
+        memo = A.gamma(n, ks)
+        fresh = A._gamma_fn(n, ks)
+        points = word_elements(memo.dom)
+        for x in points:
+            assert memo.apply(x) == fresh.apply(x)
+            assert memo.apply(x) == fresh.apply(x)  # now from the stored table
+        assert len(memo._memo) == len(points)
+
+
+def test_gammas_over_non_enumerable_domains_store_nothing(monkeypatch):
+    # the generic certificate feeds FnElts, which hash by identity, to gamma
+    built = []
+    gamma = OneOperad.gamma
+
+    def recording(self, n, ks):
+        out = gamma(self, n, ks)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(OneOperad, "gamma", recording)
+    assert certify_cosimplicial_generic(2).all_passed
+    lazy = [g for g in built if not word_enumerable(g.dom)]
+    assert lazy and all(g._memo is None for g in lazy)
+
+
+def test_max_assoc_total_zero_means_inner_total_zero(z2_monoid):
+    A = end_operad(K, z2_monoid.carrier, bound=2)
+    for limit, shapes in ((0, 9), (None, 35)):
+        row = {i.name: i for i in check_one_operad(A, bound=2, max_assoc_total=limit).items}["associativity"]
+        assert row.passed and row.scope == f"{shapes} shapes within bound 2", row.scope
