@@ -363,6 +363,14 @@ def cmd_selftest(args):
     return _report_exit(args, rep)
 
 
+def non_negative(text):
+    """A bound argument: a non-negative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="duoidal-kit", description=__doc__)
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -389,12 +397,12 @@ def build_parser():
     q.add_argument("--monoid", help="build the endomorphism operad of this monoid")
     q.add_argument("--operad", help="a one_operad JSON file over the instance")
     q.add_argument("--named", choices=("fass", "eass"), default="fass")
-    q.add_argument("--bound", type=int, default=4)
+    q.add_argument("--bound", type=non_negative, default=4)
     q.set_defaults(fn=cmd_check_operad)
 
     q = sub.add_parser("cosimplicial-verify", help="cosimplicial identities and the classical oracle")
     q.add_argument("--monoid", required=True)
-    q.add_argument("--levels", type=int, default=4)
+    q.add_argument("--levels", type=non_negative, default=4)
     q.set_defaults(fn=cmd_cosimplicial_verify)
 
     q = sub.add_parser("center", help="the center of a monoid")
@@ -404,19 +412,19 @@ def build_parser():
     q = sub.add_parser("delta-center", help="weighted centers of a monoid")
     q.add_argument("--monoid", required=True)
     q.add_argument("--delta", choices=("const", "ordinals", "lax", "colax"), default="const")
-    q.add_argument("--levels", type=int, default=3)
+    q.add_argument("--levels", type=non_negative, default=3)
     q.set_defaults(fn=cmd_delta_center)
 
     q = sub.add_parser("tamarkin", help="the totalized hom complex of a category-valued functor")
     q.add_argument("--functor", required=True, help="a cat_valued_functor JSON file")
     q.add_argument("--delta", choices=("const", "ordinals"), default="const")
     q.add_argument("--globe", required=True, help="two parallel arrow names, comma separated")
-    q.add_argument("--levels", type=int, default=2)
+    q.add_argument("--levels", type=non_negative, default=2)
     q.set_defaults(fn=cmd_tamarkin)
 
     q = sub.add_parser("trees", help="level-tree utilities")
     q.add_argument("action", choices=("enumerate", "fibers", "prune"))
-    q.add_argument("--leaves", type=int, default=4)
+    q.add_argument("--leaves", type=non_negative, default=4)
     q.add_argument("--tree", help="a 2-tree, e.g. 2>3:1,3")
     q.add_argument("--source", help="source 2-tree of a map")
     q.add_argument("--target", help="target 2-tree of a map")
@@ -428,16 +436,16 @@ def build_parser():
     q.add_argument("action", choices=("check", "end"))
     add_instance_flags(q)
     q.add_argument("--x", help="the object whose endomorphism operad to build")
-    q.add_argument("--leaves", type=int, default=3)
-    q.add_argument("--cap", type=int, default=16)
+    q.add_argument("--leaves", type=non_negative, default=3)
+    q.add_argument("--cap", type=non_negative, default=16)
     q.set_defaults(fn=cmd_two_operad)
 
     q = sub.add_parser("btree", help="bicolored binary trees and contraction")
     q.add_argument("action", choices=("contract", "enumerate"))
     q.add_argument("--term", help="a tree term, e.g. w(b(l,l),l)")
     q.add_argument("--tree-kind", choices=("btree", "atree"), default="btree")
-    q.add_argument("--leaves", type=int, default=2)
-    q.add_argument("--max-vertices", type=int, default=3)
+    q.add_argument("--leaves", type=non_negative, default=2)
+    q.add_argument("--max-vertices", type=non_negative, default=3)
     q.set_defaults(fn=cmd_btree)
 
     q = sub.add_parser("selftest", help="seeded spot checks (DUOIDAL_KIT_SEED)")

@@ -260,7 +260,7 @@ def parse_term(pool: TreePool, text: str) -> int:
     return out
 
 
-def check_contraction_operad_map(max_total_vertices=8, pools=None):
+def check_contraction_operad_map(max_total_vertices=8):
     """contract(graft(T, S, i)) == graft(contract T, contract S, i) for all
     pairs with a combined vertex bound, every leaf of T.  Returns
     (checked_pairs, failures)."""

@@ -23,11 +23,17 @@ def dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def _expect(doc, kind):
+def _expect(doc, kind, *fields):
+    """Check the kind tag, the schema version and the required fields."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"expected a {kind} object, found {type(doc).__name__}")
     if doc.get("kind") != kind:
         raise ValidationError(f"expected kind {kind!r}, found {doc.get('kind')!r}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    for name in fields:
+        if name not in doc:
+            raise ValidationError(f"{kind}: missing field {name!r}")
 
 
 # -- monoids -----------------------------------------------------------------
@@ -45,9 +51,12 @@ def monoid_to_doc(m: Monoid) -> dict:
 
 
 def monoid_from_doc(doc) -> Monoid:
-    _expect(doc, "monoid")
+    _expect(doc, "monoid", "name", "elements", "unit", "table")
     elements = tuple(doc["elements"])
-    table = {(a, b): doc["table"][a][b] for a in elements for b in elements}
+    try:
+        table = {(a, b): doc["table"][a][b] for a in elements for b in elements}
+    except KeyError as exc:
+        raise ValidationError(f"monoid {doc['name']}: table has no entry for {exc}") from exc
     return Monoid(doc["name"], elements, doc["unit"], table)
 
 
@@ -70,7 +79,7 @@ def category_to_doc(c: FiniteCategory) -> dict:
 
 
 def category_from_doc(doc) -> FiniteCategory:
-    _expect(doc, "category")
+    _expect(doc, "category", "name", "objects", "arrows", "identities", "compose")
     arrows = [Arrow(a["name"], a["src"], a["tgt"]) for a in doc["arrows"]]
     compose = {tuple(k.split(" ")): v for k, v in doc["compose"].items()}
     return FiniteCategory(doc["name"], doc["objects"], arrows, compose, doc["identities"])
@@ -90,7 +99,7 @@ def object_functor_to_doc(O: ObjectFunctor) -> dict:
 
 
 def object_functor_from_doc(doc) -> ObjectFunctor:
-    _expect(doc, "object_functor")
+    _expect(doc, "object_functor", "category", "sets", "maps")
     cat = category_from_doc(doc["category"])
     return object_functor(cat, doc["sets"], doc["maps"])
 
@@ -113,7 +122,7 @@ def cat_valued_functor_to_doc(F: CatValuedFunctor) -> dict:
 
 
 def cat_valued_functor_from_doc(doc) -> CatValuedFunctor:
-    _expect(doc, "cat_valued_functor")
+    _expect(doc, "cat_valued_functor", "base", "values", "functors")
     base = category_from_doc(doc["base"])
     values = {a: category_from_doc(c) for a, c in doc["values"].items()}
     functors = {}
@@ -140,7 +149,7 @@ def span_object_to_doc(D: SpanDuoidal, atom) -> dict:
 
 
 def span_object_from_doc(doc):
-    _expect(doc, "span_object")
+    _expect(doc, "span_object", "name", "category", "fibers")
     cat = category_from_doc(doc["category"])
     D = SpanDuoidal(cat)
     fibers = {Globe(*f["globe"]): tuple(f["elements"]) for f in doc["fibers"]}
@@ -172,7 +181,10 @@ def table_duoidal_to_doc(D: TableDuoidal) -> dict:
 
 
 def table_duoidal_from_doc(doc) -> TableDuoidal:
-    _expect(doc, "duoidal_table")
+    _expect(
+        doc, "duoidal_table", "name", "base", "e", "v", "box0_objects", "box1_objects",
+        "box0_arrows", "box1_arrows", "interchange", "delta_e", "mu_v", "iota",
+    )
     base = category_from_doc(doc["base"])
 
     def unpair(table):
@@ -214,7 +226,7 @@ def table_operad_from_doc(doc, D):
     """A table-backed operad over a table duoidal instance."""
     from .operads import OneOperad
 
-    _expect(doc, "one_operad")
+    _expect(doc, "one_operad", "name", "instance", "components", "gamma", "unit")
     components = {int(n): obj for n, obj in doc["components"].items()}
     gammas = {}
     for key, arrow in doc["gamma"].items():
@@ -240,7 +252,7 @@ def table_operad_from_doc(doc, D):
 def duoid_from_doc(doc, D):
     from .duoidal import Duoid
 
-    _expect(doc, "duoid")
+    _expect(doc, "duoid", "carrier", "mult0", "unit0", "mult1", "unit1")
     return Duoid(
         doc["carrier"], doc["mult0"], doc["unit0"], doc["mult1"], doc["unit1"], name=doc.get("name", "duoid")
     )
@@ -275,6 +287,8 @@ def load_document(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: the top level is not a JSON object")
     kind = doc.get("kind")
     if kind not in LOADERS and kind not in ("one_operad", "duoid"):
         raise ValidationError(f"{path}: unknown kind {kind!r}")

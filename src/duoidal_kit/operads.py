@@ -129,7 +129,7 @@ def check_one_operad(A: OneOperad, bound=None, max_assoc_total=None, eq_cap=2000
     than `eq_cap` elements is skipped and counted in its row's scope.
     """
     D = A.D
-    bound = min(bound or A.bound, A.bound)
+    bound = A.bound if bound is None else min(bound, A.bound)
     max_total = bound if max_assoc_total is None else max_assoc_total
     rep = CheckReport(f"operad axioms: {A.name} (arity bound {bound})")
 
@@ -251,7 +251,7 @@ class MultOperad:
 def check_multiplicative(A: MultOperad, bound=None) -> CheckReport:
     D = A.D
     base = A.base
-    bound = min(bound or base.bound, base.bound)
+    bound = base.bound if bound is None else min(bound, base.bound)
     rep = CheckReport(f"multiplicative structure: {A.name} (bound {bound})")
     rep.add("unit compatibility", D.maps_equal(chain(D, D.iota(), A.mult(1)), base.unit))
     witness = ""

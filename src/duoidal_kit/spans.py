@@ -16,14 +16,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fincat import FiniteCategory
 from .finset import SizeError
 from .report import skey, sorted_elements
 
 
-@dataclass(frozen=True)
-class Globe:
+class Globe(NamedTuple):
+    """A parallel pair of arrows f, g: a -> b of the base.
+
+    A named tuple of four strings, so globes (and the chain-tagged elements
+    that hold them) hash and compare in C.
+    """
+
     a: str
     b: str
     f: str
@@ -46,7 +52,7 @@ def arrow_globe(cat: FiniteCategory, f: str) -> Globe:
 
 
 def all_globes(cat: FiniteCategory):
-    return tuple(Globe(*t) for t in cat.parallel_pairs())
+    return tuple(Globe._make(t) for t in cat.parallel_pairs())
 
 
 def hcompose(cat: FiniteCategory, g1: Globe, g2: Globe) -> Globe:
@@ -155,14 +161,31 @@ class SpanMor:
         return f"SpanMor({state})"
 
 
+# per tensor t: the kind of a tensor-t node, and the Globe fields where the
+# cursor of `split` starts and where each factor moves it (a -> b for box0,
+# f -> g for box1)
+_NODE_KINDS = ("p0", "p1")
+_CURSOR = ((0, 1), (2, 3))
+
+
 class SpanDuoidal:
     """The duoidal instance of globe-indexed families over a finite base."""
 
     def __init__(self, cat: FiniteCategory):
         self.cat = cat
         self.name = f"spans({cat.name})"
-        self._i0 = span_atom("I0", {identity_globe(cat, a): ((),) for a in cat.objects})
-        self._i1 = span_atom("I1", {arrow_globe(cat, f): ((),) for f in cat.arrows})
+        # per tensor t (0 = horizontal, 1 = vertical): the unit globes by
+        # cursor position (an object for box0, an arrow for box1), the unit
+        # object, and the composition of globes
+        self._unit_globes = (
+            {a: identity_globe(cat, a) for a in cat.objects},
+            {f: arrow_globe(cat, f) for f in cat.arrows},
+        )
+        self._i0 = span_atom("I0", {g: ((),) for g in self._unit_globes[0].values()})
+        self._i1 = span_atom("I1", {g: ((),) for g in self._unit_globes[1].values()})
+        self._units = (self._i0, self._i1)
+        self._compose = (self._hcompose, vcompose)
+        self._hcompose_cache = {}
         self._fiber_cache = {}
 
     # -- objects ---------------------------------------------------------
@@ -180,49 +203,42 @@ class SpanDuoidal:
     def atom(self, name, fibers):
         atom = span_atom(name, fibers)
         for g, _ in atom.fibers:
-            if (g.a, g.b, g.f, g.g) not in self.cat.parallel_pairs():
+            if g not in self.cat.parallel_pairs():
                 raise ValueError(f"atom {name}: globe {g.render()} not in the base")
         return atom
 
-    def box0_factors(self, x):
-        if x == self._i0:
-            return []
-        if isinstance(x, SpanNode) and x.kind == "p0":
-            return list(x.children)
-        return [x]
+    def arities(self, t, xs):
+        """The number of tensor-t factors of each object: 0 for the unit
+        of tensor t, the children of a tensor-t node, else 1."""
+        return tuple(len(self._factors(t, x)) for x in xs)
 
-    def box1_factors(self, x):
-        if x == self._i1:
-            return []
-        if isinstance(x, SpanNode) and x.kind == "p1":
-            return list(x.children)
-        return [x]
+    def _factors(self, t, x):
+        if x == self._units[t]:
+            return ()
+        if isinstance(x, SpanNode) and x.kind == _NODE_KINDS[t]:
+            return x.children
+        return (x,)
+
+    def tensor(self, t, xs):
+        """The flattened tensor-t product (0 = horizontal, 1 = vertical)."""
+        flat = [c for x in xs for c in self._factors(t, x)]
+        if not flat:
+            return self._units[t]
+        if len(flat) == 1:
+            return flat[0]
+        return SpanNode(_NODE_KINDS[t], tuple(flat))
 
     def box0_many(self, xs):
-        flat = []
-        for x in xs:
-            flat.extend(self.box0_factors(x))
-        if not flat:
-            return self._i0
-        if len(flat) == 1:
-            return flat[0]
-        return SpanNode("p0", tuple(flat))
+        return self.tensor(0, xs)
 
     def box1_many(self, xs):
-        flat = []
-        for x in xs:
-            flat.extend(self.box1_factors(x))
-        if not flat:
-            return self._i1
-        if len(flat) == 1:
-            return flat[0]
-        return SpanNode("p1", tuple(flat))
+        return self.tensor(1, xs)
 
     def box0(self, x, y):
-        return self.box0_many([x, y])
+        return self.tensor(0, (x, y))
 
     def box1(self, x, y):
-        return self.box1_many([x, y])
+        return self.tensor(1, (x, y))
 
     # -- fibers ----------------------------------------------------------
     def _binary_splits0(self, globe):
@@ -292,15 +308,21 @@ class SpanDuoidal:
         return tuple(g for g in all_globes(self.cat) if self.fiber(obj, g))
 
     # -- splitting and joining tensor elements ----------------------------
-    def _arity0(self, x):
-        return len(self.box0_factors(x))
+    def _hcompose(self, g1, g2):
+        """`hcompose` over the base, stored per pair of globes."""
+        key = (g1, g2)
+        out = self._hcompose_cache.get(key)
+        if out is None:
+            out = self._hcompose_cache[key] = hcompose(self.cat, g1, g2)
+        return out
 
-    def _arity1(self, x):
-        return len(self.box1_factors(x))
+    def split(self, t, arities, globe, elt):
+        """Decompose an element of a tensor-t product over `globe` into one
+        (globe, element) pair per factor, given the factors' arities.
 
-    def split0(self, factors, globe, elt):
-        """Decompose an element of box0_many(factors) per original factor."""
-        arities = [self._arity0(x) for x in factors]
+        A factor of arity 0 gets the unit globe at the cursor: the current
+        object for box0, the current arrow for box1.
+        """
         total = sum(arities)
         if total == 0:
             chain, comps = (), ()
@@ -308,93 +330,45 @@ class SpanDuoidal:
             chain, comps = (globe,), (elt,)
         else:
             chain, comps = elt
+        compose = self._compose[t]
+        unit_globes = self._unit_globes[t]
+        start, end = _CURSOR[t]
+        cur = globe[start]
         parts = []
         pos = 0
-        cur_obj = globe.a
-        for x, k in zip(factors, arities):
+        for k in arities:
             if k == 0:
-                parts.append((identity_globe(self.cat, cur_obj), ()))
+                parts.append((unit_globes[cur], ()))
                 continue
-            sub_chain = chain[pos : pos + k]
-            sub_comps = comps[pos : pos + k]
+            g = chain[pos]
+            for nxt in chain[pos + 1 : pos + k]:
+                g = compose(g, nxt)
+            cur = g[end]
+            parts.append((g, comps[pos] if k == 1 else (chain[pos : pos + k], comps[pos : pos + k])))
             pos += k
-            g = sub_chain[0]
-            for nxt in sub_chain[1:]:
-                g = hcompose(self.cat, g, nxt)
-            cur_obj = g.b
-            parts.append((g, sub_comps[0] if k == 1 else (sub_chain, sub_comps)))
         return parts
 
-    def split1(self, factors, globe, elt):
-        arities = [self._arity1(x) for x in factors]
-        total = sum(arities)
-        if total == 0:
-            chain, comps = (), ()
-        elif total == 1:
-            chain, comps = (globe,), (elt,)
-        else:
-            chain, comps = elt
-        parts = []
-        pos = 0
-        cur_arrow = globe.f
-        for x, k in zip(factors, arities):
-            if k == 0:
-                parts.append((arrow_globe(self.cat, cur_arrow), ()))
-                continue
-            sub_chain = chain[pos : pos + k]
-            sub_comps = comps[pos : pos + k]
-            pos += k
-            g = sub_chain[0]
-            for nxt in sub_chain[1:]:
-                g = vcompose(g, nxt)
-            cur_arrow = g.g
-            parts.append((g, sub_comps[0] if k == 1 else (sub_chain, sub_comps)))
-        return parts
-
-    def join0(self, factors, parts):
-        """Reassemble per-factor (globe, element) pairs; inverse of split0."""
-        flat_chain = []
-        flat_comps = []
+    def join(self, t, arities, parts):
+        """Reassemble per-factor (globe, element) pairs into the composite
+        globe and an element of the tensor-t product; inverse of `split`."""
+        compose = self._compose[t]
+        chain = []
+        comps = []
         composite = None
-        for x, (g, elt) in zip(factors, parts):
-            k = self._arity0(x)
-            composite = g if composite is None else hcompose(self.cat, composite, g)
-            if k == 0:
-                continue
+        for k, (g, elt) in zip(arities, parts):
+            composite = g if composite is None else compose(composite, g)
             if k == 1:
-                flat_chain.append(g)
-                flat_comps.append(elt)
-            else:
+                chain.append(g)
+                comps.append(elt)
+            elif k > 1:
                 sub_chain, sub_comps = elt
-                flat_chain.extend(sub_chain)
-                flat_comps.extend(sub_comps)
-        if not flat_chain:
+                chain.extend(sub_chain)
+                comps.extend(sub_comps)
+        if not chain:
             return composite, ()
-        if len(flat_chain) == 1:
-            return composite, flat_comps[0]
-        return composite, (tuple(flat_chain), tuple(flat_comps))
-
-    def join1(self, factors, parts):
-        flat_chain = []
-        flat_comps = []
-        composite = None
-        for x, (g, elt) in zip(factors, parts):
-            k = self._arity1(x)
-            composite = g if composite is None else vcompose(composite, g)
-            if k == 0:
-                continue
-            if k == 1:
-                flat_chain.append(g)
-                flat_comps.append(elt)
-            else:
-                sub_chain, sub_comps = elt
-                flat_chain.extend(sub_chain)
-                flat_comps.extend(sub_comps)
-        if not flat_chain:
-            return composite, ()
-        if len(flat_chain) == 1:
-            return composite, flat_comps[0]
-        return composite, (tuple(flat_chain), tuple(flat_comps))
+        if len(chain) == 1:
+            return composite, comps[0]
+        return composite, (tuple(chain), tuple(comps))
 
     # -- morphisms ---------------------------------------------------------
     def mor(self, dom, cod, mapping) -> SpanMor:
@@ -492,75 +466,64 @@ class SpanDuoidal:
         return out
 
     # -- tensor on morphisms ------------------------------------------------
-    def box0_map_many(self, fs):
+    def tensor_map(self, t, fs):
+        """The tensor-t product of morphisms, evaluated per element by
+        splitting over the domains and joining over the codomains."""
         fs = list(fs)
         if not fs:
-            return self.identity(self._i0)
+            return self.identity(self._units[t])
         doms = [f.dom for f in fs]
         cods = [f.cod for f in fs]
-        dom = self.box0_many(doms)
-        cod = self.box0_many(cods)
+        dom_arities = self.arities(t, doms)
+        cod_arities = self.arities(t, cods)
 
         def act(globe, elt):
-            parts = self.split0(doms, globe, elt)
-            outs = []
-            for f, (g, el) in zip(fs, parts):
-                outs.append((g, f.apply(g, el)))
-            out_globe, out_elt = self.join0(cods, outs)
+            parts = self.split(t, dom_arities, globe, elt)
+            outs = [(g, f.apply(g, el)) for f, (g, el) in zip(fs, parts)]
+            out_globe, out_elt = self.join(t, cod_arities, outs)
             if out_globe != globe:
-                raise AssertionError("box0 tensor moved a globe")
+                raise AssertionError(f"box{t} tensor moved a globe")
             return out_elt
 
-        return self.mor_from_fn(dom, cod, act)
+        return self.mor_from_fn(self.tensor(t, doms), self.tensor(t, cods), act)
+
+    def box0_map_many(self, fs):
+        return self.tensor_map(0, fs)
 
     def box1_map_many(self, fs):
-        fs = list(fs)
-        if not fs:
-            return self.identity(self._i1)
-        doms = [f.dom for f in fs]
-        cods = [f.cod for f in fs]
-        dom = self.box1_many(doms)
-        cod = self.box1_many(cods)
-
-        def act(globe, elt):
-            parts = self.split1(doms, globe, elt)
-            outs = []
-            for f, (g, el) in zip(fs, parts):
-                outs.append((g, f.apply(g, el)))
-            out_globe, out_elt = self.join1(cods, outs)
-            if out_globe != globe:
-                raise AssertionError("box1 tensor moved a globe")
-            return out_elt
-
-        return self.mor_from_fn(dom, cod, act)
+        return self.tensor_map(1, fs)
 
     def box0_map(self, f, g):
-        return self.box0_map_many([f, g])
+        return self.tensor_map(0, (f, g))
 
     def box1_map(self, f, g):
-        return self.box1_map_many([f, g])
+        return self.tensor_map(1, (f, g))
 
     # -- duoidal structure ----------------------------------------------
     def interchange(self, a, b, c, d):
-        ab = self.box1_many([a, b])
-        cd = self.box1_many([c, d])
-        dom = self.box0_many([ab, cd])
-        ac = self.box0_many([a, c])
-        bd = self.box0_many([b, d])
-        cod = self.box1_many([ac, bd])
+        ab = self.tensor(1, (a, b))
+        cd = self.tensor(1, (c, d))
+        ac = self.tensor(0, (a, c))
+        bd = self.tensor(0, (b, d))
+        outer0 = self.arities(0, (ab, cd))
+        ab_arities = self.arities(1, (a, b))
+        cd_arities = self.arities(1, (c, d))
+        ac_arities = self.arities(0, (a, c))
+        bd_arities = self.arities(0, (b, d))
+        outer1 = self.arities(1, (ac, bd))
 
         def act(globe, elt):
-            (g1, e_ab), (g2, e_cd) = self.split0([ab, cd], globe, elt)
-            (g1u, ea), (g1d, eb) = self.split1([a, b], g1, e_ab)
-            (g2u, ec), (g2d, ed) = self.split1([c, d], g2, e_cd)
-            gu, e_ac = self.join0([a, c], [(g1u, ea), (g2u, ec)])
-            gd, e_bd = self.join0([b, d], [(g1d, eb), (g2d, ed)])
-            out_globe, out = self.join1([ac, bd], [(gu, e_ac), (gd, e_bd)])
+            (g1, e_ab), (g2, e_cd) = self.split(0, outer0, globe, elt)
+            (g1u, ea), (g1d, eb) = self.split(1, ab_arities, g1, e_ab)
+            (g2u, ec), (g2d, ed) = self.split(1, cd_arities, g2, e_cd)
+            gu, e_ac = self.join(0, ac_arities, [(g1u, ea), (g2u, ec)])
+            gd, e_bd = self.join(0, bd_arities, [(g1d, eb), (g2d, ed)])
+            out_globe, out = self.join(1, outer1, [(gu, e_ac), (gd, e_bd)])
             if out_globe != globe:
                 raise AssertionError("interchange moved a globe")
             return out
 
-        return self.mor_from_fn(dom, cod, act)
+        return self.mor_from_fn(self.tensor(0, (ab, cd)), self.tensor(1, (ac, bd)), act)
 
     def delta_e(self):
         target = self.box1_many([self._i0, self._i0])

@@ -178,9 +178,10 @@ class EnrichedGraphCategory:
         h23 = self.hom_obj(w2, w3)
         dom = self.D.box0_many([h12, h23])
         out_obj = self.hom_obj(w1, w3)
+        arities = self.D.arities(0, (h12, h23))
 
         def act(globe, elt):
-            (g1, fam1), (g2, fam2) = self.D.split0([h12, h23], globe, elt)
+            (g1, fam1), (g2, fam2) = self.D.split(0, arities, globe, elt)
             phi = self._family_dict(fam1)
             psi = self._family_dict(fam2)
             f1map = self.O.map_of(g1.f)
@@ -218,9 +219,10 @@ class EnrichedGraphCategory:
         dom = self.D.box1_many([h1, h2])
         out_obj = self.hom_obj(self.odot(e1, e2), self.odot(f1, f2))
         k1 = len(e1)
+        arities = self.D.arities(1, (h1, h2))
 
         def act(globe, elt):
-            (g1, fam1), (g2, fam2) = self.D.split1([h1, h2], globe, elt)
+            (g1, fam1), (g2, fam2) = self.D.split(1, arities, globe, elt)
             phi = self._family_dict(fam1)
             psi = self._family_dict(fam2)
             lmap = self.O.map_of(g1.g)  # the shared middle arrow

@@ -405,8 +405,8 @@ def is_one_terminal(A: TwoOperad, ordinal_bound=3) -> bool:
 
 def pruned_map_values(A: TwoOperad, tree: TwoTree):
     """The canonical map A(T) -> A(T^p) inserting units along the pruning
-    inclusion; needs a 1-terminal operad so the height-1 fibers have
-    canonical elements."""
+    inclusion, as its values in the order of A(T); needs a 1-terminal operad
+    so the height-1 fibers have canonical elements."""
     pruned_tree, incl = prune(tree)
     fib = fibers(incl)
     inputs = []
@@ -418,7 +418,7 @@ def pruned_map_values(A: TwoOperad, tree: TwoTree):
             if len(comp) != 1:
                 raise ValueError("pruned comparison needs a 1-terminal operad")
             inputs.append(comp[0])
-    return {id(a): A.m(incl, inputs, a) for a in A.component(tree)}, pruned_tree
+    return tuple(A.m(incl, inputs, a) for a in A.component(tree)), pruned_tree
 
 
 def is_pruned(A: TwoOperad, max_leaves=3) -> bool:
@@ -426,11 +426,8 @@ def is_pruned(A: TwoOperad, max_leaves=3) -> bool:
     if not is_one_terminal(A):
         return False
     for tree in enumerate_two_trees(max_leaves):
-        values, pruned_tree = pruned_map_values(A, tree)
-        images = list(values.values())
+        images, pruned_tree = pruned_map_values(A, tree)
         target = A.component(pruned_tree)
-        if len(images) != len(A.component(tree)):
-            return False
         # injective with image exhausting the target
         for i, x in enumerate(images):
             for y in images[i + 1 :]:

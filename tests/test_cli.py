@@ -148,6 +148,27 @@ def test_input_errors_exit_2(tmp_path):
     assert out.returncode == 2
 
 
+def test_malformed_documents_exit_2(tmp_path):
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    no_table = tmp_path / "no_table.json"
+    no_table.write_text(
+        json.dumps({"kind": "monoid", "schema_version": 1, "name": "m", "elements": ["e"], "unit": "e"})
+    )
+    for path, message in ((not_object, "not a JSON object"), (no_table, "missing field 'table'")):
+        out = run_cli("center", "--monoid", str(path))
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+        assert message in out.stderr
+
+
+def test_negative_bounds_exit_2():
+    for argv in (("trees", "enumerate", "--leaves", "-3"), ("btree", "enumerate", "--leaves", "-1")):
+        out = run_cli(*argv)
+        assert out.returncode == 2 and out.stdout == "", (argv, out.stdout)
+        assert "must be non-negative" in out.stderr
+
+
 def test_byte_identical_reruns():
     for argv in (
         ("check-duoidal", "--builtin", "bool_lattice"),

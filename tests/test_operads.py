@@ -250,6 +250,21 @@ def test_gammas_over_non_enumerable_domains_store_nothing(monkeypatch):
     assert lazy and all(g._memo is None for g in lazy)
 
 
+def test_check_one_operad_bound_zero_means_arity_zero(z2_monoid):
+    rep = check_one_operad(end_operad(K, z2_monoid.carrier, bound=2), bound=0)
+    assert rep.title.endswith("(arity bound 0)") and rep.all_passed
+    rows = {i.name: i for i in rep.items}
+    assert rows["unit law (inner)"].scope == "k <= 0"
+    assert rows["associativity"].scope == "0 shapes within bound 0"
+
+
+def test_check_multiplicative_bound_zero_means_zero(z2_monoid):
+    A = multiplicative_from_k_monoid(z2_monoid, bound=2)
+    rep = check_multiplicative(A, bound=0)
+    assert rep.title.endswith("(bound 0)") and rep.all_passed
+    assert check_multiplicative(A).title.endswith("(bound 2)")
+
+
 def test_max_assoc_total_zero_means_inner_total_zero(z2_monoid):
     A = end_operad(K, z2_monoid.carrier, bound=2)
     for limit, shapes in ((0, 9), (None, 35)):

@@ -1,8 +1,9 @@
 import pytest
 
 from duoidal_kit.duoidal import check_duoidal_axioms, derived_unit_comparison
-from duoidal_kit.instances import arrow_cat, cat_one, parallel_pair_cat
-from duoidal_kit.spans import Globe, SpanDuoidal, arrow_globe, identity_globe
+from duoidal_kit.instances import arrow_cat, bz2_cat, cat_one, parallel_pair_cat
+from duoidal_kit.report import sorted_elements
+from duoidal_kit.spans import Globe, SpanDuoidal, all_globes, arrow_globe, identity_globe
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +169,43 @@ def test_hom_and_subobject(par):
     sub, incl = D.subobject_from_fibers(X, {g: ("x1",)}, "sub")
     assert D.fiber(sub, g) == ("x1",)
     assert incl.apply(g, "x1") == "x1"
+
+
+@pytest.mark.parametrize("base", [bz2_cat, parallel_pair_cat])
+@pytest.mark.parametrize("t", [0, 1])
+def test_join_inverts_split(base, t):
+    cat = base()
+    D = SpanDuoidal(cat)
+    X = D.atom("X", {g: ("x1", "x2") for g in all_globes(cat)})
+    Y = D.atom("Y", {g: ("y",) for g in all_globes(cat)})
+    unit = (D.e, D.v)[t]
+    XY = D.tensor(t, (X, Y))
+    cases = {
+        (X,): (1,),
+        (unit,): (0,),
+        (X, Y): (1, 1),
+        (unit, X): (0, 1),
+        (X, unit, Y): (1, 0, 1),
+        (unit, unit): (0, 0),
+        (XY, X): (2, 1),
+        (XY, unit, XY): (2, 0, 2),
+    }
+    elements = 0
+    for factors, arities in cases.items():
+        assert D.arities(t, factors) == arities
+        obj = D.tensor(t, factors)
+        for globe in D.support(obj):
+            for x in D.fiber(obj, globe):
+                parts = D.split(t, arities, globe, x)
+                assert len(parts) == len(factors)
+                for factor, (g, el) in zip(factors, parts):
+                    assert el in D.fiber(factor, g)
+                assert D.join(t, arities, parts) == (globe, x)
+                elements += 1
+    assert elements > 100
+
+
+def test_globes_sort_by_sort_key():
+    for cat in (bz2_cat(), parallel_pair_cat(), arrow_cat()):
+        globes = all_globes(cat)
+        assert sorted_elements(reversed(globes)) == sorted(globes, key=Globe.sort_key)
