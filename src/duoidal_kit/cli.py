@@ -133,9 +133,12 @@ def cmd_check_duoid(args):
 def cmd_check_operad(args):
     from .operads import check_multiplicative, check_one_operad, eass, fass, multiplicative_from_k_monoid
 
+    # the unit lives in arity 1, so the operad is built to at least arity 1
+    # whatever the checked bound
+    built = max(args.bound, 1)
     if args.monoid:
         monoid = _monoid_from(args)
-        mult = multiplicative_from_k_monoid(_k_monoid(monoid), bound=args.bound)
+        mult = multiplicative_from_k_monoid(_k_monoid(monoid), bound=built)
         rep = check_one_operad(mult.base, bound=min(args.bound, 3), max_assoc_total=min(args.bound, 3))
         rep2 = check_multiplicative(mult, bound=min(args.bound, 3))
         rep.items.extend(rep2.items)
@@ -147,7 +150,7 @@ def cmd_check_operad(args):
         A = jsonio.table_operad_from_doc(doc, D)
         return _report_exit(args, check_one_operad(A, bound=min(args.bound, A.bound)))
     D = _load_instance(args)
-    A = fass(D, bound=args.bound) if args.named == "fass" else eass(D, bound=args.bound)
+    A = fass(D, bound=built) if args.named == "fass" else eass(D, bound=built)
     return _report_exit(args, check_one_operad(A, bound=min(args.bound, 3), max_assoc_total=min(args.bound, 3)))
 
 
@@ -273,42 +276,40 @@ def cmd_tamarkin(args):
     return 0 if tot.stabilized else 1
 
 
-def _parse_tree(text):
-    from .trees import two_tree
-
+def _parse_tree(P, text):
     head, _, tail = text.partition(":")
     n, _, m = head.partition(">")
     images = [int(x) for x in tail.split(",") if x != ""]
-    return two_tree(int(n), int(m), images)
+    return P.two_tree(int(n), int(m), images)
 
 
 def cmd_trees(args):
-    from .trees import TwoTreeMap, enumerate_two_trees, fibers, prune
+    from .trees import TreePool
 
+    P = TreePool()
     if args.action == "enumerate":
-        trees = enumerate_two_trees(args.leaves)
-        _emit(args, "\n".join(t.render() for t in trees))
+        trees = P.enumerate_two_trees(args.leaves)
+        _emit(args, "\n".join(P.render(t) for t in trees))
         return 0
     if args.action == "prune":
-        T = _parse_tree(args.tree)
-        pruned, incl = prune(T)
-        _emit(args, f"pruned: {pruned.render()}\ninclusion: {incl.render()}")
+        pruned, incl = P.prune(_parse_tree(P, args.tree))
+        _emit(args, f"pruned: {P.render(pruned)}\ninclusion: {P.render(incl)}")
         return 0
-    T = _parse_tree(args.source)
-    S = _parse_tree(args.target)
+    T = _parse_tree(P, args.source)
+    S = _parse_tree(P, args.target)
     sigma1 = tuple(int(x) for x in args.sigma1.split(",")) if args.sigma1 else ()
     sigma2 = tuple(int(x) for x in args.sigma2.split(",")) if args.sigma2 else ()
-    sigma = TwoTreeMap(T, S, sigma1, sigma2)
+    sigma = P.two_map(T, S, sigma1, sigma2)
     lines = []
-    for fib in fibers(sigma):
-        lines.append(f"position {fib.position} (height-{fib.height} leaf {fib.leaf}): {fib.tree.render()}")
+    for fib in P.fibers[sigma]:
+        lines.append(f"position {fib.position} (height-{fib.height} leaf {fib.leaf}): {P.render(fib.tree)}")
     _emit(args, "\n".join(lines) if lines else "(no leaves, no fibers)")
     return 0
 
 
 def cmd_two_operad(args):
-    from .two_operads import ass2, check_two_operad, end2, tensor_power
-    from .trees import enumerate_two_trees
+    from .trees import TreePool
+    from .two_operads import ass2, check_two_operad, end2
 
     D = _load_instance(args)
     if args.action == "check":
@@ -318,10 +319,11 @@ def cmd_two_operad(args):
             A = ass2(bound=args.leaves)
         rep = check_two_operad(A, max_leaves=args.leaves, tuple_cap=args.cap)
         return _report_exit(args, rep)
-    A = end2(D, args.x, bound=args.leaves)
+    P = TreePool()
+    A = end2(D, args.x, bound=args.leaves).over(P)
     lines = []
-    for t in enumerate_two_trees(args.leaves):
-        lines.append(f"{t.render()}: component of size {len(A.component(t))}")
+    for t in P.enumerate_two_trees(args.leaves):
+        lines.append(f"{P.render(t)}: component of size {len(A.component(t))}")
     _emit(args, "\n".join(lines))
     return 0
 

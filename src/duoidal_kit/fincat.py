@@ -121,7 +121,6 @@ def finite_category(name, objects, arrow_specs, compose_pairs=None) -> FiniteCat
     arrows += [Arrow(n, s, t) for n, s, t in arrow_specs]
     identities = {x: f"id_{x}" for x in objects}
     table = {}
-    by_name = {a.name: a for a in arrows}
     for f in arrows:
         for g in arrows:
             if f.tgt != g.src:
@@ -135,7 +134,6 @@ def finite_category(name, objects, arrow_specs, compose_pairs=None) -> FiniteCat
                 if compose_pairs is None or key not in compose_pairs:
                     raise ValidationError(f"{name}: composite of {key} unspecified")
                 table[key] = compose_pairs[key]
-    del by_name
     return FiniteCategory(name, objects, arrows, table, identities)
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 
 from .fincat import Arrow, CatFunctor, FiniteCategory, ValidationError, finite_category, identity_functor
-from .finset import CartesianFinSet
 from .monoids import Monoid
 
 
@@ -158,10 +157,6 @@ def discrete_commutative_instance(m: Monoid, name=None):
     )
 
 
-def cartesian_instance():
-    return CartesianFinSet()
-
-
 def table_instances():
     from .monoids import cyclic
 
@@ -201,15 +196,6 @@ def composable_pair_cat():
 
 def bz2_cat():
     return finite_category("bz2", ("*",), [("s", "*", "*")], {("s", "s"): "id_*"})
-
-
-def bz3_cat():
-    return finite_category(
-        "bz3",
-        ("*",),
-        [("r1", "*", "*"), ("r2", "*", "*")],
-        {("r1", "r1"): "r2", ("r1", "r2"): "id_*", ("r2", "r1"): "id_*", ("r2", "r2"): "r1"},
-    )
 
 
 def square_poset_cat():

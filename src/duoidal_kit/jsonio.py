@@ -88,16 +88,6 @@ def category_from_doc(doc) -> FiniteCategory:
 # -- object functors -----------------------------------------------------------
 
 
-def object_functor_to_doc(O: ObjectFunctor) -> dict:
-    return {
-        "kind": "object_functor",
-        "schema_version": SCHEMA_VERSION,
-        "category": category_to_doc(O.cat),
-        "sets": {a: list(v) for a, v in O.sets},
-        "maps": {f: {str(x): str(y) for x, y in table} for f, table in O.maps},
-    }
-
-
 def object_functor_from_doc(doc) -> ObjectFunctor:
     _expect(doc, "object_functor", "category", "sets", "maps")
     cat = category_from_doc(doc["category"])
@@ -209,19 +199,6 @@ def table_duoidal_from_doc(doc) -> TableDuoidal:
 # -- table operads over table instances ----------------------------------------------
 
 
-def table_operad_to_doc(name, instance_name, components, gammas, unit, v_action) -> dict:
-    return {
-        "kind": "one_operad",
-        "schema_version": SCHEMA_VERSION,
-        "name": name,
-        "instance": instance_name,
-        "components": {str(n): obj for n, obj in components.items()},
-        "gamma": {f"{n};{','.join(str(k) for k in ks)}": arrow for (n, ks), arrow in gammas.items()},
-        "unit": unit,
-        "v_action": v_action,
-    }
-
-
 def table_operad_from_doc(doc, D):
     """A table-backed operad over a table duoidal instance."""
     from .operads import OneOperad
@@ -250,25 +227,20 @@ def table_operad_from_doc(doc, D):
 
 
 def duoid_from_doc(doc, D):
+    """A duoid in the table instance D: the carrier must be an object of D and
+    each structure map an arrow of D with the ends of its axioms."""
     from .duoidal import Duoid
 
     _expect(doc, "duoid", "carrier", "mult0", "unit0", "mult1", "unit1")
-    return Duoid(
-        doc["carrier"], doc["mult0"], doc["unit0"], doc["mult1"], doc["unit1"], name=doc.get("name", "duoid")
-    )
-
-
-def duoid_to_doc(d, name=None) -> dict:
-    return {
-        "kind": "duoid",
-        "schema_version": SCHEMA_VERSION,
-        "name": name or d.name,
-        "carrier": d.carrier,
-        "mult0": d.mult0,
-        "unit0": d.unit0,
-        "mult1": d.mult1,
-        "unit1": d.unit1,
-    }
+    if not isinstance(D, TableDuoidal):
+        raise ValidationError("a duoid document names objects and arrows of a table instance")
+    x = doc["carrier"]
+    if x not in D.objects():
+        raise ValidationError(f"duoid carrier {x!r} is not an object of the instance")
+    for field, source in (("mult0", D.box0(x, x)), ("unit0", D.e), ("mult1", D.box1(x, x)), ("unit1", D.v)):
+        if doc[field] not in D.hom(source, x):
+            raise ValidationError(f"duoid {field} {doc[field]!r} is not an arrow {source} -> {x} of the instance")
+    return Duoid(x, doc["mult0"], doc["unit0"], doc["mult1"], doc["unit1"], name=doc.get("name", "duoid"))
 
 
 LOADERS = {

@@ -205,7 +205,3 @@ def monoid_corpus() -> list[Monoid]:
     assert len({m.name for m in corpus}) == len(corpus)
     assert all(len(m.elements) <= 6 for m in corpus)
     return corpus
-
-
-def corpus_by_name() -> dict[str, Monoid]:
-    return {m.name: m for m in monoid_corpus()}

@@ -56,7 +56,7 @@ from duoidal_kit.tamarkin import (
     object_functor_of,
     tamarkin_fiber,
 )
-from duoidal_kit.trees import OneTree
+from duoidal_kit.trees import TreePool
 from duoidal_kit.two_operads import ass2, check_two_operad, end2, is_pruned, truncate
 
 D = CartesianFinSet()
@@ -103,8 +103,6 @@ def test_criterion_01_classical_center_oracle():
 
 
 def test_criterion_02_constant_weights_equalizer_form():
-    from duoidal_kit.operads import MultOperad, fass
-
     checked = 0
     for m in monoid_corpus():
         A = multiplicative_from_k_monoid(k_monoid_from_monoid(m, K), bound=4)
@@ -116,13 +114,6 @@ def test_criterion_02_constant_weights_equalizer_form():
             cen.fibers[None], key=repr
         ), m.name
         checked += 1
-    # the all-v operads over the table instances
-    for inst in (additive_instance(cyclic(2)), additive_instance(cyclic(3))):
-        base = fass(inst, bound=4)
-        A = MultOperad(base, {n: inst.identity(inst.v) for n in range(5)}, name="fass")
-        # table instances carry no element sets; their equalizer form is
-        # checked in the span and cartesian cases below
-        checked += 0
     # a span-instance multiplicative operad, fiberwise
     M = span_monoid("parallel")
     A = multiplicative_from_k_monoid(M, bound=3)
@@ -248,19 +239,18 @@ def test_criterion_07_endomorphism_two_operad():
     assert rep2.all_passed, rep2.render()
     # the level-<=1 truncation is the endomorphism operad of the monoid v
     for inst, A in ((lattice, A1), (additive, A2)):
-        tr1 = truncate(A, 1)
-        from duoidal_kit.trees import enumerate_one_maps, one_map_fibers
-
+        P = TreePool()
+        tr1 = truncate(A, 1).over(P)
         for n in range(4):
-            assert sorted(tr1.component(OneTree(n))) == sorted(
+            assert sorted(tr1.component(P.one_tree(n))) == sorted(
                 inst.hom(inst.box0_many([inst.v] * n), inst.v)
             )
         for a in range(3):
             for b in range(3):
-                for f in enumerate_one_maps(OneTree(a), OneTree(b)):
-                    fibs = one_map_fibers(f)
+                for f in P.enumerate_one_maps(P.one_tree(a), P.one_tree(b)):
+                    fibs = P.fiber_trees[f]
                     for elems in itertools.product(*[tr1.component(t) for t in fibs]):
-                        for outer in tr1.component(f.codomain):
+                        for outer in tr1.component(P.target[f]):
                             got = tr1.m(f, list(elems), outer)
                             want = inst.compose(inst.box0_map_many(list(elems)), outer)
                             assert inst.maps_equal(got, want)
@@ -304,9 +294,10 @@ def test_criterion_08_tree_algebras_are_interchange_monoids():
                 assert is_duoid == should
                 if is_duoid:
                     total_duoids += 1
-                    ev = duoid_to_algebra(D, d, bound=3)
-                    assert check_algebra_map(D, d, ev, max_leaves=2).all_passed
-                    d2 = algebra_to_duoid(D, ev, carrier)
+                    P = TreePool()
+                    ev = duoid_to_algebra(D, d, P, bound=3)
+                    assert check_algebra_map(D, d, P, ev, max_leaves=2).all_passed
+                    d2 = algebra_to_duoid(D, P, ev, carrier)
                     for attr in ("mult0", "unit0", "mult1", "unit1"):
                         assert D.maps_equal(getattr(d2, attr), getattr(d, attr))
     assert is_pruned(ass2())

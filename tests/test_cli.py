@@ -82,6 +82,16 @@ def test_check_operad_counts_skipped_arities():
     assert "-- ALL PASS (6 checks)" in rows
 
 
+def test_check_operad_bound_zero():
+    # the unit lives in arity 1: the operads are built to arity 1, the check stays at 0
+    for argv in (("--monoid", str(CORPUS / "z2.json")), ("--builtin", "additive_z2", "--named", "fass")):
+        out = run_cli("check-operad", *argv, "--bound", "0")
+        assert out.returncode == 0, out.stderr
+        rows = out.stdout.splitlines()
+        assert "PASS  unit law (outer)  [k <= 0]" in rows
+        assert "PASS  associativity  [0 shapes within bound 0]" in rows
+
+
 def test_cosimplicial_verify():
     out = run_cli("cosimplicial-verify", "--monoid", str(CORPUS / "z2.json"), "--levels", "3")
     assert out.returncode == 0
@@ -157,6 +167,22 @@ def test_malformed_documents_exit_2(tmp_path):
     )
     for path, message in ((not_object, "not a JSON object"), (no_table, "missing field 'table'")):
         out = run_cli("center", "--monoid", str(path))
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+        assert message in out.stderr
+
+
+def test_duoid_arrows_outside_the_instance_exit_2(tmp_path):
+    good = json.loads((CORPUS / "duoid_v_bool_lattice.json").read_text())
+    cases = [
+        ({"mult0": "nope"}, "duoid mult0 'nope' is not an arrow"),
+        ({"unit1": "0->1"}, "duoid unit1 '0->1' is not an arrow"),  # an arrow, but not v -> X
+        ({"carrier": "2"}, "duoid carrier '2' is not an object"),
+    ]
+    for patch, message in cases:
+        path = tmp_path / "duoid.json"
+        path.write_text(json.dumps({**good, **patch}))
+        out = run_cli("check-duoid", "--builtin", "bool_lattice", "--duoid", str(path))
         assert out.returncode == 2, out.stderr
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
         assert message in out.stderr

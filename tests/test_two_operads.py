@@ -6,20 +6,7 @@ from duoidal_kit.duoidal import Duoid, check_duoid_axioms, iterated_mu_v, v_as_d
 from duoidal_kit.finset import CartMap, CartesianFinSet, atom_letter
 from duoidal_kit.instances import additive_instance, bool_lattice_instance
 from duoidal_kit.monoids import cyclic
-from duoidal_kit.trees import (
-    OneTree,
-    TreeError,
-    TwoTreeMap,
-    U2,
-    Z2U0,
-    ZU1,
-    enumerate_one_maps,
-    enumerate_two_tree_maps,
-    enumerate_two_trees,
-    one_map_fibers,
-    suspension,
-    two_tree,
-)
+from duoidal_kit.trees import U2, Z2U0, ZU1, TreeError, TreePool
 from duoidal_kit.two_operads import (
     algebra_to_duoid,
     ass2,
@@ -39,38 +26,42 @@ X = (atom_letter("x", ["p", "q"]),)
 
 
 def test_tensor_powers():
-    assert tensor_power(D, X, U2) == X
-    assert tensor_power(D, X, two_tree(2, 1, [1, 1])) == X + X
-    assert tensor_power(D, X, two_tree(2, 2, [1, 2])) == X + X
-    assert tensor_power(D, X, ZU1) == D.v
-    assert tensor_power(D, X, Z2U0) == D.e
-    assert tensor_power(D, X, OneTree(3)) == D.box0_many([D.v] * 3)
+    P = TreePool()
+    assert tensor_power(D, X, P, U2) == X
+    assert tensor_power(D, X, P, P.two_tree(2, 1, [1, 1])) == X + X
+    assert tensor_power(D, X, P, P.two_tree(2, 2, [1, 2])) == X + X
+    assert tensor_power(D, X, P, ZU1) == D.v
+    assert tensor_power(D, X, P, Z2U0) == D.e
+    assert tensor_power(D, X, P, P.one_tree(3)) == D.box0_many([D.v] * 3)
 
 
 def test_suspension_interchange_single_step():
     # (2->2, id) onto the 2-suspension: exactly the binary interchange
-    T = two_tree(2, 2, [1, 2])
-    sigma = TwoTreeMap(T, suspension(2), (1, 1), (1, 2))
-    got = suspension_interchange(D, X, sigma)
+    P = TreePool()
+    T = P.two_tree(2, 2, [1, 2])
+    sigma = P.two_map(T, P.suspension(2), (1, 1), (1, 2))
+    got = suspension_interchange(D, X, P, sigma)
     want = D.interchange(X, D.e, D.e, X)
     # over the cartesian instance both are the identity on X box0 X
     assert D.maps_equal(got, D.identity(X + X))
     lattice = bool_lattice_instance()
-    got_l = suspension_interchange(lattice, "1", sigma)
+    got_l = suspension_interchange(lattice, "1", P, sigma)
     assert lattice.maps_equal(got_l, lattice.interchange("1", lattice.v, lattice.v, "1"))
 
 
 def test_suspension_interchange_requires_suspension_target():
-    T = two_tree(2, 2, [1, 2])
-    sigma = TwoTreeMap(T, T, (1, 2), (1, 2))
+    P = TreePool()
+    T = P.two_tree(2, 2, [1, 2])
+    sigma = P.two_map(T, T, (1, 2), (1, 2))
     with pytest.raises(TreeError):
-        suspension_interchange(D, X, sigma)
+        suspension_interchange(D, X, P, sigma)
 
 
 def test_degenerate_fibers_insert_units():
     # T = (0 -> 1) onto the 1-suspension: the single fiber has no leaves
-    sigma = TwoTreeMap(ZU1, suspension(1), (1,), ())
-    got = suspension_interchange(bool_lattice_instance(), "1", sigma)
+    P = TreePool()
+    sigma = P.two_map(ZU1, P.suspension(1), (1,), ())
+    got = suspension_interchange(bool_lattice_instance(), "1", P, sigma)
     lattice = bool_lattice_instance()
     assert got in lattice.base.arrow_names()
 
@@ -80,8 +71,9 @@ def test_ass2_passes_and_truncates():
     rep = check_two_operad(A, max_leaves=2, tuple_cap=8)
     assert rep.all_passed, rep.render()
     assert is_pruned(A)
-    tr1 = truncate(A, 1)
-    assert tr1.component(OneTree(2)) == ["*"]
+    P = TreePool()
+    tr1 = truncate(A, 1).over(P)
+    assert tr1.component(P.one_tree(2)) == ["*"]
     with pytest.raises(ValueError):
         tr1.component(U2)
 
@@ -105,17 +97,18 @@ def test_end2_z2_additive_small():
 def test_truncation_is_the_endomorphism_operad_of_v():
     lattice = bool_lattice_instance()
     A = end2(lattice, "1", bound=3)
-    tr1 = truncate(A, 1)
+    P = TreePool()
+    tr1 = truncate(A, 1).over(P)
     for n in range(4):
-        assert sorted(tr1.component(OneTree(n))) == sorted(
+        assert sorted(tr1.component(P.one_tree(n))) == sorted(
             lattice.hom(lattice.box0_many([lattice.v] * n), lattice.v)
         )
     for a in range(3):
         for b in range(3):
-            for f in enumerate_one_maps(OneTree(a), OneTree(b)):
-                fibs = one_map_fibers(f)
+            for f in P.enumerate_one_maps(P.one_tree(a), P.one_tree(b)):
+                fibs = P.fiber_trees[f]
                 for elems in itertools.product(*[tr1.component(t) for t in fibs]):
-                    for outer in tr1.component(f.codomain):
+                    for outer in tr1.component(P.target[f]):
                         got = tr1.m(f, list(elems), outer)
                         want = lattice.compose(lattice.box0_map_many(list(elems)), outer)
                         assert lattice.maps_equal(got, want)
@@ -141,10 +134,11 @@ def test_corrupted_unit_fails_identity_axiom():
 def test_duoid_algebra_round_trip_small():
     lattice = bool_lattice_instance()
     d = v_as_duoid(lattice)
-    ev = duoid_to_algebra(lattice, d, bound=3)
-    rep = check_algebra_map(lattice, d, ev, max_leaves=2)
+    P = TreePool()
+    ev = duoid_to_algebra(lattice, d, P, bound=3)
+    rep = check_algebra_map(lattice, d, P, ev, max_leaves=2)
     assert rep.all_passed, rep.render()
-    d2 = algebra_to_duoid(lattice, ev, d.carrier)
+    d2 = algebra_to_duoid(lattice, P, ev, d.carrier)
     for attr in ("mult0", "unit0", "mult1", "unit1"):
         assert lattice.maps_equal(getattr(d2, attr), getattr(d, attr))
 
@@ -200,16 +194,17 @@ def test_duoid_round_trip_for_every_commutative_monoid_on_two_points():
         mult = CartMap(sq, carrier, table={(a, b): (t[(a, b)],) for a in elems for b in elems})
         unit = CartMap((), carrier, table={(): (u,)})
         d = Duoid(carrier, mult, unit, mult, unit)
-        ev = duoid_to_algebra(D, d, bound=3)
-        d2 = algebra_to_duoid(D, ev, carrier)
+        P = TreePool()
+        ev = duoid_to_algebra(D, d, P, bound=3)
+        d2 = algebra_to_duoid(D, P, ev, carrier)
         for attr in ("mult0", "unit0", "mult1", "unit1"):
             assert D.maps_equal(getattr(d2, attr), getattr(d, attr))
         # symmetric instance: every 4-leaf tree shape evaluates the same way
-        ev4 = duoid_to_algebra(D, d, bound=4)
+        ev4 = duoid_to_algebra(D, d, P, bound=4)
         shapes = [
-            two_tree(4, 2, [1, 1, 2, 2]),
-            two_tree(4, 1, [1, 1, 1, 1]),
-            two_tree(4, 4, [1, 2, 3, 4]),
+            P.two_tree(4, 2, [1, 1, 2, 2]),
+            P.two_tree(4, 1, [1, 1, 1, 1]),
+            P.two_tree(4, 4, [1, 2, 3, 4]),
         ]
         for t_other in shapes[1:]:
             assert D.maps_equal(ev4[shapes[0]], ev4[t_other])
