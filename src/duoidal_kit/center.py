@@ -13,9 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .duoidal import Duoid, chain, check_duoid_axioms
-from .finset import SizeError
 from .operads import CosimplicialObject, MultOperad, cosimplicial_from_multiplicative
-from .report import sorted_elements
+from .report import SizeError, sorted_elements
 
 
 class InternalConsistencyError(RuntimeError):
@@ -99,17 +98,6 @@ class TotResult:
 
     def family_count(self):
         return sum(len(v) for v in self.families.values())
-
-    def level_zero_fibers(self):
-        """The projection to level 0 (per fiber key, deduplicated, sorted)."""
-        out = {}
-        for key, fams in self.families.items():
-            seen = []
-            for fam in fams:
-                if fam[0] not in seen:
-                    seen.append(fam[0])
-            out[key] = tuple(sorted_elements(seen))
-        return out
 
 
 def _families_at(D, X: CosimplicialObject, delta: Weights, N: int, key, free_cap=4096):
@@ -262,13 +250,12 @@ def duoid_on_center(A: MultOperad, name=None):
     equalizer; images landing outside it indicate a bug, not bad input.
     """
     D = A.D
-    from .operads import coface, codegeneracy
+    from .operads import codegeneracy
 
     name = name or f"center({A.name})"
     cen = equalizer_center(A, name=name)
     z, incl = cen.obj, cen.inclusion
     a0 = A.base.component(0)
-    d0 = coface(A, 0, 0)
     s0 = codegeneracy(A, 0, 0)
 
     def corestrict(f, label):
@@ -277,14 +264,7 @@ def duoid_on_center(A: MultOperad, name=None):
         except KeyError as exc:
             raise InternalConsistencyError(f"{label} left the equalizer: {exc}") from exc
 
-    mult0_raw = chain(
-        D,
-        D.box0_map(incl, incl),
-        D.box0_map(d0, d0),
-        A.base.gamma(1, (1,)),
-        s0,
-    )
-    mult0 = corestrict(mult0_raw, "mult0")
+    mult0 = corestrict(mult0_variants(A, cen)[(0, 0)], "mult0")
     pair1 = D.box1(a0, a0)
     mult1_raw = chain(
         D,

@@ -8,14 +8,13 @@ no timestamps, canonical ordering everywhere.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import jsonio
 from .fincat import ValidationError
-from .finset import CartesianFinSet, SizeError, atom_letter
-from .report import CheckReport, sorted_elements
+from .finset import CartesianFinSet, atom_letter
+from .report import CheckReport, SizeError, sorted_elements
 
 BUILTIN_INSTANCES = (
     "bool_lattice",
@@ -45,10 +44,11 @@ def _builtin_instance(name):
 
 
 def _load_instance(args):
-    if getattr(args, "builtin", None):
-        return _builtin_instance(args.builtin)
-    doc = jsonio.load_document(args.instance)
-    return jsonio.table_duoidal_from_doc(doc)
+    """The --instance file if one is given, else the --builtin instance (which
+    has a default)."""
+    if args.instance:
+        return jsonio.table_duoidal_from_doc(jsonio.load_document(args.instance))
+    return _builtin_instance(args.builtin)
 
 
 def _emit(args, text):
@@ -156,23 +156,18 @@ def cmd_check_operad(args):
 
 def cmd_cosimplicial_verify(args):
     from .finset import word_size
-    from .kcat import CartesianSelfEnriched
     from .operads import (
         certify_cosimplicial_generic,
         check_cosimplicial_identities,
-        coface,
-        codegeneracy,
         cosimplicial_from_multiplicative,
-        hochschild_oracle_coface,
-        hochschild_oracle_codegeneracy,
+        hochschild_oracle_cases,
         multiplicative_from_k_monoid,
     )
 
     monoid = _monoid_from(args)
     rep = certify_cosimplicial_generic(args.levels)
     M = _k_monoid(monoid)
-    K = M.K
-    D = K.D
+    D = M.K.D
     A = multiplicative_from_k_monoid(M, bound=args.levels + 2)
 
     # extensional confirmation on every level whose function space enumerates
@@ -183,15 +178,9 @@ def cmd_cosimplicial_verify(args):
         if (word_size(dom) or 10**9) > 20000:
             continue
         checked.append(n)
-        for i in range(n + 2):
-            if not D.maps_equal(coface(A, n, i), hochschild_oracle_coface(monoid, K, n, i, carrier=M.carrier)):
-                witness = f"d_{i} at level {n}"
-        if n >= 1:
-            for i in range(n):
-                lhs = codegeneracy(A, n - 1, i)
-                rhs = hochschild_oracle_codegeneracy(monoid, K, n - 1, i, carrier=M.carrier)
-                if not D.maps_equal(lhs, rhs):
-                    witness = f"s_{i} at level {n - 1}"
+        for label, lhs, rhs in hochschild_oracle_cases(A, monoid, M.K, M.carrier, n):
+            if not D.maps_equal(lhs, rhs):
+                witness = label
     rep.add(
         f"extensional oracle agreement for {monoid.name}",
         not witness,
@@ -276,6 +265,14 @@ def cmd_tamarkin(args):
     return 0 if tot.stabilized else 1
 
 
+def _required(args, flag):
+    """The value of a flag that the chosen action needs."""
+    value = getattr(args, flag)
+    if value is None:
+        raise ValidationError(f"{args.command} {args.action} needs --{flag}")
+    return value
+
+
 def _parse_tree(P, text):
     head, _, tail = text.partition(":")
     n, _, m = head.partition(">")
@@ -292,11 +289,11 @@ def cmd_trees(args):
         _emit(args, "\n".join(P.render(t) for t in trees))
         return 0
     if args.action == "prune":
-        pruned, incl = P.prune(_parse_tree(P, args.tree))
+        pruned, incl = P.prune(_parse_tree(P, _required(args, "tree")))
         _emit(args, f"pruned: {P.render(pruned)}\ninclusion: {P.render(incl)}")
         return 0
-    T = _parse_tree(P, args.source)
-    S = _parse_tree(P, args.target)
+    T = _parse_tree(P, _required(args, "source"))
+    S = _parse_tree(P, _required(args, "target"))
     sigma1 = tuple(int(x) for x in args.sigma1.split(",")) if args.sigma1 else ()
     sigma2 = tuple(int(x) for x in args.sigma2.split(",")) if args.sigma2 else ()
     sigma = P.two_map(T, S, sigma1, sigma2)
@@ -307,20 +304,25 @@ def cmd_trees(args):
     return 0
 
 
+def _object_of(D, args):
+    """The --x object: one of the objects that the instance lists."""
+    x = _required(args, "x")
+    if x not in (D.objects() or ()):
+        raise ValidationError(f"--x {x!r} is not a listed object of the instance {D.name}")
+    return x
+
+
 def cmd_two_operad(args):
     from .trees import TreePool
     from .two_operads import ass2, check_two_operad, end2
 
     D = _load_instance(args)
     if args.action == "check":
-        if args.x:
-            A = end2(D, args.x, bound=args.leaves)
-        else:
-            A = ass2(bound=args.leaves)
+        A = end2(D, _object_of(D, args)) if args.x else ass2()
         rep = check_two_operad(A, max_leaves=args.leaves, tuple_cap=args.cap)
         return _report_exit(args, rep)
     P = TreePool()
-    A = end2(D, args.x, bound=args.leaves).over(P)
+    A = end2(D, _object_of(D, args)).over(P)
     lines = []
     for t in P.enumerate_two_trees(args.leaves):
         lines.append(f"{P.render(t)}: component of size {len(A.component(t))}")
@@ -334,7 +336,7 @@ def cmd_btree(args):
     bp = BinaryForest()
     ap = AlternatingForest()
     if args.action == "contract":
-        t = parse_term(bp, args.term)
+        t = parse_term(bp, _required(args, "term"))
         out = ContractionMap(bp, ap).contract(t)
         _emit(args, ap.render(out))
         return 0
@@ -349,17 +351,14 @@ def cmd_selftest(args):
 
     seed = int(os.environ.get("DUOIDAL_KIT_SEED", "0"))
     rng = random.Random(seed)
-    from .center import equalizer_center
     from .monoids import monoid_corpus
-    from .operads import certify_cosimplicial_generic, multiplicative_from_k_monoid
+    from .operads import certify_cosimplicial_generic
 
     rep = certify_cosimplicial_generic(3)
     picks = rng.sample(monoid_corpus(), 4)
     ok = True
     for m in picks:
-        A = multiplicative_from_k_monoid(_k_monoid(m), bound=3)
-        cen = equalizer_center(A)
-        got = sorted((str(z[0][0][1][0]) for z in cen.fibers[None]))
+        got = _center_elements(m)
         ok = ok and got == sorted(str(z) for z in m.center())
     rep.add(f"sampled centers match brute force (seed {seed})", ok, f"monoids {[m.name for m in picks]}")
     return _report_exit(args, rep)

@@ -43,9 +43,6 @@ class TreePool:
         self._intern[key] = idx
         return idx
 
-    def is_leaf(self, t) -> bool:
-        return t == LEAF
-
     def render(self, t) -> str:
         if t == LEAF:
             return "l"

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
+from .duoidal import Tensors
 from .report import CheckReport
 
 
@@ -141,7 +143,7 @@ def finite_category(name, objects, arrow_specs, compose_pairs=None) -> FiniteCat
 # table-backed duoidal instances
 
 
-class TableDuoidal:
+class TableDuoidal(Tensors):
     """A strict duoidal category given entirely by finite tables.
 
     Objects and morphisms are names; all structure is table lookup.  The
@@ -167,12 +169,10 @@ class TableDuoidal:
     ):
         self.name = name
         self.base = base
-        self._box0_obj = dict(box0_obj)
-        self._box1_obj = dict(box1_obj)
-        self._e = e
-        self._v = v
-        self._box0_arr = dict(box0_arr)
-        self._box1_arr = dict(box1_arr)
+        # per tensor t: the object table, the arrow table and the unit
+        self._obj = (dict(box0_obj), dict(box1_obj))
+        self._arr = (dict(box0_arr), dict(box1_arr))
+        self._units = (e, v)
         self._zeta = dict(interchange_table)
         self._delta_e = delta_e
         self._mu_v = mu_v
@@ -182,7 +182,8 @@ class TableDuoidal:
     def _validate(self):
         objs = self.base.objects
         arrs = self.base.arrows
-        for table, unit, label in ((self._box0_obj, self._e, "box0"), (self._box1_obj, self._v, "box1")):
+        for t in (0, 1):
+            table, arr_table, unit, label = self._obj[t], self._arr[t], self._units[t], f"box{t}"
             if unit not in objs:
                 raise ValidationError(f"{self.name}: unit of {label} is not an object")
             for x in objs:
@@ -196,51 +197,41 @@ class TableDuoidal:
                     for z in objs:
                         if table[(table[(x, y)], z)] != table[(x, table[(y, z)])]:
                             raise ValidationError(f"{self.name}: {label} not strictly associative")
-        for table, otable, label in (
-            (self._box0_arr, self._box0_obj, "box0"),
-            (self._box1_arr, self._box1_obj, "box1"),
-        ):
             for f in arrs.values():
                 for g in arrs.values():
-                    h = table.get((f.name, g.name))
+                    h = arr_table.get((f.name, g.name))
                     if h is None or h not in arrs:
                         raise ValidationError(f"{self.name}: {label} arrow table not total")
                     ha = arrs[h]
-                    if ha.src != otable[(f.src, g.src)] or ha.tgt != otable[(f.tgt, g.tgt)]:
+                    if ha.src != table[(f.src, g.src)] or ha.tgt != table[(f.tgt, g.tgt)]:
                         raise ValidationError(f"{self.name}: {label} arrow table ill-typed at ({f.name}, {g.name})")
-        for tup, zname in self._zeta.items():
-            a, b, c, d = tup
+            ident = self.base.identities[unit]
+            for f in arrs:
+                if arr_table[(ident, f)] != f or arr_table[(f, ident)] != f:
+                    raise ValidationError(f"{self.name}: {label} not strictly unital on arrows at {f}")
+        for tup in itertools.product(objs, repeat=4):
+            zname = self._zeta.get(tup)
+            if zname is None:
+                raise ValidationError(f"{self.name}: interchange table not total")
             za = arrs.get(zname)
             if za is None:
                 raise ValidationError(f"{self.name}: interchange entry {tup} is not an arrow")
-            src = self._box0_obj[(self._box1_obj[(a, b)], self._box1_obj[(c, d)])]
-            tgt = self._box1_obj[(self._box0_obj[(a, c)], self._box0_obj[(b, d)])]
+            a, b, c, d = tup
+            src = self.box0(self.box1(a, b), self.box1(c, d))
+            tgt = self.box1(self.box0(a, c), self.box0(b, d))
             if za.src != src or za.tgt != tgt:
                 raise ValidationError(f"{self.name}: interchange ill-typed at {tup}")
-        for x in objs:
-            for y in objs:
-                for z in objs:
-                    for w in objs:
-                        if (x, y, z, w) not in self._zeta:
-                            raise ValidationError(f"{self.name}: interchange table not total")
+        e, v = self._units
         for aname, src, tgt, label in (
-            (self._delta_e, self._e, self._box1_obj[(self._e, self._e)], "delta_e"),
-            (self._mu_v, self._box0_obj[(self._v, self._v)], self._v, "mu_v"),
-            (self._iota, self._e, self._v, "iota"),
+            (self._delta_e, e, self.box1(e, e), "delta_e"),
+            (self._mu_v, self.box0(v, v), v, "mu_v"),
+            (self._iota, e, v, "iota"),
         ):
             arr = arrs.get(aname)
             if arr is None or arr.src != src or arr.tgt != tgt:
                 raise ValidationError(f"{self.name}: {label} ill-typed")
 
     # duoidal interface -------------------------------------------------
-    @property
-    def e(self):
-        return self._e
-
-    @property
-    def v(self):
-        return self._v
-
     def objects(self):
         return self.base.objects
 
@@ -266,40 +257,25 @@ class TableDuoidal:
         """Maps are arrow names; there is nothing to store."""
         return f
 
-    def box0(self, x, y):
-        return self._box0_obj[(x, y)]
-
-    def box1(self, x, y):
-        return self._box1_obj[(x, y)]
-
-    def box0_many(self, xs):
-        out = self._e
-        for x in xs:
-            out = self._box0_obj[(out, x)]
+    def tensor(self, t, xs):
+        """Fold the object table of tensor t over xs.  The tensor is strictly
+        unital, so the fold starts at the first factor."""
+        table = self._obj[t]
+        it = iter(xs)
+        out = next(it, self._units[t])
+        for x in it:
+            out = table[(out, x)]
         return out
 
-    def box1_many(self, xs):
-        out = self._v
-        for x in xs:
-            out = self._box1_obj[(out, x)]
-        return out
-
-    def box0_map(self, f, g):
-        return self._box0_arr[(f, g)]
-
-    def box1_map(self, f, g):
-        return self._box1_arr[(f, g)]
-
-    def box0_map_many(self, fs):
-        out = self.identity(self._e)
-        for f in fs:
-            out = self._box0_arr[(out, f)]
-        return out
-
-    def box1_map_many(self, fs):
-        out = self.identity(self._v)
-        for f in fs:
-            out = self._box1_arr[(out, f)]
+    def tensor_map(self, t, fs):
+        """Fold the arrow table of tensor t over fs, as `tensor` does."""
+        table = self._arr[t]
+        it = iter(fs)
+        out = next(it, None)
+        if out is None:
+            return self.base.identities[self._units[t]]
+        for f in it:
+            out = table[(out, f)]
         return out
 
     def interchange(self, a, b, c, d):
@@ -373,11 +349,9 @@ def natural_transformations(F: CatFunctor, G: CatFunctor):
         raise ValidationError("natural transformations need a parallel functor pair")
     src, tgt = F.src, F.tgt
     objs = src.objects
-    import itertools as _it
-
     choices = [tgt.hom(F.on_obj(x), G.on_obj(x)) for x in objs]
     out = []
-    for combo in _it.product(*choices):
+    for combo in itertools.product(*choices):
         alpha = dict(zip(objs, combo))
         if all(
             tgt.compose(F.on_arr(f.name), alpha[f.tgt]) == tgt.compose(alpha[f.src], G.on_arr(f.name))

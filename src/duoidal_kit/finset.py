@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import itertools
 
-from .report import skey
+from .duoidal import Tensors
+from .report import SizeError, skey
 
 DEFAULT_CAP = 250_000
-
-
-class SizeError(RuntimeError):
-    """Raised when an enumeration would exceed its size guard."""
 
 
 class Letter:
@@ -215,21 +212,13 @@ def _splits(words):
     return out
 
 
-class CartesianFinSet:
+class CartesianFinSet(Tensors):
     """The cartesian duoidal instance: both tensors are the product."""
 
     def __init__(self, name="cartesian"):
         self.name = name
 
     # -- objects -------------------------------------------------------
-    @property
-    def e(self):
-        return ()
-
-    @property
-    def v(self):
-        return ()
-
     def objects(self):
         return None  # virtual: unboundedly many words
 
@@ -294,43 +283,27 @@ class CartesianFinSet:
         return True
 
     # -- tensors -------------------------------------------------------
-    def box0(self, x, y):
-        return tuple(x) + tuple(y)
-
-    def box1(self, x, y):
-        return tuple(x) + tuple(y)
-
-    def box0_many(self, xs):
+    def tensor(self, t, xs):
+        """Word concatenation, for either tensor."""
         out = ()
         for x in xs:
             out += tuple(x)
         return out
 
-    box1_many = box0_many
-
-    def _tensor_map_many(self, fs):
+    def tensor_map(self, t, fs):
+        """The product of maps, applied slot range by slot range."""
         fs = list(fs)
-        dom = self.box0_many(f.dom for f in fs)
-        cod = self.box0_many(f.cod for f in fs)
+        dom = self.tensor(t, (f.dom for f in fs))
+        cod = self.tensor(t, (f.cod for f in fs))
         bounds = _splits([f.dom for f in fs])
 
-        def act(t, fs=fs, bounds=bounds):
+        def act(x, fs=fs, bounds=bounds):
             out = ()
             for f, (a, b) in zip(fs, bounds):
-                out += f.apply(t[a:b])
+                out += f.apply(x[a:b])
             return out
 
         return CartMap(dom, cod, fn=act)
-
-    def box0_map_many(self, fs):
-        return self._tensor_map_many(fs)
-
-    box1_map_many = box0_map_many
-
-    def box0_map(self, f, g):
-        return self._tensor_map_many([f, g])
-
-    box1_map = box0_map
 
     # -- duoidal structure ----------------------------------------------
     def interchange(self, a, b, c, d):

@@ -200,19 +200,31 @@ def table_duoidal_from_doc(doc) -> TableDuoidal:
 
 
 def table_operad_from_doc(doc, D):
-    """A table-backed operad over a table duoidal instance."""
+    """A table-backed operad over a table duoidal instance: every component
+    must be an object of D, and the unit and every gamma an arrow of D."""
     from .operads import OneOperad
 
     _expect(doc, "one_operad", "name", "instance", "components", "gamma", "unit")
+    if not isinstance(D, TableDuoidal):
+        raise ValidationError("a one_operad document names objects and arrows of a table instance")
     components = {int(n): obj for n, obj in doc["components"].items()}
+    for n, obj in components.items():
+        if obj not in D.objects():
+            raise ValidationError(f"operad component {n} {obj!r} is not an object of the instance")
     gammas = {}
     for key, arrow in doc["gamma"].items():
         head, _, tail = key.partition(";")
         ks = tuple(int(k) for k in tail.split(",")) if tail else ()
+        if arrow not in D.base.arrows:
+            raise ValidationError(f"operad gamma {key!r} {arrow!r} is not an arrow of the instance")
         gammas[(int(head), ks)] = arrow
+    if doc["unit"] not in D.base.arrows:
+        raise ValidationError(f"operad unit {doc['unit']!r} is not an arrow of the instance")
     bound = max(components)
 
     def component(n):
+        if n not in components:
+            raise ValidationError(f"operad table missing the component {n}")
         return components[n]
 
     def gamma(n, ks):

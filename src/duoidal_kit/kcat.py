@@ -46,15 +46,10 @@ def compose_fn_elts(f_el, g_el):
     return FnElt(lambda x: g(f_el.call(x)))
 
 
-class CartesianSelfEnriched:
-    """Finite sets enriched in themselves: hom-objects are function sets."""
-
-    def __init__(self, D):
-        self.D = D
-        self.name = "finset_self_enriched"
-
-    def objects(self):
-        return None
+class WordTensor:
+    """The tensor of a D-monoidal category whose objects are words: it is
+    concatenation, so it is strictly associative and strictly unital with
+    the empty word as its unit."""
 
     @property
     def eta(self):
@@ -71,6 +66,17 @@ class CartesianSelfEnriched:
 
     def odot_power(self, x, n):
         return self.odot_many([x] * n)
+
+
+class CartesianSelfEnriched(WordTensor):
+    """Finite sets enriched in themselves: hom-objects are function sets."""
+
+    def __init__(self, D):
+        self.D = D
+        self.name = "finset_self_enriched"
+
+    def objects(self):
+        return None
 
     def hom_obj(self, x, y):
         return (fn_letter(tuple(x), tuple(y)),)

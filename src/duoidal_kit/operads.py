@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .duoidal import chain, iterated_delta_e, iterated_interchange
-from .finset import CartesianFinSet, CartMap, FnElt, SizeError, atom_letter, fn_eval, virtual_letter
+from .finset import CartesianFinSet, CartMap, FnElt, fn_eval
 from .kcat import (
     CartesianSelfEnriched,
     KMonoid,
@@ -25,7 +25,7 @@ from .kcat import (
     und_id,
     und_odot,
 )
-from .report import CheckReport
+from .report import CheckReport, SizeError
 
 
 class OneOperad:
@@ -278,28 +278,11 @@ def multiplicative_from_k_monoid(M: KMonoid, bound=4) -> MultOperad:
     D = K.D
     base = end_operad(K, M.carrier, bound=bound, name=f"end({M.name})")
     x = M.carrier
-
-    powers = {0: M.nu_bar, 1: und_id(K, x), 2: M.mu_bar}
-    for n in range(3, bound + 2):
-        prev = powers[n - 1]
-        powers[n] = und_compose(
-            K,
-            und_odot(K, prev, und_id(K, x), K.odot_power(x, n - 1), x, x, x),
-            M.mu_bar,
-            K.odot_power(x, n),
-            K.odot(x, x),
-            x,
-        )
-
-    m = {}
-    for n in range(0, bound + 2):
-        if n > base.bound:
-            continue
-        m[n] = chain(
-            D,
-            D.box0_map(powers[n], M.u),
-            K.comp_map(K.odot_power(x, n), x, x),
-        )
+    powers = und_monoid_to_eass_algebra(K, x, M.nu_bar, M.mu_bar, bound=bound)
+    m = {
+        n: chain(D, D.box0_map(powers[n], M.u), K.comp_map(K.odot_power(x, n), x, x))
+        for n in range(bound + 1)
+    }
     return MultOperad(base, m, name=f"end({M.name})")
 
 
@@ -500,14 +483,13 @@ def codegeneracy(A: MultOperad, n: int, i: int):
     )
 
 
-def hochschild_oracle_coface(m, K, n: int, i: int, carrier=None):
+def hochschild_oracle_coface(m, K, n: int, i: int, carrier):
     """The classical coface on Set(M^n, M), written directly from the monoid.
 
     Independent of the operadic construction; used as its oracle.
     """
-    M = k_monoid_from_monoid_carrier(m, K) if carrier is None else carrier
-    dom_word = K.odot_power(M, n)
-    cod_word = K.odot_power(M, n + 1)
+    dom_word = K.odot_power(carrier, n)
+    cod_word = K.odot_power(carrier, n + 1)
 
     def transform(t):
         (f_el,) = t
@@ -522,14 +504,13 @@ def hochschild_oracle_coface(m, K, n: int, i: int, carrier=None):
 
         return (fn_elt_of(cod_word, value),)
 
-    return CartMap(K.hom_obj(dom_word, M), K.hom_obj(cod_word, M), fn=transform)
+    return CartMap(K.hom_obj(dom_word, carrier), K.hom_obj(cod_word, carrier), fn=transform)
 
 
-def hochschild_oracle_codegeneracy(m, K, n: int, i: int, carrier=None):
+def hochschild_oracle_codegeneracy(m, K, n: int, i: int, carrier):
     """The classical codegeneracy: insert the monoid unit in slot i+1."""
-    M = k_monoid_from_monoid_carrier(m, K) if carrier is None else carrier
-    dom_word = K.odot_power(M, n + 1)
-    cod_word = K.odot_power(M, n)
+    dom_word = K.odot_power(carrier, n + 1)
+    cod_word = K.odot_power(carrier, n)
 
     def transform(t):
         (f_el,) = t
@@ -540,13 +521,20 @@ def hochschild_oracle_codegeneracy(m, K, n: int, i: int, carrier=None):
 
         return (fn_elt_of(cod_word, value),)
 
-    return CartMap(K.hom_obj(dom_word, M), K.hom_obj(cod_word, M), fn=transform)
+    return CartMap(K.hom_obj(dom_word, carrier), K.hom_obj(cod_word, carrier), fn=transform)
 
 
-def k_monoid_from_monoid_carrier(m, K):
-    if m.elements is None:
-        return (virtual_letter(m.name),)
-    return (atom_letter(m.name, m.elements),)
+def hochschild_oracle_cases(A: MultOperad, m, K, carrier, n: int):
+    """(label, constructed map, oracle map) for the cofaces out of level n
+    and the codegeneracies into level n - 1."""
+    for i in range(n + 2):
+        yield f"d_{i} at level {n}", coface(A, n, i), hochschild_oracle_coface(m, K, n, i, carrier=carrier)
+    for i in range(n):
+        yield (
+            f"s_{i} at level {n - 1}",
+            codegeneracy(A, n - 1, i),
+            hochschild_oracle_codegeneracy(m, K, n - 1, i, carrier=carrier),
+        )
 
 
 def _probe_function(n: int):
@@ -575,7 +563,6 @@ def certify_cosimplicial_generic(N: int = 4) -> CheckReport:
     decides the identity for every monoid and every f at once: the resulting
     words expose the full substitution patterns.
     """
-    from .duoidal import chain as _chain
     from .monoids import FreeWordMonoid
 
     D = CartesianFinSet()
@@ -585,64 +572,26 @@ def certify_cosimplicial_generic(N: int = 4) -> CheckReport:
     A = multiplicative_from_k_monoid(M, bound=N + 2)
     rep = CheckReport(f"generic cosimplicial certificate (levels <= {N + 1}, all monoids)")
 
-    def value(map_, n_in, n_out):
-        out_el = map_.apply((_probe_function(n_in),))[0]
-        return fn_eval(out_el)(_probe_point(n_out))
+    def value(map_):
+        """map_ at the probe function of its domain's arity, with the function
+        it gives read at as many distinct generators as its codomain's arity."""
+        (letter_in,), (letter_out,) = map_.dom, map_.cod
+        out_el = map_.apply((_probe_function(len(letter_in.dom_word)),))[0]
+        return fn_eval(out_el)(_probe_point(len(letter_out.dom_word)))
 
-    witness = ""
-    for n in range(N):
-        for j in range(n + 3):
-            for i in range(j):
-                lhs = _chain(D, coface(A, n, i), coface(A, n + 1, j))
-                rhs = _chain(D, coface(A, n, j - 1), coface(A, n + 1, i))
-                if value(lhs, n, n + 2) != value(rhs, n, n + 2):
-                    witness = f"d_{j} d_{i} at level {n}"
-    rep.add("coface identities (generic)", not witness, f"levels <= {N + 1}", witness)
-    witness = ""
-    for n in range(N):
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                lhs = _chain(D, codegeneracy(A, n + 1, i), codegeneracy(A, n, j))
-                rhs = _chain(D, codegeneracy(A, n + 1, j + 1), codegeneracy(A, n, i))
-                if value(lhs, n + 2, n) != value(rhs, n + 2, n):
-                    witness = f"s_{j} s_{i} at level {n}"
-    rep.add("codegeneracy identities (generic)", not witness, f"levels <= {N + 1}", witness)
-    witness = ""
-    for n in range(N + 1):
-        for i in range(n + 2):
-            for j in range(n + 1):
-                lhs = _chain(D, coface(A, n, i), codegeneracy(A, n, j))
-                if i == j or i == j + 1:
-                    got = value(lhs, n, n)
-                    want = _probe_function(n).call(_probe_point(n))
-                elif i < j:
-                    if n == 0:
-                        continue
-                    got = value(lhs, n, n)
-                    want = value(_chain(D, codegeneracy(A, n - 1, j - 1), coface(A, n - 1, i)), n, n)
-                else:
-                    if n == 0:
-                        continue
-                    got = value(lhs, n, n)
-                    want = value(_chain(D, codegeneracy(A, n - 1, j), coface(A, n - 1, i - 1)), n, n)
-                if got != want:
-                    witness = f"s_{j} d_{i} at level {n}"
-    rep.add("mixed identities (generic)", not witness, f"levels <= {N + 1}", witness)
+    witness = [""] * len(_IDENTITY_ROWS)
+    for row, label, lhs, rhs in _identity_cases(cosimplicial_from_multiplicative(A, N), N):
+        if value(lhs) != value(rhs):
+            witness[row] = label
+    for name, w in zip(_IDENTITY_ROWS, witness):
+        rep.add(f"{name} (generic)", not w, f"levels <= {N + 1}", w)
 
     # the constructed maps against the classical oracle, generically
     witness = ""
     for n in range(N + 1):
-        for i in range(n + 2):
-            lhs = value(coface(A, n, i), n, n + 1)
-            rhs = value(hochschild_oracle_coface(free, K, n, i, carrier=M.carrier), n, n + 1)
-            if lhs != rhs:
-                witness = f"d_{i} at level {n}"
-        if n >= 1:
-            for i in range(n):
-                lhs = value(codegeneracy(A, n - 1, i), n, n - 1)
-                rhs = value(hochschild_oracle_codegeneracy(free, K, n - 1, i, carrier=M.carrier), n, n - 1)
-                if lhs != rhs:
-                    witness = f"s_{i} at level {n - 1}"
+        for label, lhs, rhs in hochschild_oracle_cases(A, free, K, M.carrier, n):
+            if value(lhs) != value(rhs):
+                witness = label
     rep.add("construction agrees with the classical oracle (generic)", not witness, f"levels <= {N + 1}", witness)
     return rep
 
@@ -675,6 +624,45 @@ def cosimplicial_from_multiplicative(A: MultOperad, N: int) -> CosimplicialObjec
     return CosimplicialObject(A.D, levels, ds, ss, N, name=A.name)
 
 
+_IDENTITY_ROWS = ("coface identities", "codegeneracy identities", "mixed identities")
+
+
+def _identity_cases(X: CosimplicialObject, N: int):
+    """(row, label, lhs, rhs) for every cosimplicial identity whose composites
+    stay within level N+1; row indexes `_IDENTITY_ROWS`."""
+    D = X.D
+    for n in range(N):
+        for j in range(n + 3):
+            for i in range(j):
+                yield (
+                    0,
+                    f"d_{j} d_{i} at level {n}",
+                    chain(D, X.d(n, i), X.d(n + 1, j)),
+                    chain(D, X.d(n, j - 1), X.d(n + 1, i)),
+                )
+    for n in range(N):
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                yield (
+                    1,
+                    f"s_{j} s_{i} at level {n}",
+                    chain(D, X.s(n + 1, i), X.s(n, j)),
+                    chain(D, X.s(n + 1, j + 1), X.s(n, i)),
+                )
+    for n in range(N + 1):
+        for i in range(n + 2):
+            for j in range(n + 1):
+                if i == j or i == j + 1:
+                    rhs = D.identity(X.level(n))
+                elif n == 0:
+                    continue
+                elif i < j:
+                    rhs = chain(D, X.s(n - 1, j - 1), X.d(n - 1, i))
+                else:
+                    rhs = chain(D, X.s(n - 1, j), X.d(n - 1, i - 1))
+                yield 2, f"s_{j} d_{i} at level {n}", chain(D, X.d(n, i), X.s(n, j)), rhs
+
+
 def check_cosimplicial_identities(X: CosimplicialObject, N=None, maps_equal=None) -> CheckReport:
     """All cosimplicial identities whose composites stay within level N+1.
 
@@ -682,66 +670,24 @@ def check_cosimplicial_identities(X: CosimplicialObject, N=None, maps_equal=None
     skipped and counted in the scope; the generic word-monoid certificate is
     the exact check covering those.
     """
-    D = X.D
-    eq = maps_equal or D.maps_equal
+    eq = maps_equal or X.D.maps_equal
     N = X.N if N is None else min(N, X.N)
     rep = CheckReport(f"cosimplicial identities: {X.name} (levels <= {N + 1})")
-
-    def run(name, gen):
-        witness = ""
-        checked = skipped = 0
-        for label, lhs, rhs in gen:
-            try:
-                ok = eq(lhs, rhs)
-            except SizeError:
-                skipped += 1
-                continue
-            checked += 1
-            if not ok:
-                witness = label
-        scope = f"levels <= {N + 1}; {checked} checked"
-        if skipped:
-            scope += f", {skipped} skipped (non-enumerable domains)"
-        rep.add(name, not witness, scope, witness)
-
-    def cofaces():
-        for n in range(N):
-            for j in range(n + 3):
-                for i in range(j):
-                    yield (
-                        f"d_{j} d_{i} at level {n}",
-                        chain(D, X.d(n, i), X.d(n + 1, j)),
-                        chain(D, X.d(n, j - 1), X.d(n + 1, i)),
-                    )
-
-    def codegeneracies():
-        for n in range(N):
-            for i in range(n + 1):
-                for j in range(i, n + 1):
-                    yield (
-                        f"s_{j} s_{i} at level {n}",
-                        chain(D, X.s(n + 1, i), X.s(n, j)),
-                        chain(D, X.s(n + 1, j + 1), X.s(n, i)),
-                    )
-
-    def mixed():
-        for n in range(N + 1):
-            for i in range(n + 2):
-                for j in range(n + 1):
-                    lhs = chain(D, X.d(n, i), X.s(n, j))
-                    if i == j or i == j + 1:
-                        rhs = D.identity(X.level(n))
-                    elif i < j:
-                        if n == 0:
-                            continue
-                        rhs = chain(D, X.s(n - 1, j - 1), X.d(n - 1, i))
-                    else:
-                        if n == 0:
-                            continue
-                        rhs = chain(D, X.s(n - 1, j), X.d(n - 1, i - 1))
-                    yield (f"s_{j} d_{i} at level {n}", lhs, rhs)
-
-    run("coface identities", cofaces())
-    run("codegeneracy identities", codegeneracies())
-    run("mixed identities", mixed())
+    witness = [""] * len(_IDENTITY_ROWS)
+    checked = [0] * len(_IDENTITY_ROWS)
+    skipped = [0] * len(_IDENTITY_ROWS)
+    for row, label, lhs, rhs in _identity_cases(X, N):
+        try:
+            ok = eq(lhs, rhs)
+        except SizeError:
+            skipped[row] += 1
+            continue
+        checked[row] += 1
+        if not ok:
+            witness[row] = label
+    for row, name in enumerate(_IDENTITY_ROWS):
+        scope = f"levels <= {N + 1}; {checked[row]} checked"
+        if skipped[row]:
+            scope += f", {skipped[row]} skipped (non-enumerable domains)"
+        rep.add(name, not witness[row], scope, witness[row])
     return rep

@@ -1,8 +1,13 @@
-"""Check reports shared by all axiom checkers and the CLI."""
+"""Check reports shared by all axiom checkers and the CLI, and the size
+guard that every enumeration raises."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+
+class SizeError(RuntimeError):
+    """Raised when an enumeration would exceed its size guard."""
 
 
 @dataclass

@@ -18,9 +18,9 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .duoidal import Tensors
 from .fincat import FiniteCategory
-from .finset import SizeError
-from .report import skey, sorted_elements
+from .report import SizeError, skey, sorted_elements
 
 
 class Globe(NamedTuple):
@@ -168,7 +168,7 @@ _NODE_KINDS = ("p0", "p1")
 _CURSOR = ((0, 1), (2, 3))
 
 
-class SpanDuoidal:
+class SpanDuoidal(Tensors):
     """The duoidal instance of globe-indexed families over a finite base."""
 
     def __init__(self, cat: FiniteCategory):
@@ -181,22 +181,14 @@ class SpanDuoidal:
             {a: identity_globe(cat, a) for a in cat.objects},
             {f: arrow_globe(cat, f) for f in cat.arrows},
         )
-        self._i0 = span_atom("I0", {g: ((),) for g in self._unit_globes[0].values()})
-        self._i1 = span_atom("I1", {g: ((),) for g in self._unit_globes[1].values()})
-        self._units = (self._i0, self._i1)
+        self._units = tuple(
+            span_atom(f"I{t}", {g: ((),) for g in self._unit_globes[t].values()}) for t in (0, 1)
+        )
         self._compose = (self._hcompose, vcompose)
         self._hcompose_cache = {}
         self._fiber_cache = {}
 
     # -- objects ---------------------------------------------------------
-    @property
-    def e(self):
-        return self._i0
-
-    @property
-    def v(self):
-        return self._i1
-
     def objects(self):
         return None
 
@@ -227,18 +219,6 @@ class SpanDuoidal:
         if len(flat) == 1:
             return flat[0]
         return SpanNode(_NODE_KINDS[t], tuple(flat))
-
-    def box0_many(self, xs):
-        return self.tensor(0, xs)
-
-    def box1_many(self, xs):
-        return self.tensor(1, xs)
-
-    def box0(self, x, y):
-        return self.tensor(0, (x, y))
-
-    def box1(self, x, y):
-        return self.tensor(1, (x, y))
 
     # -- fibers ----------------------------------------------------------
     def _binary_splits0(self, globe):
@@ -487,18 +467,6 @@ class SpanDuoidal:
 
         return self.mor_from_fn(self.tensor(t, doms), self.tensor(t, cods), act)
 
-    def box0_map_many(self, fs):
-        return self.tensor_map(0, fs)
-
-    def box1_map_many(self, fs):
-        return self.tensor_map(1, fs)
-
-    def box0_map(self, f, g):
-        return self.tensor_map(0, (f, g))
-
-    def box1_map(self, f, g):
-        return self.tensor_map(1, (f, g))
-
     # -- duoidal structure ----------------------------------------------
     def interchange(self, a, b, c, d):
         ab = self.tensor(1, (a, b))
@@ -526,19 +494,16 @@ class SpanDuoidal:
         return self.mor_from_fn(self.tensor(0, (ab, cd)), self.tensor(1, (ac, bd)), act)
 
     def delta_e(self):
-        target = self.box1_many([self._i0, self._i0])
-
         def act(globe, elt):
             return ((globe, globe), ((), ()))
 
-        return self.mor_from_fn(self._i0, target, act)
+        return self.mor_from_fn(self.e, self.box1(self.e, self.e), act)
 
     def mu_v(self):
-        dom = self.box0_many([self._i1, self._i1])
-        return self.mor_from_fn(dom, self._i1, lambda g, el: ())
+        return self.mor_from_fn(self.box0(self.v, self.v), self.v, lambda g, el: ())
 
     def iota(self):
-        return self.mor_from_fn(self._i0, self._i1, lambda g, el: ())
+        return self.mor_from_fn(self.e, self.v, lambda g, el: ())
 
     # -- extra structure used by the center machinery --------------------
     def subobject_from_fibers(self, x, fibers, name):

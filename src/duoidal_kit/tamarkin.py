@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .fincat import Arrow, CatFunctor, FiniteCategory, ValidationError, compose_functors, identity_functor
-from .kcat import KMonoid
+from .kcat import KMonoid, WordTensor
 from .report import skey, sorted_elements
 from .spans import Globe, LazySpanAtom, SpanDuoidal, arrow_globe, identity_globe
 
@@ -96,7 +96,7 @@ def graph_family(name, data: dict) -> GraphFamily:
     return GraphFamily(name, tuple(out))
 
 
-class EnrichedGraphCategory:
+class EnrichedGraphCategory(WordTensor):
     """The monoidal span category of graph-family words over an object functor."""
 
     def __init__(self, O: ObjectFunctor):
@@ -107,22 +107,6 @@ class EnrichedGraphCategory:
 
     def objects(self):
         return None
-
-    @property
-    def eta(self):
-        return ()
-
-    def odot(self, w1, w2):
-        return tuple(w1) + tuple(w2)
-
-    def odot_many(self, ws):
-        out = ()
-        for w in ws:
-            out += tuple(w)
-        return out
-
-    def odot_power(self, w, n):
-        return self.odot_many([w] * n)
 
     def word_fiber(self, word, a, a1, a2):
         """Path-tagged elements of a word's fiber at (A, a', a'')."""
@@ -376,25 +360,7 @@ def factorization_from_monoid(M: KMonoid, name="F") -> CatValuedFunctor:
     """Rebuild the category-valued factorization from a monoid's data."""
     J = M.K
     base = J.cat
-    E = M.carrier[0]
-    values = {}
-    for a in base.objects:
-        gl = identity_globe(base, a)
-        nu_fam = dict(M.nu_bar.apply(gl, ()))
-        mu_fam = dict(M.mu_bar.apply(gl, ()))
-        objs = J.O.set_of(a)
-        identities = {}
-        for a1 in objs:
-            ((_, out),) = nu_fam[(a1, a1)]
-            identities[a1] = out[1][0]
-        arrows = [(x, a1, a2) for a1 in objs for a2 in objs for x in E.fiber(a, a1, a2)]
-        compose_table = {}
-        for pair, table in mu_fam.items():
-            for (path, comps), out in dict(table).items():
-                compose_table[(comps[0], comps[1])] = out[1][0]
-        values[a] = FiniteCategory(
-            f"{name}@{a}", objs, [Arrow(x, s, t) for x, s, t in arrows], compose_table, identities
-        )
+    values = categories_from_und_monoid(M.carrier, M.mu_bar, M.nu_bar, J, name=name)
     functors = {}
     for f, arrow in base.arrows.items():
         gl = arrow_globe(base, f)
@@ -414,8 +380,9 @@ def und_monoid_data(F: CatValuedFunctor, J=None):
     return M.carrier, M.mu_bar, M.nu_bar, M.K
 
 
-def categories_from_und_monoid(carrier, mu_bar, nu_bar, J):
-    """Rebuild the per-object categories from level-two data."""
+def categories_from_und_monoid(carrier, mu_bar, nu_bar, J, name="fact2"):
+    """Rebuild the per-object categories from level-two data; the category
+    at a is named name@a."""
     base = J.cat
     E = carrier[0]
     out = {}
@@ -434,7 +401,7 @@ def categories_from_und_monoid(carrier, mu_bar, nu_bar, J):
             for (path, comps), outv in dict(table).items():
                 compose_table[(comps[0], comps[1])] = outv[1][0]
         out[a] = FiniteCategory(
-            f"fact2@{a}", objs, [Arrow(x, s, t) for x, s, t in arrows], compose_table, identities
+            f"{name}@{a}", objs, [Arrow(x, s, t) for x, s, t in arrows], compose_table, identities
         )
     return out
 
@@ -473,10 +440,6 @@ def pullback_family(phi: dict, O1: ObjectFunctor, E: GraphFamily) -> GraphFamily
                     row[(b1, b2)] = elems
         data[a] = row
     return graph_family(f"{E.name}*", data)
-
-
-def pullback_object(phi: dict, O1: ObjectFunctor, word) -> tuple:
-    return tuple(pullback_family(phi, O1, E) for E in word)
 
 
 def pullback_hom_element(phi: dict, O1: ObjectFunctor, globe: Globe, elem):

@@ -73,7 +73,6 @@ class TwoOperad:
     unit_fn: object  # level (0|1|2) -> element of the component of U_level
     m_fn: object  # pool -> substitution (sigma, fiber elements, outer) -> element
     equal_fn: object = None  # element equality within a component
-    bound: int = 3
 
     def over(self, P: TreePool) -> PoolOperad:
         """The operad on the trees and maps of pool P."""
@@ -99,18 +98,17 @@ class PoolOperad:
         return found
 
 
-def ass2(bound=3) -> TwoOperad:
+def ass2() -> TwoOperad:
     """The terminal example: every component is a point."""
     return TwoOperad(
         "ass2",
         lambda P, tree: ["*"],
         lambda level: "*",
         lambda P: lambda sigma, fib, outer: "*",
-        bound=bound,
     )
 
 
-def end2(D, x, bound=3, name=None) -> TwoOperad:
+def end2(D, x, name=None) -> TwoOperad:
     """The endomorphism example: A(T) = hom(X^T, X^{U_level})."""
 
     def component(P, tree):
@@ -124,7 +122,7 @@ def end2(D, x, bound=3, name=None) -> TwoOperad:
 
     def substitution(P):
         plans = []  # per map id of P: (rows (start, stop, shuffle or None), fiber count)
-        compose, box0_many, box1_many = D.compose, D.box0_map_many, D.box1_map_many
+        compose, tensor_map = D.compose, D.tensor_map
 
         def compile_plan(sigma):
             rows, pos = [], 0
@@ -143,7 +141,7 @@ def end2(D, x, bound=3, name=None) -> TwoOperad:
             if kind == MAP1:
                 if P.n[P.target[sigma]] == 0:
                     return outer  # the map (0) -> (0)
-                return compose(box0_many(fib), outer)
+                return compose(tensor_map(0, fib), outer)
             if P.target[sigma] == Z2U0:
                 return outer  # the identity of the leafless tree has no fibers
             if sigma >= len(plans):
@@ -156,12 +154,12 @@ def end2(D, x, bound=3, name=None) -> TwoOperad:
                 raise ValueError("fiber element count does not match the map")
             block_maps = []
             for start, stop, shuffle in rows:
-                block_maps.append(fib[start] if shuffle is None else compose(shuffle, box1_many(fib[start:stop])))
-            return compose(box0_many(block_maps), outer)
+                block_maps.append(fib[start] if shuffle is None else compose(shuffle, tensor_map(1, fib[start:stop])))
+            return compose(tensor_map(0, block_maps), outer)
 
         return m
 
-    return TwoOperad(name or "end2", component, unit, substitution, equal_fn=D.maps_equal, bound=bound)
+    return TwoOperad(name or "end2", component, unit, substitution, equal_fn=D.maps_equal)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +270,7 @@ def truncate(A: TwoOperad, k: int) -> TwoOperad:
             raise ValueError("tree outside the truncation")
         return A.component_fn(P, tree)
 
-    return TwoOperad(f"tr{k}({A.name})", component, A.unit_fn, A.m_fn, A.equal_fn, A.bound)
+    return TwoOperad(f"tr{k}({A.name})", component, A.unit_fn, A.m_fn, A.equal_fn)
 
 
 def is_one_terminal(A: TwoOperad, ordinal_bound=3) -> bool:
@@ -371,7 +369,7 @@ def check_algebra_map(D, d, P, evaluations, max_leaves=3, ordinal_bound=3) -> Ch
     """Is tree -> evaluation a morphism of tree operads onto the
     endomorphism example, with the canonical level-1 part?"""
     rep = CheckReport(f"duoid algebra structure: {d.name}")
-    E = end2(D, d.carrier, bound=max_leaves).over(P)
+    E = end2(D, d.carrier).over(P)
 
     # the level-1 part: substitution for ordinal maps with the v-operad maps
     witness = ""

@@ -229,12 +229,12 @@ def test_criterion_06_all_v_algebra_correspondence():
 def test_criterion_07_endomorphism_two_operad():
     lattice = bool_lattice_instance()
     assert len(lattice.objects()) <= 3
-    A1 = end2(lattice, "1", bound=3)
+    A1 = end2(lattice, "1")
     rep1 = check_two_operad(A1, max_leaves=3, tuple_cap=16)
     assert rep1.all_passed, rep1.render()
     additive = additive_instance(cyclic(2))
     assert len(additive.objects()) <= 3
-    A2 = end2(additive, "*", bound=3, name="end2_additive")
+    A2 = end2(additive, "*", name="end2_additive")
     rep2 = check_two_operad(A2, max_leaves=3, tuple_cap=16)
     assert rep2.all_passed, rep2.render()
     # the level-<=1 truncation is the endomorphism operad of the monoid v

@@ -188,6 +188,65 @@ def test_duoid_arrows_outside_the_instance_exit_2(tmp_path):
         assert message in out.stderr
 
 
+def test_operad_names_outside_the_instance_exit_2(tmp_path):
+    good = json.loads((CORPUS / "fass_additive_z2.json").read_text())
+    cases = [
+        ("additive_z2", {"gamma": {**good["gamma"], "1;0": "nope"}}, "operad gamma '1;0' 'nope' is not an arrow"),
+        ("additive_z2", {"components": {**good["components"], "1": "zz"}}, "operad component 1 'zz' is not an object"),
+        ("additive_z2", {"unit": "nope"}, "operad unit 'nope' is not an arrow"),
+        ("additive_z2", {"components": {n: "*" for n in ("0", "1", "3")}}, "operad table missing the component 2"),
+        ("cartesian", {}, "names objects and arrows of a table instance"),
+    ]
+    for builtin, patch, message in cases:
+        path = tmp_path / "operad.json"
+        path.write_text(json.dumps({**good, **patch}))
+        out = run_cli("check-operad", "--builtin", builtin, "--operad", str(path), "--bound", "2")
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+        assert message in out.stderr
+
+
+@pytest.mark.parametrize(
+    "field, key, value, message",
+    [
+        ("box0_objects", "0 1", "2", "box0 object table not total at (0, 1)"),
+        ("box1_objects", "1 1", "0", "box1 not strictly unital at 1"),
+        ("box1_arrows", "0->1 0->1", "1->1", "box1 arrow table ill-typed at (0->1, 0->1)"),
+        ("interchange", "0 1 1 0", "1->1", "interchange ill-typed at ('0', '1', '1', '0')"),
+        ("mu_v", None, "0->1", "mu_v ill-typed"),
+    ],
+)
+def test_corrupt_instance_tables_exit_2(tmp_path, field, key, value, message):
+    doc = json.loads((CORPUS / "bool_lattice.json").read_text())
+    if key is None:
+        doc[field] = value
+    else:
+        doc[field][key] = value
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli("check-duoidal", "--instance", str(path))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == f"error: bool_lattice: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("trees", "fibers"), "trees fibers needs --source"),
+        (("trees", "prune"), "trees prune needs --tree"),
+        (("btree", "contract"), "btree contract needs --term"),
+        (("two-operad", "end"), "two-operad end needs --x"),
+        (("two-operad", "end", "--x", "7"), "--x '7' is not a listed object of the instance bool_lattice"),
+        (("two-operad", "check", "--builtin", "cartesian", "--x", "a"), "--x 'a' is not a listed object"),
+    ],
+)
+def test_actions_without_their_argument_exit_2(argv, message):
+    out = run_cli(*argv)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    assert message in out.stderr
+
+
 def test_negative_bounds_exit_2():
     for argv in (("trees", "enumerate", "--leaves", "-3"), ("btree", "enumerate", "--leaves", "-1")):
         out = run_cli(*argv)

@@ -16,13 +16,47 @@ from duoidal_kit.instances import (
     discrete_commutative_instance,
     table_instances,
 )
+from duoidal_kit.instances import bz2_cat
+from duoidal_kit.jsonio import table_duoidal_from_doc, table_duoidal_to_doc
 from duoidal_kit.monoids import cyclic, left_zero_plus_unit
+from duoidal_kit.spans import Globe, SpanDuoidal
+
+
+def _tensor_cases():
+    """Each instance with a few objects to tensor."""
+    for D in table_instances():
+        yield pytest.param(D, list(D.objects()), id=D.name)
+    x, y = (atom_letter("x", ["p", "q"]),), (atom_letter("y", [0, 1, 2]),)
+    yield pytest.param(CartesianFinSet(), [(), x, y, x + y], id="cartesian")
+    D = SpanDuoidal(bz2_cat())
+    X = D.atom("X", {Globe("*", "*", "s", "id_*"): ("a", "b")})
+    Y = D.atom("Y", {Globe("*", "*", "s", "s"): ("c",)})
+    yield pytest.param(D, [D.e, D.v, X, Y, D.tensor(1, (X, Y))], id=D.name)
+
+
+@pytest.mark.parametrize("D, objects", list(_tensor_cases()))
+def test_tensors_are_strict_folds(D, objects):
+    """Both tensors are strictly unital and associative on objects, as folds
+    over any split of the factor list."""
+    words = [()] + [(x,) for x in objects] + [(x, y) for x in objects for y in objects]
+    for t in (0, 1):
+        assert D.tensor(t, ()) == (D.e, D.v)[t]
+        for xs in words:
+            for ys in words:
+                assert D.tensor(t, xs + ys) == D.tensor(t, (D.tensor(t, xs), D.tensor(t, ys))), (t, xs, ys)
 
 
 @pytest.mark.parametrize("instance", table_instances(), ids=lambda d: d.name)
 def test_table_instances_pass_the_gate(instance):
     rep = gate_check(instance)
     assert rep.all_passed
+
+
+def test_table_tensors_must_be_strictly_unital_on_arrows():
+    doc = table_duoidal_to_doc(additive_instance(cyclic(3)))
+    doc["box0_arrows"]["a0 a1"] = "a2"
+    with pytest.raises(ValidationError, match="box0 not strictly unital on arrows at a1"):
+        table_duoidal_from_doc(doc)
 
 
 def test_additive_instance_requires_commutativity():

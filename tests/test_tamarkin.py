@@ -25,7 +25,6 @@ from duoidal_kit.tamarkin import (
     object_functor,
     object_functor_of,
     pullback_family,
-    pullback_object,
     tamarkin_fiber,
     und_monoid_data,
 )

@@ -80,7 +80,7 @@ def test_ass2_passes_and_truncates():
 
 def test_end2_over_lattice_una_terminal_but_pruned_condition():
     lattice = bool_lattice_instance()
-    A = end2(lattice, "1", bound=3)
+    A = end2(lattice, "1")
     rep = check_two_operad(A, max_leaves=2, tuple_cap=8)
     assert rep.all_passed, rep.render()
     assert is_one_terminal(A)
@@ -88,7 +88,7 @@ def test_end2_over_lattice_una_terminal_but_pruned_condition():
 
 def test_end2_z2_additive_small():
     inst = additive_instance(cyclic(2))
-    A = end2(inst, "*", bound=2)
+    A = end2(inst, "*")
     rep = check_two_operad(A, max_leaves=2, tuple_cap=64)
     assert rep.all_passed, rep.render()
     assert not is_one_terminal(A)
@@ -96,7 +96,7 @@ def test_end2_z2_additive_small():
 
 def test_truncation_is_the_endomorphism_operad_of_v():
     lattice = bool_lattice_instance()
-    A = end2(lattice, "1", bound=3)
+    A = end2(lattice, "1")
     P = TreePool()
     tr1 = truncate(A, 1).over(P)
     for n in range(4):
@@ -118,7 +118,7 @@ def test_corrupted_unit_fails_identity_axiom():
     from duoidal_kit.two_operads import TwoOperad
 
     inst = additive_instance(cyclic(2))
-    base = end2(inst, "*", bound=2)
+    base = end2(inst, "*")
     bad = TwoOperad(
         "end2_bad_unit",
         base.component_fn,
