@@ -21,30 +21,25 @@ class InternalConsistencyError(RuntimeError):
     """A construction the theory guarantees failed; indicates a bug."""
 
 
-@dataclass(frozen=True)
-class Weights:
-    """A cosimplicial finite set: levels with coface/codegeneracy actions."""
-
-    name: str
-    levels: tuple  # levels[n] = tuple of weight points
-    cofaces: dict  # (n, i) -> dict point -> point, delta(n) -> delta(n+1)
-    codegeneracies: dict  # (n, i) -> dict, delta(n+1) -> delta(n)
-
-    def level(self, n):
-        return self.levels[n]
-
-    def d(self, n, i):
-        return self.cofaces[(n, i)]
-
-    def s(self, n, i):
-        return self.codegeneracies[(n, i)]
+def _weights(name, N, level, coface, codegeneracy) -> CosimplicialObject:
+    """A weight system: a cosimplicial finite set whose maps are dicts
+    point -> point, so it lives in no duoidal instance (D is None)."""
+    return CosimplicialObject(
+        None,
+        {n: level(n) for n in range(N + 2)},
+        {(n, i): coface(n, i) for n in range(N + 1) for i in range(n + 2)},
+        {(n, i): codegeneracy(n, i) for n in range(N + 1) for i in range(n + 1)},
+        N,
+        name,
+    )
 
 
-def constant_weights(N: int = 6) -> Weights:
-    levels = tuple(("*",) for _ in range(N + 2))
-    ds = {(n, i): {"*": "*"} for n in range(N + 1) for i in range(n + 2)}
-    ss = {(n, i): {"*": "*"} for n in range(N + 1) for i in range(n + 1)}
-    return Weights("constant", levels, ds, ss)
+def constant_weights(N: int = 6) -> CosimplicialObject:
+    return _weights("constant", N, lambda n: ("*",), lambda n, i: {"*": "*"}, lambda n, i: {"*": "*"})
+
+
+def _ordinal_level(n):
+    return tuple(range(n + 1))
 
 
 def _ordinal_coface(n, i):
@@ -55,30 +50,26 @@ def _ordinal_codegeneracy(n, i):
     return {k: (k if k <= i else k - 1) for k in range(n + 2)}
 
 
-def ordinal_weights(N: int = 6) -> Weights:
+def ordinal_weights(N: int = 6) -> CosimplicialObject:
     """delta(n) = {0..n} with the standard ordinal action."""
-    levels = tuple(tuple(range(n + 1)) for n in range(N + 2))
-    ds = {(n, i): _ordinal_coface(n, i) for n in range(N + 1) for i in range(n + 2)}
-    ss = {(n, i): _ordinal_codegeneracy(n, i) for n in range(N + 1) for i in range(n + 1)}
-    return Weights("ordinals", levels, ds, ss)
+    return _weights("ordinals", N, _ordinal_level, _ordinal_coface, _ordinal_codegeneracy)
 
 
-def reversed_ordinal_weights(N: int = 6) -> Weights:
+def reversed_ordinal_weights(N: int = 6) -> CosimplicialObject:
     """The ordinal weights conjugated by index reversal on every level."""
-    levels = tuple(tuple(range(n + 1)) for n in range(N + 2))
-    ds = {}
-    ss = {}
-    for n in range(N + 1):
-        for i in range(n + 2):
-            base = _ordinal_coface(n, i)
-            ds[(n, i)] = {k: (n + 1) - base[n - k] for k in range(n + 1)}
-        for i in range(n + 1):
-            base = _ordinal_codegeneracy(n, i)
-            ss[(n, i)] = {k: n - base[(n + 1) - k] for k in range(n + 2)}
-    return Weights("ordinals-reversed", levels, ds, ss)
+
+    def coface(n, i):
+        base = _ordinal_coface(n, i)
+        return {k: (n + 1) - base[n - k] for k in range(n + 1)}
+
+    def codegeneracy(n, i):
+        base = _ordinal_codegeneracy(n, i)
+        return {k: n - base[(n + 1) - k] for k in range(n + 2)}
+
+    return _weights("ordinals-reversed", N, _ordinal_level, coface, codegeneracy)
 
 
-def lax_center_weights(orientation: str, N: int = 6) -> Weights:
+def lax_center_weights(orientation: str, N: int = 6) -> CosimplicialObject:
     """The linear-order weight system; 'colax' reverses the orientation."""
     if orientation == "lax":
         return ordinal_weights(N)
@@ -100,9 +91,12 @@ class TotResult:
         return sum(len(v) for v in self.families.values())
 
 
-def _families_at(D, X: CosimplicialObject, delta: Weights, N: int, key, free_cap=4096):
+_FREE_CAP = 4096  # the most choices enumerated for the free weight slots of one family
+
+
+def _families_at(D, X: CosimplicialObject, delta: CosimplicialObject, N: int, key):
     """Families at every truncation level k <= N over one fiber key."""
-    level0 = list(D.fiber_elements(X.level(0), key))
+    level0 = list(D.fiber(X.level(0), key))
     fams = []
     for choice in itertools.product(level0, repeat=len(delta.level(0))):
         fams.append((choice,))
@@ -130,8 +124,8 @@ def _families_at(D, X: CosimplicialObject, delta: Weights, N: int, key, free_cap
                 continue
             free = [w for w in next_pts if w not in forced]
             if free:
-                pool = list(D.fiber_elements(X.level(n + 1), key))
-                if len(pool) ** len(free) > free_cap:
+                pool = list(D.fiber(X.level(n + 1), key))
+                if len(pool) ** len(free) > _FREE_CAP:
                     raise SizeError("free weight slots exceed the enumeration cap")
                 choices = itertools.product(pool, repeat=len(free))
             else:
@@ -160,7 +154,7 @@ def _restriction_bijective(later, earlier, k):
     return len(set(prefixes)) == len(later) and set(prefixes) == set(earlier)
 
 
-def totalize(D, X: CosimplicialObject, delta: Weights, N: int = 3, keys=None) -> TotResult:
+def totalize(D, X: CosimplicialObject, delta: CosimplicialObject, N: int = 3, keys=None) -> TotResult:
     """The truncated end of X weighted by delta, with stabilization flags.
 
     `stabilized` records whether the restriction from level N to level N - 1
@@ -173,7 +167,7 @@ def totalize(D, X: CosimplicialObject, delta: Weights, N: int = 3, keys=None) ->
     if N > X.N:
         raise ValueError(f"cosimplicial object only defined to level {X.N + 1}")
     if keys is None:
-        keys = D.fiber_keys(X.level(0))
+        keys = D.support(X.level(0))
     by_level = {key: _families_at(D, X, delta, N, key) for key in keys}
     families = {key: by_level[key][N] for key in keys}
     bij = []
@@ -201,9 +195,6 @@ class CenterResult:
     inclusion: object
     name: str
 
-    def elements(self, key=None):
-        return self.fibers[key]
-
 
 def equalizer_center(A: MultOperad, name="center") -> CenterResult:
     """The equalizer of d_0, d_1 : A(0) -> A(1), as a subobject of A(0)."""
@@ -214,17 +205,17 @@ def equalizer_center(A: MultOperad, name="center") -> CenterResult:
     d1 = coface(A, 0, 1)
     a0 = A.base.component(0)
     fibers = {}
-    for key in D.fiber_keys(a0):
+    for key in D.support(a0):
         fibers[key] = tuple(
             z
-            for z in sorted_elements(D.fiber_elements(a0, key))
+            for z in sorted_elements(D.fiber(a0, key))
             if D.apply_at(d0, key, z) == D.apply_at(d1, key, z)
         )
     obj, incl = D.subobject_from_fibers(a0, fibers, name)
     return CenterResult(fibers, obj, incl, name)
 
 
-def center_of_monoid(M, N: int = 1, check_stabilizes: bool = True):
+def center_of_monoid(M, N: int = 1):
     """The constant-weight center of a monoid in K: the level-(0,1) equalizer.
 
     Returns (CenterResult, TotResult); the totalization at N must match the
@@ -234,11 +225,8 @@ def center_of_monoid(M, N: int = 1, check_stabilizes: bool = True):
 
     A = multiplicative_from_k_monoid(M, bound=max(3, N + 2))
     cen = equalizer_center(A, name=f"Z({M.name})")
-    tot = None
-    if check_stabilizes:
-        X = cosimplicial_from_multiplicative(A, max(2, N))
-        tot = totalize(A.D, X, constant_weights(), N=N)
-    return cen, tot
+    X = cosimplicial_from_multiplicative(A, max(2, N))
+    return cen, totalize(A.D, X, constant_weights(), N=N)
 
 
 def duoid_on_center(A: MultOperad, name=None):

@@ -194,11 +194,6 @@ class CartMap:
             out = memo[x] = self._fn(x)
         return out
 
-    def materialize(self, cap=DEFAULT_CAP):
-        if self._table is None:
-            self._table = {x: self._fn(x) for x in word_elements(self.dom, cap)}
-        return self._table
-
     def __repr__(self):
         return f"CartMap({len(self.dom)} letters -> {len(self.cod)} letters)"
 
@@ -222,15 +217,6 @@ class CartesianFinSet(Tensors):
     def objects(self):
         return None  # virtual: unboundedly many words
 
-    def elements(self, x, cap=DEFAULT_CAP):
-        return word_elements(x, cap)
-
-    def make_subobject(self, x, elts, name):
-        letter = atom_letter(name, tuple(elts))
-        sub = (letter,)
-        incl = CartMap(sub, x, fn=lambda t: t[0])
-        return sub, incl
-
     # -- morphisms -----------------------------------------------------
     def dom(self, f):
         return f.dom
@@ -246,9 +232,6 @@ class CartesianFinSet(Tensors):
         if f.cod != g.dom:
             raise ValueError("compose: middle objects differ")
         return CartMap(f.dom, g.cod, fn=lambda t: g.apply(f.apply(t)))
-
-    def apply(self, f, elt):
-        return f.apply(elt)
 
     def memoize(self, f):
         """f, storing its value at each point it is applied to.
@@ -330,17 +313,18 @@ class CartesianFinSet(Tensors):
         return self.identity(())
 
     # -- fiberwise protocol (single trivial fiber) ----------------------
-    def fiber_keys(self, obj):
+    def support(self, obj):
         return (None,)
 
-    def fiber_elements(self, obj, key, cap=DEFAULT_CAP):
-        return word_elements(obj, cap)
+    def fiber(self, obj, key):
+        return word_elements(obj)
 
     def apply_at(self, f, key, elt):
         return f.apply(elt)
 
     def subobject_from_fibers(self, x, fibers, name):
-        return self.make_subobject(x, fibers[None], name)
+        sub = (atom_letter(name, tuple(fibers[None])),)
+        return sub, CartMap(sub, x, fn=lambda t: t[0])
 
     def corestrict_map(self, f, sub, fibers, cap=DEFAULT_CAP):
         """Factor f through a subobject, checking the image pointwise."""

@@ -18,22 +18,48 @@ from .tamarkin import CatValuedFunctor, ObjectFunctor, cat_valued_functor, objec
 
 SCHEMA_VERSION = 1
 
+# The required fields of each kind, in the order they are checked, with
+# their JSON types as in schemas/<kind>.schema.json.  None marks a nested
+# document, which the loader of its own kind checks.
+REQUIRED = {
+    "monoid": {"name": "string", "elements": "array", "unit": "string", "table": "object"},
+    "category": {
+        "name": "string", "objects": "array", "arrows": "array", "identities": "object", "compose": "object",
+    },
+    "object_functor": {"category": None, "sets": "object", "maps": "object"},
+    "cat_valued_functor": {"base": None, "values": "object", "functors": "object"},
+    "span_object": {"name": "string", "category": None, "fibers": "array"},
+    "duoidal_table": {
+        "name": "string", "base": None, "e": "string", "v": "string",
+        "box0_objects": "object", "box1_objects": "object", "box0_arrows": "object", "box1_arrows": "object",
+        "interchange": "object", "delta_e": "string", "mu_v": "string", "iota": "string",
+    },
+    "one_operad": {
+        "name": "string", "instance": "string", "components": "object", "gamma": "object", "unit": "string",
+    },
+    "duoid": {"carrier": "string", "mult0": "string", "unit0": "string", "mult1": "string", "unit1": "string"},
+}
+_JSON_TYPES = {"string": str, "array": list, "object": dict}
+
 
 def dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def _expect(doc, kind, *fields):
-    """Check the kind tag, the schema version and the required fields."""
+def _expect(doc, kind):
+    """Check the kind tag, the schema version and the required fields with
+    their JSON types (`REQUIRED`)."""
     if not isinstance(doc, dict):
         raise ValidationError(f"expected a {kind} object, found {type(doc).__name__}")
     if doc.get("kind") != kind:
         raise ValidationError(f"expected kind {kind!r}, found {doc.get('kind')!r}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    for name in fields:
+    for name, json_type in REQUIRED[kind].items():
         if name not in doc:
             raise ValidationError(f"{kind}: missing field {name!r}")
+        if json_type is not None and not isinstance(doc[name], _JSON_TYPES[json_type]):
+            raise ValidationError(f"{kind}: field {name!r} is not a JSON {json_type}")
 
 
 # -- monoids -----------------------------------------------------------------
@@ -51,12 +77,14 @@ def monoid_to_doc(m: Monoid) -> dict:
 
 
 def monoid_from_doc(doc) -> Monoid:
-    _expect(doc, "monoid", "name", "elements", "unit", "table")
+    _expect(doc, "monoid")
     elements = tuple(doc["elements"])
     try:
         table = {(a, b): doc["table"][a][b] for a in elements for b in elements}
     except KeyError as exc:
         raise ValidationError(f"monoid {doc['name']}: table has no entry for {exc}") from exc
+    except TypeError as exc:
+        raise ValidationError(f"monoid {doc['name']}: malformed elements or table ({exc})") from exc
     return Monoid(doc["name"], elements, doc["unit"], table)
 
 
@@ -79,17 +107,20 @@ def category_to_doc(c: FiniteCategory) -> dict:
 
 
 def category_from_doc(doc) -> FiniteCategory:
-    _expect(doc, "category", "name", "objects", "arrows", "identities", "compose")
-    arrows = [Arrow(a["name"], a["src"], a["tgt"]) for a in doc["arrows"]]
-    compose = {tuple(k.split(" ")): v for k, v in doc["compose"].items()}
-    return FiniteCategory(doc["name"], doc["objects"], arrows, compose, doc["identities"])
+    _expect(doc, "category")
+    try:
+        arrows = [Arrow(a["name"], a["src"], a["tgt"]) for a in doc["arrows"]]
+        compose = {tuple(k.split(" ")): v for k, v in doc["compose"].items()}
+        return FiniteCategory(doc["name"], doc["objects"], arrows, compose, doc["identities"])
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"category {doc['name']}: malformed objects, arrows or tables ({exc})") from exc
 
 
 # -- object functors -----------------------------------------------------------
 
 
 def object_functor_from_doc(doc) -> ObjectFunctor:
-    _expect(doc, "object_functor", "category", "sets", "maps")
+    _expect(doc, "object_functor")
     cat = category_from_doc(doc["category"])
     return object_functor(cat, doc["sets"], doc["maps"])
 
@@ -112,13 +143,16 @@ def cat_valued_functor_to_doc(F: CatValuedFunctor) -> dict:
 
 
 def cat_valued_functor_from_doc(doc) -> CatValuedFunctor:
-    _expect(doc, "cat_valued_functor", "base", "values", "functors")
+    _expect(doc, "cat_valued_functor")
     base = category_from_doc(doc["base"])
     values = {a: category_from_doc(c) for a, c in doc["values"].items()}
     functors = {}
     for f, data in doc["functors"].items():
-        arrow = base.arrows[f]
-        functors[f] = CatFunctor(f, values[arrow.src], values[arrow.tgt], data["objects"], data["arrows"])
+        try:
+            arrow = base.arrows[f]
+            functors[f] = CatFunctor(f, values[arrow.src], values[arrow.tgt], data["objects"], data["arrows"])
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"cat_valued_functor: bad functor table at {f!r} ({exc})") from exc
     return cat_valued_functor(base, values, functors, name=doc.get("name", "F"))
 
 
@@ -132,17 +166,20 @@ def span_object_to_doc(D: SpanDuoidal, atom) -> dict:
         "name": atom.name,
         "category": category_to_doc(D.cat),
         "fibers": [
-            {"globe": [g.a, g.b, g.f, g.g], "elements": [str(e) for e in elems]}
-            for g, elems in atom.fibers
+            {"globe": [g.a, g.b, g.f, g.g], "elements": [str(e) for e in D.fiber(atom, g)]}
+            for g in D.support(atom)
         ],
     }
 
 
 def span_object_from_doc(doc):
-    _expect(doc, "span_object", "name", "category", "fibers")
+    _expect(doc, "span_object")
     cat = category_from_doc(doc["category"])
     D = SpanDuoidal(cat)
-    fibers = {Globe(*f["globe"]): tuple(f["elements"]) for f in doc["fibers"]}
+    try:
+        fibers = {Globe(*f["globe"]): tuple(f["elements"]) for f in doc["fibers"]}
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"span_object {doc['name']}: bad fiber entry ({exc})") from exc
     return D, D.atom(doc["name"], fibers)
 
 
@@ -171,10 +208,7 @@ def table_duoidal_to_doc(D: TableDuoidal) -> dict:
 
 
 def table_duoidal_from_doc(doc) -> TableDuoidal:
-    _expect(
-        doc, "duoidal_table", "name", "base", "e", "v", "box0_objects", "box1_objects",
-        "box0_arrows", "box1_arrows", "interchange", "delta_e", "mu_v", "iota",
-    )
+    _expect(doc, "duoidal_table")
     base = category_from_doc(doc["base"])
 
     def unpair(table):
@@ -204,7 +238,7 @@ def table_operad_from_doc(doc, D):
     must be an object of D, and the unit and every gamma an arrow of D."""
     from .operads import OneOperad
 
-    _expect(doc, "one_operad", "name", "instance", "components", "gamma", "unit")
+    _expect(doc, "one_operad")
     if not isinstance(D, TableDuoidal):
         raise ValidationError("a one_operad document names objects and arrows of a table instance")
     components = {int(n): obj for n, obj in doc["components"].items()}
@@ -215,7 +249,7 @@ def table_operad_from_doc(doc, D):
     for key, arrow in doc["gamma"].items():
         head, _, tail = key.partition(";")
         ks = tuple(int(k) for k in tail.split(",")) if tail else ()
-        if arrow not in D.base.arrows:
+        if not isinstance(arrow, str) or arrow not in D.base.arrows:
             raise ValidationError(f"operad gamma {key!r} {arrow!r} is not an arrow of the instance")
         gammas[(int(head), ks)] = arrow
     if doc["unit"] not in D.base.arrows:
@@ -243,7 +277,7 @@ def duoid_from_doc(doc, D):
     each structure map an arrow of D with the ends of its axioms."""
     from .duoidal import Duoid
 
-    _expect(doc, "duoid", "carrier", "mult0", "unit0", "mult1", "unit1")
+    _expect(doc, "duoid")
     if not isinstance(D, TableDuoidal):
         raise ValidationError("a duoid document names objects and arrows of a table instance")
     x = doc["carrier"]

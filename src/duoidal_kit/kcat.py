@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .duoidal import chain
 from .finset import (
     CartMap,
-    DEFAULT_CAP,
     FnElt,
     fn_eval,
     fn_letter,
@@ -132,13 +131,9 @@ def odot_hom_many(K, pairs):
 # the underlying category
 
 
-def und_hom(K, x, y, cap=DEFAULT_CAP):
+def und_hom(K, x, y):
     """The underlying hom-set D(e, K(x, y)) as a list of D-maps."""
     return K.D.hom(K.D.e, K.hom_obj(x, y))
-
-
-def und_id(K, x):
-    return K.unit_map(x)
 
 
 def und_compose(K, phi, psi, x, y, z):
@@ -151,10 +146,6 @@ def und_odot(K, phi, psi, x, y, z, w):
     """The tensor of underlying maps, via the comonoid structure of e."""
     D = K.D
     return chain(D, D.delta_e(), D.box1_map(phi, psi), K.odot_hom_map(x, y, z, w))
-
-
-def und_equal(K, phi, psi):
-    return K.D.maps_equal(phi, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -191,45 +182,6 @@ def k_monoid_from_monoid(m: Monoid, K, letter=None) -> KMonoid:
     return KMonoid(K, carrier, nu_bar, mu_bar, u, name=m.name)
 
 
-def check_k_monoid(M: KMonoid) -> CheckReport:
-    K = M.K
-    D = K.D
-    rep = CheckReport(f"monoid in K: {M.name}")
-    x = M.carrier
-    eta = K.eta
-    x2 = K.odot(x, x)
-    x3 = K.odot_many([x, x, x])
-    idx = und_id(K, x)
-
-    # (*) associativity and units in the underlying category
-    left = und_compose(K, und_odot(K, M.mu_bar, idx, x2, x, x, x), M.mu_bar, x3, x2, x)
-    right = und_compose(K, und_odot(K, idx, M.mu_bar, x, x, x2, x), M.mu_bar, x3, x2, x)
-    rep.add("(*) multiplication associative in Und K", und_equal(K, left, right))
-    left = und_compose(K, und_odot(K, M.nu_bar, idx, eta, x, x, x), M.mu_bar, x, x2, x)
-    right = und_compose(K, und_odot(K, idx, M.nu_bar, x, x, eta, x), M.mu_bar, x, x2, x)
-    rep.add(
-        "(*) unit laws in Und K",
-        und_equal(K, left, idx) and und_equal(K, right, idx),
-    )
-
-    # (**) u is a monoid morphism v -> K(M, M)
-    lhs = chain(D, D.box0_map(M.u, M.u), K.comp_map(x, x, x))
-    rhs = chain(D, D.mu_v(), M.u)
-    rep.add("(**) u preserves multiplication", D.maps_equal(lhs, rhs))
-    rep.add("(**) u preserves the unit", D.maps_equal(chain(D, D.iota(), M.u), K.unit_map(x)))
-
-    # (***) compatibility of u with the multiplication
-    lhs = chain(D, D.box0_map(M.mu_bar, M.u), K.comp_map(x2, x, x))
-    rhs = chain(
-        D,
-        D.box1_map(M.u, M.u),
-        D.box0_map(K.odot_hom_map(x, x, x, x), M.mu_bar),
-        K.comp_map(x2, x2, x),
-    )
-    rep.add("(***) compatibility square", D.maps_equal(lhs, rhs))
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # K-enriched categories
 
@@ -257,7 +209,7 @@ def check_k_category(C: KCategory) -> CheckReport:
                     hxy, hyz, hzw = C.hom[(x, y)], C.hom[(y, z)], C.hom[(z, w)]
                     lhs = und_compose(
                         K,
-                        und_odot(K, C.comps[(x, y, z)], und_id(K, hzw), K.odot(hxy, hyz), C.hom[(x, z)], hzw, hzw),
+                        und_odot(K, C.comps[(x, y, z)], K.unit_map(hzw), K.odot(hxy, hyz), C.hom[(x, z)], hzw, hzw),
                         C.comps[(x, z, w)],
                         K.odot_many([hxy, hyz, hzw]),
                         K.odot(C.hom[(x, z)], hzw),
@@ -265,13 +217,13 @@ def check_k_category(C: KCategory) -> CheckReport:
                     )
                     rhs = und_compose(
                         K,
-                        und_odot(K, und_id(K, hxy), C.comps[(y, z, w)], hxy, hxy, K.odot(hyz, hzw), C.hom[(y, w)]),
+                        und_odot(K, K.unit_map(hxy), C.comps[(y, z, w)], hxy, hxy, K.odot(hyz, hzw), C.hom[(y, w)]),
                         C.comps[(x, y, w)],
                         K.odot_many([hxy, hyz, hzw]),
                         K.odot(hxy, C.hom[(y, w)]),
                         C.hom[(x, w)],
                     )
-                    if not und_equal(K, lhs, rhs):
+                    if not D.maps_equal(lhs, rhs):
                         assoc_witness = repr((x, y, z, w))
     rep.add("composition associative", not assoc_witness, scope=f"{len(C.objects)}^4 tuples", witness=assoc_witness)
     ok_units = True
@@ -281,7 +233,7 @@ def check_k_category(C: KCategory) -> CheckReport:
             hxy = C.hom[(x, y)]
             left = und_compose(
                 K,
-                und_odot(K, C.units[x], und_id(K, hxy), K.eta, C.hom[(x, x)], hxy, hxy),
+                und_odot(K, C.units[x], K.unit_map(hxy), K.eta, C.hom[(x, x)], hxy, hxy),
                 C.comps[(x, x, y)],
                 hxy,
                 K.odot(C.hom[(x, x)], hxy),
@@ -289,13 +241,13 @@ def check_k_category(C: KCategory) -> CheckReport:
             )
             right = und_compose(
                 K,
-                und_odot(K, und_id(K, hxy), C.units[y], hxy, hxy, K.eta, C.hom[(y, y)]),
+                und_odot(K, K.unit_map(hxy), C.units[y], hxy, hxy, K.eta, C.hom[(y, y)]),
                 C.comps[(x, y, y)],
                 hxy,
                 K.odot(hxy, C.hom[(y, y)]),
                 hxy,
             )
-            if not (und_equal(K, left, und_id(K, hxy)) and und_equal(K, right, und_id(K, hxy))):
+            if not (D.maps_equal(left, K.unit_map(hxy)) and D.maps_equal(right, K.unit_map(hxy))):
                 ok_units = False
                 witness = repr((x, y))
     rep.add("unit laws", ok_units, witness=witness)

@@ -66,10 +66,6 @@ class FreeWordMonoid:
     def mult(self, a, b):
         return tuple(a) + tuple(b)
 
-    @staticmethod
-    def gen(label) -> tuple:
-        return (str(label),)
-
 
 def cyclic(n: int) -> Monoid:
     return monoid_from_fn(f"z{n}", range(n), 0, lambda a, b: (a + b) % n)

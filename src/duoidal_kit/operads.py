@@ -22,7 +22,6 @@ from .kcat import (
     k_monoid_from_monoid,
     odot_hom_many,
     und_compose,
-    und_id,
     und_odot,
 )
 from .report import CheckReport, SizeError
@@ -60,9 +59,6 @@ class OneOperad:
         if key not in self._gammas:
             self._gammas[key] = self.D.memoize(self._gamma_fn(n, ks))
         return self._gammas[key]
-
-    def v_action(self):
-        return self.gamma(0, ())
 
     def inner_word(self, ks):
         """The object A(k_1) box1 ... box1 A(k_n) (v for the empty list)."""
@@ -121,12 +117,15 @@ def end_operad(K, x, bound=4, name=None) -> OneOperad:
 # axiom checking
 
 
-def check_one_operad(A: OneOperad, bound=None, max_assoc_total=None, eq_cap=20000) -> CheckReport:
+_EQ_CAP = 20000  # the largest domain on which check_one_operad compares two maps
+
+
+def check_one_operad(A: OneOperad, bound=None, max_assoc_total=None) -> CheckReport:
     """The unit, associativity and v-action laws of A within an arity bound.
 
     The associativity shapes are those whose inner arities total at most
     `max_assoc_total` (default: the bound).  A law whose domain has more
-    than `eq_cap` elements is skipped and counted in its row's scope.
+    than `_EQ_CAP` elements is skipped and counted in its row's scope.
     """
     D = A.D
     bound = A.bound if bound is None else min(bound, A.bound)
@@ -134,7 +133,7 @@ def check_one_operad(A: OneOperad, bound=None, max_assoc_total=None, eq_cap=2000
     rep = CheckReport(f"operad axioms: {A.name} (arity bound {bound})")
 
     def eq(f, g):
-        return D.maps_equal(f, g, cap=eq_cap)
+        return D.maps_equal(f, g, cap=_EQ_CAP)
 
     def per_arity(name, cases):
         """One row over the arities k <= bound; `cases` yields (k, lhs, rhs)."""
@@ -215,12 +214,12 @@ def check_one_operad(A: OneOperad, bound=None, max_assoc_total=None, eq_cap=2000
     def v_action_squares():
         """The bimodule square for the v-action."""
         for k in range(1, bound + 1):
-            top = chain(D, D.box0_map(D.identity(D.v), A.gamma(k, (0,) * k)), A.v_action())
+            top = chain(D, D.box0_map(D.identity(D.v), A.gamma(k, (0,) * k)), A.gamma(0, ()))
             zeros = [A.component(0)] * k
             left = chain(
                 D,
                 D.box0_map(iterated_interchange(D, [D.v] * k, zeros), D.identity(A.component(k))),
-                D.box0_map(D.box1_map_many([A.v_action()] * k), D.identity(A.component(k))),
+                D.box0_map(D.box1_map_many([A.gamma(0, ())] * k), D.identity(A.component(k))),
                 A.gamma(k, (0,) * k),
             )
             yield k, top, left
@@ -248,27 +247,39 @@ class MultOperad:
         return self.m[n]
 
 
-def check_multiplicative(A: MultOperad, bound=None) -> CheckReport:
-    D = A.D
-    base = A.base
-    bound = base.bound if bound is None else min(bound, base.bound)
-    rep = CheckReport(f"multiplicative structure: {A.name} (bound {bound})")
-    rep.add("unit compatibility", D.maps_equal(chain(D, D.iota(), A.mult(1)), base.unit))
+def _check_morphism(S: OneOperad, E: OneOperad, f: dict, bound, title, unit_row, morphism_row) -> CheckReport:
+    """Is f (arity n -> map S(n) -> E(n)) a morphism of operads from the
+    source S (`fass` or `eass`) into the endomorphism operad E?  Checks the
+    unit and every composition shape whose arities are within the bound."""
+    D = E.D
+    rep = CheckReport(title)
+    rep.add(unit_row, D.maps_equal(chain(D, S.unit, f[1]), E.unit))
     witness = ""
-    for n in range(0, bound + 1):
+    for n in range(0 if S.has_zero else 1, bound + 1):
         for ks in itertools.product(range(0, bound + 1), repeat=n):
             if sum(ks) > bound:
                 continue
-            lhs = chain(
-                D,
-                D.box0_map(D.box1_map_many([A.mult(k) for k in ks]), A.mult(n)),
-                base.gamma(n, ks),
-            )
-            rhs = chain(D, D.mu_v(), A.mult(sum(ks)))
+            lhs = chain(D, D.box0_map(D.box1_map_many([f[k] for k in ks]), f[n]), E.gamma(n, ks))
+            rhs = chain(D, S.gamma(n, ks), f[sum(ks)])
             if not D.maps_equal(lhs, rhs):
                 witness = f"(n={n}; ks={ks})"
-    rep.add("operad morphism from the all-v operad", not witness, f"shapes within {bound}", witness)
+    rep.add(morphism_row, not witness, f"shapes within {bound}", witness)
     return rep
+
+
+def check_multiplicative(A: MultOperad, bound=None) -> CheckReport:
+    """Is the multiplicative structure m a morphism from the all-v operad?"""
+    base = A.base
+    bound = base.bound if bound is None else min(bound, base.bound)
+    return _check_morphism(
+        fass(A.D, bound=base.bound),
+        base,
+        A.m,
+        bound,
+        f"multiplicative structure: {A.name} (bound {bound})",
+        "unit compatibility",
+        "operad morphism from the all-v operad",
+    )
 
 
 def multiplicative_from_k_monoid(M: KMonoid, bound=4) -> MultOperad:
@@ -349,11 +360,11 @@ def und_monoid_to_eass_algebra(K, x, nu_bar, mu_bar, bound=3):
 
     Components are the iterated multiplications as maps e -> K(odot^n x, x).
     """
-    kappa = {0: nu_bar, 1: und_id(K, x), 2: mu_bar}
+    kappa = {0: nu_bar, 1: K.unit_map(x), 2: mu_bar}
     for n in range(3, bound + 1):
         kappa[n] = und_compose(
             K,
-            und_odot(K, kappa[n - 1], und_id(K, x), K.odot_power(x, n - 1), x, x, x),
+            und_odot(K, kappa[n - 1], K.unit_map(x), K.odot_power(x, n - 1), x, x, x),
             mu_bar,
             K.odot_power(x, n),
             K.odot(x, x),
@@ -364,23 +375,15 @@ def und_monoid_to_eass_algebra(K, x, nu_bar, mu_bar, bound=3):
 
 def check_eass_algebra(K, x, kappa, bound=3) -> CheckReport:
     """Is kappa a morphism of Forcey operads from the all-e operad?"""
-    D = K.D
-    E = end_operad(K, x, bound=bound)
-    A = eass(D, bound=bound)
-    rep = CheckReport("all-e algebra structure")
-    rep.add("unit component", D.maps_equal(kappa[1], E.unit))
-    witness = ""
-    for n in range(1, bound + 1):
-        for ks in itertools.product(range(0, bound + 1), repeat=n):
-            if sum(ks) > bound:
-                continue
-            spread = D.box0_map(D.box1_map_many([kappa[k] for k in ks]), kappa[n])
-            lhs = chain(D, spread, E.gamma(n, ks))
-            rhs = chain(D, A.gamma(n, ks), kappa[sum(ks)])
-            if not D.maps_equal(lhs, rhs):
-                witness = f"(n={n}; ks={ks})"
-    rep.add("operad morphism property", not witness, f"shapes within {bound}", witness)
-    return rep
+    return _check_morphism(
+        eass(K.D, bound=bound),
+        end_operad(K, x, bound=bound),
+        kappa,
+        bound,
+        "all-e algebra structure",
+        "unit component",
+        "operad morphism property",
+    )
 
 
 def eass_algebra_to_und_monoid(kappa):
@@ -388,7 +391,7 @@ def eass_algebra_to_und_monoid(kappa):
     return kappa[0], kappa[2]
 
 
-def algebra_hom_elements(K, x, y, kx, ky, bound=3, cap=4096):
+def algebra_hom_elements(K, x, y, kx, ky, bound=3):
     """The hom-set of two algebras: the equalizer of post- and pre-composition.
 
     kx, ky assign to each arity the structure maps into the endomorphism
@@ -413,7 +416,7 @@ def algebra_hom_elements(K, x, y, kx, ky, bound=3, cap=4096):
                 D.box0_map(power, D.identity(K.hom_obj(K.odot_power(y, n), y))),
                 K.comp_map(K.odot_power(x, n), K.odot_power(y, n), y),
             )
-            if not D.maps_equal(post, pre, cap=cap):
+            if not D.maps_equal(post, pre, cap=4096):
                 keep = False
                 break
         if keep:
@@ -424,7 +427,7 @@ def algebra_hom_elements(K, x, y, kx, ky, bound=3, cap=4096):
 def _und_power(K, phi, x, y, n):
     """phi^{odot n} : e -> K(odot^n x, odot^n y), via the comonoid of e."""
     if n == 0:
-        return und_id(K, K.eta)
+        return K.unit_map(K.eta)
     out = phi
     for k in range(1, n):
         out = und_odot(K, out, phi, K.odot_power(x, k), K.odot_power(y, k), x, y)
@@ -598,7 +601,7 @@ def certify_cosimplicial_generic(N: int = 4) -> CheckReport:
 
 @dataclass
 class CosimplicialObject:
-    D: object
+    D: object  # the instance of the maps; None for a weight system, whose maps are dicts
     levels: dict  # n -> object
     cofaces: dict  # (n, i) -> map level n -> level n+1
     codegeneracies: dict  # (n, i) -> map level n+1 -> level n
@@ -663,22 +666,21 @@ def _identity_cases(X: CosimplicialObject, N: int):
                 yield 2, f"s_{j} d_{i} at level {n}", chain(D, X.d(n, i), X.s(n, j)), rhs
 
 
-def check_cosimplicial_identities(X: CosimplicialObject, N=None, maps_equal=None) -> CheckReport:
-    """All cosimplicial identities whose composites stay within level N+1.
+def check_cosimplicial_identities(X: CosimplicialObject) -> CheckReport:
+    """All cosimplicial identities whose composites stay within level X.N+1.
 
     Identities whose domains are not enumerable (huge function spaces) are
     skipped and counted in the scope; the generic word-monoid certificate is
     the exact check covering those.
     """
-    eq = maps_equal or X.D.maps_equal
-    N = X.N if N is None else min(N, X.N)
+    N = X.N
     rep = CheckReport(f"cosimplicial identities: {X.name} (levels <= {N + 1})")
     witness = [""] * len(_IDENTITY_ROWS)
     checked = [0] * len(_IDENTITY_ROWS)
     skipped = [0] * len(_IDENTITY_ROWS)
     for row, label, lhs, rhs in _identity_cases(X, N):
         try:
-            ok = eq(lhs, rhs)
+            ok = X.D.maps_equal(lhs, rhs)
         except SizeError:
             skipped[row] += 1
             continue

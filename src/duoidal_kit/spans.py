@@ -67,59 +67,59 @@ def vcompose(g1: Globe, g2: Globe) -> Globe:
     return Globe(g1.a, g1.b, g1.f, g2.g)
 
 
-@dataclass(frozen=True)
+def hsplits(cat: FiniteCategory, globe: Globe):
+    """Pairs (G1, G2) horizontally composing to the globe."""
+    out = []
+    for f1, f2 in cat.factorizations(globe.f):
+        mid = cat.tgt(f1)
+        for g1, g2 in cat.factorizations(globe.g):
+            if cat.tgt(g1) == mid:
+                out.append((Globe(globe.a, mid, f1, g1), Globe(mid, globe.b, f2, g2)))
+    return out
+
+
+def vsplits(cat: FiniteCategory, globe: Globe):
+    """Pairs (G1, G2) vertically composing to the globe."""
+    return [(globe._replace(g=mid), globe._replace(f=mid)) for mid in cat.hom(globe.a, globe.b)]
+
+
 class SpanAtom:
-    name: str
-    fibers: tuple  # sorted tuple of (Globe, tuple-of-elements)
+    """An atom: a family whose fiber over a globe comes from a function.
 
-    def sort_key(self):
-        return (self.name,)
-
-    def fiber_dict(self):
-        return dict(self.fibers)
-
-
-def span_atom(name, fibers) -> SpanAtom:
-    cleaned = []
-    for g, elems in fibers.items() if isinstance(fibers, dict) else fibers:
-        elems = tuple(sorted_elements(elems))
-        if elems:
-            cleaned.append((g, elems))
-    cleaned.sort(key=lambda p: p[0].sort_key())
-    return SpanAtom(name, tuple(cleaned))
-
-
-class LazySpanAtom:
-    """An atom whose fibers are computed per globe on demand.
-
-    Identity is the structural `key`; used for hom objects whose full fiber
-    enumeration would be wasteful or enormous.
+    A listed atom (`span_atom`) looks its fibers up in a table; a hom object
+    computes them.  Identity is the structural `key`.  Fibers are cached by
+    the instance (`SpanDuoidal.fiber`), not by the atom.
     """
 
-    __slots__ = ("name", "key", "_fiber_fn", "_cache")
+    __slots__ = ("name", "key", "fiber_fn")
 
     def __init__(self, name, key, fiber_fn):
         self.name = name
         self.key = key
-        self._fiber_fn = fiber_fn
-        self._cache = {}
+        self.fiber_fn = fiber_fn
 
     def __eq__(self, other):
-        return isinstance(other, LazySpanAtom) and self.key == other.key
+        return isinstance(other, SpanAtom) and self.key == other.key
 
     def __hash__(self):
         return hash(self.key)
 
     def __repr__(self):
-        return f"LazySpanAtom({self.name})"
+        return f"SpanAtom({self.name})"
 
     def sort_key(self):
         return (self.name, skey(self.key))
 
-    def fiber(self, globe):
-        if globe not in self._cache:
-            self._cache[globe] = tuple(self._fiber_fn(globe))
-        return self._cache[globe]
+
+def span_atom(name, fibers: dict) -> SpanAtom:
+    """An atom with listed fibers, globe -> elements; empty fibers are dropped."""
+    table = {}
+    for g, elems in fibers.items():
+        elems = tuple(sorted_elements(elems))
+        if elems:
+            table[g] = elems
+    listed = tuple(sorted(table.items(), key=lambda p: p[0].sort_key()))
+    return SpanAtom(name, (name, listed), lambda g: table.get(g, ()))
 
 
 @dataclass(frozen=True)
@@ -161,11 +161,12 @@ class SpanMor:
         return f"SpanMor({state})"
 
 
-# per tensor t: the kind of a tensor-t node, and the Globe fields where the
+# per tensor t: the kind of a tensor-t node, the Globe fields where the
 # cursor of `split` starts and where each factor moves it (a -> b for box0,
-# f -> g for box1)
+# f -> g for box1), and the binary splits of a globe
 _NODE_KINDS = ("p0", "p1")
 _CURSOR = ((0, 1), (2, 3))
+_SPLITS = (hsplits, vsplits)
 
 
 class SpanDuoidal(Tensors):
@@ -192,12 +193,11 @@ class SpanDuoidal(Tensors):
     def objects(self):
         return None
 
-    def atom(self, name, fibers):
-        atom = span_atom(name, fibers)
-        for g, _ in atom.fibers:
+    def atom(self, name, fibers: dict):
+        for g in fibers:
             if g not in self.cat.parallel_pairs():
                 raise ValueError(f"atom {name}: globe {g.render()} not in the base")
-        return atom
+        return span_atom(name, fibers)
 
     def arities(self, t, xs):
         """The number of tensor-t factors of each object: 0 for the unit
@@ -221,40 +221,14 @@ class SpanDuoidal(Tensors):
         return SpanNode(_NODE_KINDS[t], tuple(flat))
 
     # -- fibers ----------------------------------------------------------
-    def _binary_splits0(self, globe):
-        """Pairs (G1, G2) horizontally composing to the globe."""
-        out = []
-        for f1, f2 in self.cat.factorizations(globe.f):
-            mid = self.cat.tgt(f1)
-            for g1, g2 in self.cat.factorizations(globe.g):
-                if self.cat.tgt(g1) == mid:
-                    out.append((Globe(globe.a, mid, f1, g1), Globe(mid, globe.b, f2, g2)))
-        return out
-
-    def chains0(self, globe, k):
-        """All k-chains of globes horizontally composing to the globe."""
+    def chains(self, t, globe, k):
+        """All k-chains of globes whose tensor-t composite is the globe; the
+        empty chain composes to the unit globe at the cursor."""
         if k == 0:
-            return [()] if globe == identity_globe(self.cat, globe.a) and globe.a == globe.b else []
+            return [()] if globe == self._unit_globes[t].get(globe[_CURSOR[t][0]]) else []
         if k == 1:
             return [(globe,)]
-        out = []
-        for g1, g2 in self._binary_splits0(globe):
-            for rest in self.chains0(g2, k - 1):
-                out.append((g1,) + rest)
-        return out
-
-    def chains1(self, globe, k):
-        """All k-chains of globes vertically composing to the globe."""
-        if k == 0:
-            return [()] if globe.f == globe.g else []
-        if k == 1:
-            return [(globe,)]
-        out = []
-        for mid in self.cat.hom(globe.a, globe.b):
-            g1 = Globe(globe.a, globe.b, globe.f, mid)
-            for rest in self.chains1(Globe(globe.a, globe.b, mid, globe.g), k - 1):
-                out.append((g1,) + rest)
-        return out
+        return [(g1,) + rest for g1, g2 in _SPLITS[t](self.cat, globe) for rest in self.chains(t, g2, k - 1)]
 
     def fiber(self, obj, globe):
         """The fiber of an object over one globe (computed on demand)."""
@@ -263,15 +237,11 @@ class SpanDuoidal(Tensors):
         if cached is not None:
             return cached
         if isinstance(obj, SpanAtom):
-            out = obj.fiber_dict().get(globe, ())
-        elif isinstance(obj, LazySpanAtom):
-            out = obj.fiber(globe)
+            out = tuple(obj.fiber_fn(globe))
         else:
-            chains = self.chains0(globe, len(obj.children)) if obj.kind == "p0" else self.chains1(
-                globe, len(obj.children)
-            )
+            t = _NODE_KINDS.index(obj.kind)
             elems = []
-            for chain in chains:
+            for chain in self.chains(t, globe, len(obj.children)):
                 child_fibers = [self.fiber(c, g) for c, g in zip(obj.children, chain)]
                 if any(not f for f in child_fibers):
                     continue
@@ -370,9 +340,6 @@ class SpanDuoidal(Tensors):
                 out[g] = row
         return SpanMor(dom, cod, mapping=out)
 
-    def mor_from_fn(self, dom, cod, fn) -> SpanMor:
-        return SpanMor(dom, cod, fn=fn)
-
     def materialize(self, f: SpanMor) -> dict:
         if f._mapping is None:
             mapping = {}
@@ -396,13 +363,13 @@ class SpanDuoidal(Tensors):
         return f.cod
 
     def identity(self, x):
-        return self.mor_from_fn(x, x, lambda g, el: el)
+        return SpanMor(x, x, fn=lambda g, el: el)
 
     def compose(self, f, g):
         """f then g."""
         if f.cod != g.dom:
             raise ValueError("compose: middle objects differ")
-        return self.mor_from_fn(f.dom, g.cod, lambda gl, el: g.apply(gl, f.apply(gl, el)))
+        return SpanMor(f.dom, g.cod, fn=lambda gl, el: g.apply(gl, f.apply(gl, el)))
 
     def maps_equal(self, f, g, cap=None):
         if f.dom != g.dom or f.cod != g.cod:
@@ -415,12 +382,6 @@ class SpanDuoidal(Tensors):
 
     def apply_at(self, f, key, elt):
         return f.apply(key, elt)
-
-    def fiber_keys(self, obj):
-        return self.support(obj)
-
-    def fiber_elements(self, obj, key):
-        return self.fiber(obj, key)
 
     def hom(self, x, y, cap=100_000):
         """All morphisms x -> y, enumerated per fiber."""
@@ -465,7 +426,7 @@ class SpanDuoidal(Tensors):
                 raise AssertionError(f"box{t} tensor moved a globe")
             return out_elt
 
-        return self.mor_from_fn(self.tensor(t, doms), self.tensor(t, cods), act)
+        return SpanMor(self.tensor(t, doms), self.tensor(t, cods), fn=act)
 
     # -- duoidal structure ----------------------------------------------
     def interchange(self, a, b, c, d):
@@ -491,24 +452,24 @@ class SpanDuoidal(Tensors):
                 raise AssertionError("interchange moved a globe")
             return out
 
-        return self.mor_from_fn(self.tensor(0, (ab, cd)), self.tensor(1, (ac, bd)), act)
+        return SpanMor(self.tensor(0, (ab, cd)), self.tensor(1, (ac, bd)), fn=act)
 
     def delta_e(self):
         def act(globe, elt):
             return ((globe, globe), ((), ()))
 
-        return self.mor_from_fn(self.e, self.box1(self.e, self.e), act)
+        return SpanMor(self.e, self.box1(self.e, self.e), fn=act)
 
     def mu_v(self):
-        return self.mor_from_fn(self.box0(self.v, self.v), self.v, lambda g, el: ())
+        return SpanMor(self.box0(self.v, self.v), self.v, fn=lambda g, el: ())
 
     def iota(self):
-        return self.mor_from_fn(self.e, self.v, lambda g, el: ())
+        return SpanMor(self.e, self.v, fn=lambda g, el: ())
 
     # -- extra structure used by the center machinery --------------------
     def subobject_from_fibers(self, x, fibers, name):
         sub = span_atom(name, {g: elems for g, elems in fibers.items() if elems})
-        incl = self.mor_from_fn(sub, x, lambda g, el: el)
+        incl = SpanMor(sub, x, fn=lambda g, el: el)
         return sub, incl
 
     def corestrict_map(self, f, sub, fibers):
@@ -549,6 +510,6 @@ class SpanDuoidal(Tensors):
                 fibers[g].extend((i, el) for el in elems)
         out = self.atom(name or "coproduct", {g: tuple(v) for g, v in fibers.items()})
         injections = [
-            self.mor_from_fn(p, out, lambda g, el, i=i: (i, el)) for i, p in enumerate(parts)
+            SpanMor(p, out, fn=lambda g, el, i=i: (i, el)) for i, p in enumerate(parts)
         ]
         return out, injections

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .fincat import Arrow, CatFunctor, FiniteCategory, ValidationError, compose_functors, identity_functor
 from .kcat import KMonoid, WordTensor
 from .report import skey, sorted_elements
-from .spans import Globe, LazySpanAtom, SpanDuoidal, arrow_globe, identity_globe
+from .spans import Globe, SpanAtom, SpanDuoidal, SpanMor, arrow_globe, identity_globe
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,8 @@ class EnrichedGraphCategory(WordTensor):
         return tuple(out)
 
     def hom_obj(self, w1, w2):
-        """The hom family of two words, one lazy atom per pair of words."""
+        """The hom family of two words: one atom per pair of words, whose
+        fibers are computed per globe."""
         w1, w2 = tuple(w1), tuple(w2)
         key = (w1, w2)
         if key in self._hom_cache:
@@ -148,13 +149,19 @@ class EnrichedGraphCategory(WordTensor):
                 )
             return tuple(tuple(zip(pairs, combo)) for combo in itertools.product(*per_pair))
 
-        out = LazySpanAtom(f"hom({len(w1)},{len(w2)})", ("hom", w1, w2), fiber_fn)
+        out = SpanAtom(f"hom({len(w1)},{len(w2)})", ("hom", w1, w2), fiber_fn)
         self._hom_cache[key] = out
         return out
 
     @staticmethod
     def _family_dict(elem):
         return {pair: dict(graph) for pair, graph in elem}
+
+    def family(self, a, graph):
+        """A hom-family element over the base object a: the graph
+        `graph(a1, a2)` at each pair (a1, a2) of O(a)."""
+        objs = self.O.set_of(a)
+        return tuple(((a1, a2), graph(a1, a2)) for a1 in objs for a2 in objs)
 
     def comp_map(self, w1, w2, w3):
         """Composition of hom families along a horizontal globe pairing."""
@@ -170,31 +177,21 @@ class EnrichedGraphCategory(WordTensor):
             psi = self._family_dict(fam2)
             f1map = self.O.map_of(g1.f)
             g1map = self.O.map_of(g1.g)
-            out = []
-            for a1 in self.O.set_of(globe.a):
-                for a2 in self.O.set_of(globe.a):
-                    table = phi.get((a1, a2), {})
-                    out_table = tuple(
-                        (x, psi[(f1map[a1], g1map[a2])][y])
-                        for x, y in table.items()
-                    )
-                    out.append(((a1, a2), out_table))
-            return tuple(out)
 
-        return self.D.mor_from_fn(dom, out_obj, act)
+            def graph(a1, a2):
+                return tuple((x, psi[(f1map[a1], g1map[a2])][y]) for x, y in phi.get((a1, a2), {}).items())
+
+            return self.family(globe.a, graph)
+
+        return SpanMor(dom, out_obj, fn=act)
 
     def unit_map(self, w):
         target = self.hom_obj(w, w)
 
         def act(globe, _elt):
-            out = []
-            for a1 in self.O.set_of(globe.a):
-                for a2 in self.O.set_of(globe.a):
-                    dom = self.word_fiber(w, globe.a, a1, a2)
-                    out.append(((a1, a2), tuple((x, x) for x in dom)))
-            return tuple(out)
+            return self.family(globe.a, lambda a1, a2: tuple((x, x) for x in self.word_fiber(w, globe.a, a1, a2)))
 
-        return self.D.mor_from_fn(self.D.e, target, act)
+        return SpanMor(self.D.e, target, fn=act)
 
     def odot_hom_map(self, e1, f1, e2, f2):
         e1, f1, e2, f2 = tuple(e1), tuple(f1), tuple(e2), tuple(f2)
@@ -209,41 +206,30 @@ class EnrichedGraphCategory(WordTensor):
             (g1, fam1), (g2, fam2) = self.D.split(1, arities, globe, elt)
             phi = self._family_dict(fam1)
             psi = self._family_dict(fam2)
-            lmap = self.O.map_of(g1.g)  # the shared middle arrow
-            out = []
-            for a1 in self.O.set_of(globe.a):
-                for a2 in self.O.set_of(globe.a):
-                    table = []
-                    for path, comps in self.word_fiber(self.odot(e1, e2), globe.a, a1, a2):
-                        mid = path[k1]
-                        left = (path[: k1 + 1], comps[:k1])
-                        right = (path[k1:], comps[k1:])
-                        out_left = phi[(a1, mid)][left]
-                        out_right = psi[(mid, a2)][right]
-                        joined = (
-                            out_left[0] + out_right[0][1:],
-                            out_left[1] + out_right[1],
-                        )
-                        table.append((((path, comps)), joined))
-                    out.append(((a1, a2), tuple(table)))
-            return tuple(out)
 
-        return self.D.mor_from_fn(dom, out_obj, act)
+            def graph(a1, a2):
+                table = []
+                for path, comps in self.word_fiber(self.odot(e1, e2), globe.a, a1, a2):
+                    mid = path[k1]
+                    out_left = phi[(a1, mid)][(path[: k1 + 1], comps[:k1])]
+                    out_right = psi[(mid, a2)][(path[k1:], comps[k1:])]
+                    table.append(((path, comps), (out_left[0] + out_right[0][1:], out_left[1] + out_right[1])))
+                return tuple(table)
+
+            return self.family(globe.a, graph)
+
+        return SpanMor(dom, out_obj, fn=act)
 
     def v_action_map(self):
         target = self.hom_obj((), ())
 
         def act(globe, _elt):
             fmap = self.O.map_of(globe.f)
-            out = []
-            for a1 in self.O.set_of(globe.a):
-                for a2 in self.O.set_of(globe.a):
-                    dom = self.word_fiber((), globe.a, a1, a2)
-                    table = tuple((x, ((fmap[a1],), ())) for x in dom)
-                    out.append(((a1, a2), table))
-            return tuple(out)
+            return self.family(
+                globe.a, lambda a1, a2: tuple((x, ((fmap[a1],), ())) for x in self.word_fiber((), globe.a, a1, a2))
+            )
 
-        return self.D.mor_from_fn(self.D.v, target, act)
+        return SpanMor(self.D.v, target, fn=act)
 
 
 # ---------------------------------------------------------------------------
@@ -314,45 +300,36 @@ def monoid_from_factorization(F: CatValuedFunctor, J: EnrichedGraphCategory = No
     def mu_act(globe, _elt):
         a = globe.a
         C = F.value(a)
-        out = []
-        for a1 in J.O.set_of(a):
-            for a2 in J.O.set_of(a):
-                table = tuple(
-                    ((path, comps), ((path[0], path[2]), (C.compose(comps[0], comps[1]),)))
-                    for path, comps in J.word_fiber(m2, a, a1, a2)
-                )
-                out.append(((a1, a2), table))
-        return tuple(out)
+        return J.family(
+            a,
+            lambda a1, a2: tuple(
+                ((path, comps), ((path[0], path[2]), (C.compose(comps[0], comps[1]),)))
+                for path, comps in J.word_fiber(m2, a, a1, a2)
+            ),
+        )
 
-    mu_bar = D.mor_from_fn(D.e, J.hom_obj(m2, M), mu_act)
+    mu_bar = SpanMor(D.e, J.hom_obj(m2, M), fn=mu_act)
 
     def nu_act(globe, _elt):
-        a = globe.a
-        C = F.value(a)
-        out = []
-        for a1 in J.O.set_of(a):
-            for a2 in J.O.set_of(a):
-                table = ((((a1,), ()), ((a1, a1), (C.identities[a1],))),) if a1 == a2 else ()
-                out.append(((a1, a2), table))
-        return tuple(out)
+        C = F.value(globe.a)
+        return J.family(
+            globe.a, lambda a1, a2: ((((a1,), ()), ((a1, a1), (C.identities[a1],))),) if a1 == a2 else ()
+        )
 
-    nu_bar = D.mor_from_fn(D.e, J.hom_obj((), M), nu_act)
+    nu_bar = SpanMor(D.e, J.hom_obj((), M), fn=nu_act)
 
     def u_act(globe, _elt):
         f = globe.f  # an arrow globe on the support of the second unit
         Ff = F.functor(f)
         fmap = J.O.map_of(f)
-        out = []
-        for a1 in J.O.set_of(globe.a):
-            for a2 in J.O.set_of(globe.a):
-                table = tuple(
-                    (el, ((fmap[a1], fmap[a2]), (Ff.on_arr(el[1][0]),)))
-                    for el in J.word_fiber(M, globe.a, a1, a2)
-                )
-                out.append(((a1, a2), table))
-        return tuple(out)
+        return J.family(
+            globe.a,
+            lambda a1, a2: tuple(
+                (el, ((fmap[a1], fmap[a2]), (Ff.on_arr(el[1][0]),))) for el in J.word_fiber(M, globe.a, a1, a2)
+            ),
+        )
 
-    u = D.mor_from_fn(D.v, J.hom_obj(M, M), u_act)
+    u = SpanMor(D.v, J.hom_obj(M, M), fn=u_act)
     return KMonoid(J, M, nu_bar, mu_bar, u, name=f"M({F.name})")
 
 

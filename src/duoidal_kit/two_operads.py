@@ -165,13 +165,15 @@ def end2(D, x, name=None) -> TwoOperad:
 # ---------------------------------------------------------------------------
 # axiom checking
 
+_ORDINAL_BOUND = 3  # the largest ordinal of the level-1 checks
 
-def check_two_operad(A: TwoOperad, max_leaves=3, ordinal_bound=3, tuple_cap=64) -> CheckReport:
+
+def check_two_operad(A: TwoOperad, max_leaves=3, tuple_cap=64) -> CheckReport:
     rep = CheckReport(f"2-operad axioms: {A.name} (leaf bound {max_leaves})")
     P = TreePool()
     B = A.over(P)
     trees2 = P.enumerate_two_trees(max_leaves)
-    trees1 = [P.one_tree(n) for n in range(ordinal_bound + 1)]
+    trees1 = [P.one_tree(n) for n in range(_ORDINAL_BOUND + 1)]
 
     # (**) identity axiom on every level
     witness = ""
@@ -273,12 +275,12 @@ def truncate(A: TwoOperad, k: int) -> TwoOperad:
     return TwoOperad(f"tr{k}({A.name})", component, A.unit_fn, A.m_fn, A.equal_fn)
 
 
-def is_one_terminal(A: TwoOperad, ordinal_bound=3) -> bool:
+def is_one_terminal(A: TwoOperad) -> bool:
     P = TreePool()
     B = A.over(P)
     if len(B.component(U0)) != 1:
         return False
-    return all(len(B.component(P.one_tree(n))) == 1 for n in range(ordinal_bound + 1))
+    return all(len(B.component(P.one_tree(n))) == 1 for n in range(_ORDINAL_BOUND + 1))
 
 
 def pruned_map_values(B: PoolOperad, tree):
@@ -298,13 +300,14 @@ def pruned_map_values(B: PoolOperad, tree):
     return tuple(B.m(incl, inputs, a) for a in B.component(tree)), pruned_tree
 
 
-def is_pruned(A: TwoOperad, max_leaves=3) -> bool:
-    """1-terminal and the pruning comparison bijective on every tree."""
+def is_pruned(A: TwoOperad) -> bool:
+    """1-terminal and the pruning comparison bijective on every tree with at
+    most 3 leaves."""
     if not is_one_terminal(A):
         return False
     P = TreePool()
     B = A.over(P)
-    for tree in P.enumerate_two_trees(max_leaves):
+    for tree in P.enumerate_two_trees(3):
         images, pruned_tree = pruned_map_values(B, tree)
         target = B.component(pruned_tree)
         # injective with image exhausting the target
@@ -365,7 +368,7 @@ def algebra_to_duoid(D, P, evaluations, x, name="duoid"):
     )
 
 
-def check_algebra_map(D, d, P, evaluations, max_leaves=3, ordinal_bound=3) -> CheckReport:
+def check_algebra_map(D, d, P, evaluations, max_leaves=3) -> CheckReport:
     """Is tree -> evaluation a morphism of tree operads onto the
     endomorphism example, with the canonical level-1 part?"""
     rep = CheckReport(f"duoid algebra structure: {d.name}")
@@ -373,14 +376,14 @@ def check_algebra_map(D, d, P, evaluations, max_leaves=3, ordinal_bound=3) -> Ch
 
     # the level-1 part: substitution for ordinal maps with the v-operad maps
     witness = ""
-    for a in range(ordinal_bound + 1):
-        for b in range(ordinal_bound + 1):
+    for a in range(_ORDINAL_BOUND + 1):
+        for b in range(_ORDINAL_BOUND + 1):
             for f in P.enumerate_one_maps(P.one_tree(a), P.one_tree(b)):
                 fib = [iterated_mu_v(D, P.n[t]) for t in P.fiber_trees[f]]
                 lhs = E.m(f, fib, iterated_mu_v(D, b))
                 if not D.maps_equal(lhs, iterated_mu_v(D, a)):
                     witness = P.render(f)
-    rep.add("level-1 part is the canonical v-operad map", not witness, f"ordinals <= {ordinal_bound}", witness)
+    rep.add("level-1 part is the canonical v-operad map", not witness, f"ordinals <= {_ORDINAL_BOUND}", witness)
 
     witness = ""
     trees2 = P.enumerate_two_trees(max_leaves)

@@ -46,9 +46,9 @@ def test_center_of_transformation_monoid_is_trivial():
 
 def test_center_of_unit_monoid_is_the_unit_hom():
     # the unit object is a monoid; its center is the full endomorphism hom
-    from duoidal_kit.kcat import KMonoid, und_id
+    from duoidal_kit.kcat import KMonoid
 
-    unit_monoid = KMonoid(K, (), und_id(K, ()), und_id(K, ()), und_id(K, ()), name="eta")
+    unit_monoid = KMonoid(K, (), K.unit_map(()), K.unit_map(()), K.unit_map(()), name="eta")
     cen = equalizer_center(multiplicative_from_k_monoid(unit_monoid, bound=3))
     assert len(cen.fibers[None]) == 1
 
@@ -115,8 +115,8 @@ def test_duoid_on_center_collapses_to_the_multiplication_when_commutative():
     for z1 in cen.fibers[None]:
         for z2 in cen.fibers[None]:
             a, b = monoid_value(z1), monoid_value(z2)
-            out0 = D.apply(duoid.mult0, (z1, z2))
-            out1 = D.apply(duoid.mult1, (z1, z2))
+            out0 = duoid.mult0.apply((z1, z2))
+            out1 = duoid.mult1.apply((z1, z2))
             assert monoid_value(out0[0]) == m.mult(a, b)
             assert monoid_value(out1[0]) == m.mult(a, b)
 

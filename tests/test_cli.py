@@ -206,6 +206,73 @@ def test_operad_names_outside_the_instance_exit_2(tmp_path):
         assert message in out.stderr
 
 
+def _patched(path, name, patch):
+    """A copy of a corpus file with patch(doc) applied, written to path/name."""
+    doc = json.loads((CORPUS / name).read_text())
+    patch(doc)
+    out = path / name
+    out.write_text(json.dumps(doc))
+    return str(out)
+
+
+@pytest.mark.parametrize(
+    "name, patch, argv, message",
+    [
+        ("z2.json", lambda d: d.update(elements="01"), ("center", "--monoid"), "field 'elements' is not a JSON array"),
+        ("z2.json", lambda d: d["table"].update({"0": "01"}), ("center", "--monoid"), "monoid z2: malformed elements or table"),
+        (
+            "fass_additive_z2.json",
+            lambda d: d.update(components=["*"]),
+            ("check-operad", "--builtin", "additive_z2", "--bound", "3", "--operad"),
+            "field 'components' is not a JSON object",
+        ),
+        (
+            "id_bz2_functor.json",
+            lambda d: d.update(functors=["id_*"]),
+            ("tamarkin", "--globe", "id_*,id_*", "--functor"),
+            "field 'functors' is not a JSON object",
+        ),
+        (
+            "id_bz2_functor.json",
+            lambda d: d["functors"].update({"id_*": "id"}),
+            ("tamarkin", "--globe", "id_*,id_*", "--functor"),
+            "bad functor table at 'id_*'",
+        ),
+        (
+            "id_bz2_functor.json",
+            lambda d: d["base"].update(objects="*"),
+            ("tamarkin", "--globe", "id_*,id_*", "--functor"),
+            "category: field 'objects' is not a JSON array",
+        ),
+        (
+            "id_bz2_functor.json",
+            lambda d: d["base"]["compose"].update({"id_* id_*": 5}),
+            ("tamarkin", "--globe", "id_*,id_*", "--functor"),
+            "category one: malformed objects, arrows or tables",
+        ),
+        (
+            "fass_additive_z2.json",
+            lambda d: d["gamma"].update({"1;1": ["a"]}),
+            ("check-operad", "--builtin", "additive_z2", "--bound", "2", "--operad"),
+            "operad gamma '1;1' ['a'] is not an arrow",
+        ),
+        ("bool_lattice.json", lambda d: d.update(e=0), ("check-duoidal", "--instance"), "field 'e' is not a JSON string"),
+        (
+            "duoid_v_bool_lattice.json",
+            lambda d: d.update(mult0=["x"]),
+            ("check-duoid", "--builtin", "bool_lattice", "--duoid"),
+            "field 'mult0' is not a JSON string",
+        ),
+    ],
+)
+def test_wrong_json_types_exit_2(tmp_path, name, patch, argv, message):
+    out = run_cli(*argv, _patched(tmp_path, name, patch))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    assert message in out.stderr
+    assert out.stdout == ""
+
+
 @pytest.mark.parametrize(
     "field, key, value, message",
     [

@@ -113,7 +113,7 @@ def test_constant_interchange_corruption_fails_unitality_not_hexagons():
     def patch(w, x, y, z):
         base = D.interchange(w, x, y, z)
         try:
-            first = D.elements(base.cod)[0]
+            first = D.fiber(base.cod, None)[0]
         except Exception:
             return None
         return CartMap(base.dom, base.cod, fn=lambda t: first)

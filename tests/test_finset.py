@@ -63,8 +63,8 @@ def test_hom_enumeration_guarded():
 
 
 def test_subobject_and_corestriction():
-    sub, incl = D.make_subobject(Y, [(0,), (2,)], "even")
-    assert D.elements(sub) == (((0,),), ((2,),))
+    sub, incl = D.subobject_from_fibers(Y, {None: [(0,), (2,)]}, "even")
+    assert D.fiber(sub, None) == (((0,),), ((2,),))
     assert incl.apply(((0,),)) == (0,)
     f = CartMap(X, Y, table={("p",): (0,), ("q",): (2,)})
     cor = D.corestrict_map(f, sub, {None: [(0,), (2,)]})

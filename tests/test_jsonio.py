@@ -82,3 +82,60 @@ def test_unknown_kind_rejected(tmp_path):
     path.write_text(json.dumps({"kind": "widget", "schema_version": 1}))
     with pytest.raises(ValidationError):
         jsonio.load_document(path)
+
+
+SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
+
+
+def test_required_field_types_match_the_schemas():
+    """The loaders enforce exactly the required fields and top-level JSON types
+    of schemas/<kind>.schema.json (None where the schema refers to another
+    kind's document)."""
+    kinds = {p.name.removesuffix(".schema.json") for p in SCHEMAS.glob("*.schema.json")}
+    assert set(jsonio.REQUIRED) == kinds
+    for kind in kinds:
+        body = json.loads((SCHEMAS / f"{kind}.schema.json").read_text())
+        required = [f for f in body["required"] if f not in ("kind", "schema_version")]
+        assert jsonio.REQUIRED[kind] == {f: body["properties"][f].get("type") for f in required}, kind
+
+
+def _object_functor_doc():
+    category = json.loads((CORPUS / "arrow_category.json").read_text())
+    return {"kind": "object_functor", "schema_version": 1, "category": category, "sets": {}, "maps": {}}
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("monoid", "elements", "01"),
+        ("category", "objects", "01"),
+        ("object_functor", "sets", ["a"]),
+        ("cat_valued_functor", "functors", ["id_*"]),
+        ("span_object", "fibers", {}),
+        ("duoidal_table", "e", 0),
+        ("one_operad", "components", ["*"]),
+        ("duoid", "mult0", ["x"]),
+    ],
+)
+def test_a_wrong_json_type_names_the_field(kind, field, value):
+    from duoidal_kit.instances import additive_instance, bool_lattice_instance
+    from duoidal_kit.monoids import cyclic
+
+    files = {
+        "monoid": "z2.json",
+        "category": "arrow_category.json",
+        "cat_valued_functor": "id_bz2_functor.json",
+        "span_object": "span_object_parallel.json",
+        "duoidal_table": "bool_lattice.json",
+        "one_operad": "fass_additive_z2.json",
+        "duoid": "duoid_v_bool_lattice.json",
+    }
+    doc = _object_functor_doc() if kind == "object_functor" else json.loads((CORPUS / files[kind]).read_text())
+    doc[field] = value
+    loaders = {
+        **jsonio.LOADERS,
+        "one_operad": lambda d: jsonio.table_operad_from_doc(d, additive_instance(cyclic(2))),
+        "duoid": lambda d: jsonio.duoid_from_doc(d, bool_lattice_instance()),
+    }
+    with pytest.raises(ValidationError, match=f"{kind}: field '{field}' is not a JSON"):
+        loaders[kind](doc)

@@ -3,18 +3,19 @@ import itertools
 import pytest
 
 from duoidal_kit.duoidal import chain
-from duoidal_kit.finset import CartesianFinSet, fn_eval, word_elements, word_enumerable
+from duoidal_kit.finset import CartesianFinSet, CartMap, fn_eval, word_elements, word_enumerable
 from duoidal_kit.instances import additive_instance, bool_lattice_instance
 from duoidal_kit.kcat import (
     CartesianSelfEnriched,
+    KMonoid,
     check_k_category,
-    check_k_monoid,
+    fn_elt_of,
     k_monoid_from_monoid,
     monoid_from_one_object,
     sigma,
     und_hom,
 )
-from duoidal_kit.monoids import FreeWordMonoid, cyclic, full_transformation2, monoid_corpus
+from duoidal_kit.monoids import FreeWordMonoid, cyclic, full_transformation2, monoid_corpus, monoid_from_fn
 from duoidal_kit.report import skey
 from duoidal_kit.operads import (
     MultOperad,
@@ -22,6 +23,7 @@ from duoidal_kit.operads import (
     algebra_to_monoid,
     certify_cosimplicial_generic,
     check_cosimplicial_identities,
+    check_eass_algebra,
     check_fass_algebra_diagrams,
     check_multiplicative,
     check_one_operad,
@@ -34,6 +36,7 @@ from duoidal_kit.operads import (
     hochschild_oracle_coface,
     hochschild_oracle_codegeneracy,
     multiplicative_from_k_monoid,
+    und_monoid_to_eass_algebra,
 )
 
 D = CartesianFinSet()
@@ -47,8 +50,52 @@ def z2_monoid():
 
 def test_k_monoid_axioms_for_corpus_sample():
     for m in (cyclic(2), cyclic(3), full_transformation2()):
-        rep = check_k_monoid(k_monoid_from_monoid(m, K))
+        rep = check_k_category(sigma(k_monoid_from_monoid(m, K)))
         assert rep.all_passed, rep.render()
+
+
+def test_k_category_rejects_a_non_associative_multiplication():
+    z2 = k_monoid_from_monoid(cyclic(2), K)
+    squared = z2.carrier + z2.carrier
+    nand = fn_elt_of(squared, lambda t: (1 - (t[0] & t[1]),))
+    mu_bar = CartMap((), K.hom_obj(squared, z2.carrier), table={(): (nand,)})
+    bad = KMonoid(K, z2.carrier, z2.nu_bar, mu_bar, z2.u, name="nand")
+    rep = check_k_category(sigma(bad))
+    failed = {item.name for item in rep.failures()}
+    assert {"composition associative", "unit laws"} <= failed, rep.render()
+
+
+def _t2_and_opposite():
+    """t2 and its opposite monoid as K-monoids on the same carrier letter."""
+    t2 = full_transformation2()
+    op = monoid_from_fn("t2op", t2.elements, t2.unit, lambda a, b: t2.mult(b, a))
+    M = k_monoid_from_monoid(t2, K)
+    return M, k_monoid_from_monoid(op, K, letter=M.carrier[0])
+
+
+def test_multiplicative_check_rejects_the_opposite_multiplication():
+    M, M_op = _t2_and_opposite()
+    A = multiplicative_from_k_monoid(M, bound=3)
+    A_op = multiplicative_from_k_monoid(M_op, bound=3)
+    assert check_multiplicative(A_op, bound=3).all_passed
+    bad = MultOperad(A.base, {**A.m, 2: A_op.m[2]}, name="t2 with m(2) of t2op")
+    rep = check_multiplicative(bad, bound=3)
+    row = {i.name: i for i in rep.items}["operad morphism from the all-v operad"]
+    assert rep.title == "multiplicative structure: t2 with m(2) of t2op (bound 3)"
+    assert not row.passed and row.witness.startswith("(n=") and row.scope == "shapes within 3"
+    assert rep.items[0].name == "unit compatibility" and rep.items[0].passed
+
+
+def test_eass_algebra_check_rejects_the_opposite_multiplication():
+    M, M_op = _t2_and_opposite()
+    x = M.carrier
+    kappa = und_monoid_to_eass_algebra(K, x, M.nu_bar, M.mu_bar, bound=3)
+    kappa_op = und_monoid_to_eass_algebra(K, x, M_op.nu_bar, M_op.mu_bar, bound=3)
+    rep = check_eass_algebra(K, x, {**kappa, 2: kappa_op[2]}, bound=3)
+    assert rep.title == "all-e algebra structure"
+    assert [i.name for i in rep.items] == ["unit component", "operad morphism property"]
+    row = rep.items[1]
+    assert not row.passed and row.witness.startswith("(n=") and row.scope == "shapes within 3"
 
 
 def test_sigma_round_trip():

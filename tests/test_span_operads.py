@@ -7,7 +7,7 @@ import pytest
 from duoidal_kit.fincat import identity_functor
 from duoidal_kit.finset import CartesianFinSet
 from duoidal_kit.instances import bz2_cat, parallel_pair_cat
-from duoidal_kit.kcat import CartesianSelfEnriched, k_monoid_from_monoid, und_hom, und_id
+from duoidal_kit.kcat import CartesianSelfEnriched, k_monoid_from_monoid, und_hom
 from duoidal_kit.monoids import cyclic, full_transformation2
 from duoidal_kit.operads import (
     algebra_hom_elements,

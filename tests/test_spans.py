@@ -1,9 +1,21 @@
+import itertools
+from functools import partial, reduce
+
 import pytest
 
 from duoidal_kit.duoidal import check_duoidal_axioms, derived_unit_comparison
-from duoidal_kit.instances import arrow_cat, bz2_cat, cat_one, parallel_pair_cat
+from duoidal_kit.instances import arrow_cat, bz2_cat, cat_one, composable_pair_cat, parallel_pair_cat
 from duoidal_kit.report import sorted_elements
-from duoidal_kit.spans import Globe, SpanDuoidal, all_globes, arrow_globe, identity_globe
+from duoidal_kit.spans import (
+    Globe,
+    SpanDuoidal,
+    SpanMor,
+    all_globes,
+    arrow_globe,
+    hcompose,
+    identity_globe,
+    vcompose,
+)
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +124,7 @@ def test_interchange_naturality_pointwise(par):
     cat, D = par
     X = D.atom("X", {arrow_globe(cat, "u"): ("a", "b")})
     Y = D.atom("Y", {arrow_globe(cat, "u"): ("c",)})
-    f = D.mor_from_fn(X, Y, lambda g, el: "c")
+    f = SpanMor(X, Y, fn=lambda g, el: "c")
     z_src = D.interchange(X, X, X, X)
     z_tgt = D.interchange(Y, Y, Y, Y)
     from duoidal_kit.duoidal import chain
@@ -209,3 +221,33 @@ def test_globes_sort_by_sort_key():
     for cat in (bz2_cat(), parallel_pair_cat(), arrow_cat()):
         globes = all_globes(cat)
         assert sorted_elements(reversed(globes)) == sorted(globes, key=Globe.sort_key)
+
+
+@pytest.mark.parametrize("base", [bz2_cat, parallel_pair_cat, composable_pair_cat])
+@pytest.mark.parametrize("t", [0, 1])
+def test_chains_are_the_k_tuples_composing_to_the_globe(base, t):
+    """`chains` against a filter of all k-tuples of globes by their composite;
+    the empty tuple composes to the unit globes of the tensor."""
+    cat = base()
+    D = SpanDuoidal(cat)
+    globes = all_globes(cat)
+    if t == 0:
+        units = {identity_globe(cat, a) for a in cat.objects}
+        compose = partial(hcompose, cat)
+    else:
+        units = {arrow_globe(cat, f) for f in cat.arrows}
+        compose = vcompose
+
+    def composite(chain):
+        try:
+            return reduce(compose, chain)
+        except ValueError:
+            return None
+
+    for globe in globes:
+        assert D.chains(t, globe, 0) == ([()] if globe in units else [])
+        for k in (1, 2, 3):
+            brute = [c for c in itertools.product(globes, repeat=k) if composite(c) == globe]
+            got = D.chains(t, globe, k)
+            assert len(set(got)) == len(got)
+            assert sorted(got) == brute, (globe, k)

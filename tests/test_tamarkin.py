@@ -10,7 +10,7 @@ from duoidal_kit.instances import (
     functor_pair_corpus,
     parallel_pair_cat,
 )
-from duoidal_kit.kcat import check_k_monoid, und_hom
+from duoidal_kit.kcat import check_k_category, sigma, und_hom
 from duoidal_kit.spans import Globe, arrow_globe, identity_globe
 from duoidal_kit.tamarkin import (
     CatValuedFunctor,
@@ -83,7 +83,7 @@ def test_eta_unit_law_and_word_fibers(id_bz2_pair):
 
 def test_monoid_from_factorization_passes_axioms(id_bz2_pair):
     M = monoid_from_factorization(id_bz2_pair)
-    rep = check_k_monoid(M)
+    rep = check_k_category(sigma(M))
     assert rep.all_passed, rep.render()
 
 
