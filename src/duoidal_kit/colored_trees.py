@@ -15,6 +15,8 @@ equality is integer equality and contractions are computed once, bottom-up.
 
 from __future__ import annotations
 
+import itertools
+
 LEAF = 0  # the id of the edgeless tree in every pool
 WHITE, BLACK = "w", "b"
 COLORS = (WHITE, BLACK)
@@ -257,39 +259,112 @@ def parse_term(pool: TreePool, text: str) -> int:
     return out
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key)."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def check_contraction_operad_map(max_total_vertices=8):
     """contract(graft(T, S, i)) == graft(contract T, contract S, i) for all
     pairs with a combined vertex bound, every leaf of T.  Returns
-    (checked_pairs, failures)."""
+    (checked_triples, failures), stopping at the sixth failing triple.
+
+    The left side is evaluated without building graft(T, S, i).  For each
+    graftee S with cs = contract S, a table G over the trees T, filled
+    bottom-up, holds the tuple of contract(graft(T, S, i)) over the leaves i
+    of T: G[leaf] = (cs,), G[nullary] = (), and for T = c(A, B)
+
+        G[T] = (node(c, (x, contract B)) for x in G[A])
+             + (node(c, (contract A, y)) for y in G[B]),
+
+    with node = AlternatingForest.node, memoized per (c, x, y) across
+    graftees since it does not depend on S.  This is ContractionMap.contract's
+    own bottom-up definition applied to graft(T, S, i): it neither assumes the
+    statement under test nor interns a grafted tree.  Each pair (T, S) is then
+    compared at once with (graft(contract T, cs, i) for every leaf i).  Those
+    tuples are cached per contract T while the graftees with one contraction
+    are swept, and dropped after.  A tree with exactly the bound's vertices
+    meets only the leaf, as graftee or as target, so that level is streamed
+    from its (c, A, B) and never interned.
+    """
     btrees = BinaryForest()
     atrees = AlternatingForest()
-    cmap = ContractionMap(btrees, atrees)
-    levels = btrees.by_vertices(max_total_vertices)
-    checked = 0
-    failures = []
-    contract = cmap.contract
-    bgraft = btrees.graft
+    contract = ContractionMap(btrees, atrees).contract
     agraft = atrees.graft
-    leaves = btrees.leaves
-    # many binary trees share a contraction, so the alternating-side graft
-    # results repeat; cache them by (contracted pair, leaf index)
-    rhs_cache = {}
-    contractions = [[contract(t) for t in level] for level in levels]
-    for vt in range(0, max_total_vertices + 1):
-        for t, ct in zip(levels[vt], contractions[vt]):
-            n_leaves = leaves[t]
-            for vs in range(0, max_total_vertices - vt + 1):
-                for s, cs in zip(levels[vs], contractions[vs]):
-                    for i in range(1, n_leaves + 1):
-                        checked += 1
-                        lhs = contract(bgraft(t, s, i))
-                        key = (ct, cs, i)
-                        rhs = rhs_cache.get(key)
-                        if rhs is None:
-                            rhs = agraft(ct, cs, i)
-                            rhs_cache[key] = rhs
-                        if lhs != rhs:
-                            failures.append((btrees.render(t), btrees.render(s), i))
-                            if len(failures) > 5:
-                                return checked, failures
+    V = max_total_vertices
+    kept = V - 1 if V > 1 else V  # the top level is streamed unless it holds nullaries
+    levels = btrees.by_vertices(kept)
+    # a fresh pool interns the trees in level order, so the trees with at
+    # most k vertices are the ids below ends[k]
+    ends = list(itertools.accumulate(len(level) for level in levels))
+    kids, color, leaves, verts, render = btrees.kids, btrees.color, btrees.leaves, btrees.verts, btrees.render
+    leaf_sums = [sum(leaves[:end]) for end in ends]
+    cont = [contract(t) for t in range(ends[-1])]
+    node = {c: _Memo(lambda pair, c=c: atrees.node(c, pair)) for c in COLORS}
+    G = [None] * ends[-1]
+    failures = []
+    checked = 0
+
+    def failed(got, want, t_text, s_text):
+        """Record the failing leaves of one pair; True once six are known."""
+        for i, x in enumerate(got, 1):
+            if i > len(want) or x != want[i - 1]:
+                failures.append((t_text, s_text, i))
+                if len(failures) > 5:
+                    return True
+        return False
+
+    def sweep(s, cs, end, grafts):
+        """Fill G for the graftee s over the trees below end, checking each."""
+        G[LEAF] = got = (cs,)
+        if got != grafts[LEAF] and failed(got, grafts[LEAF], "l", render(s)):
+            return True
+        for t in range(1, end):
+            pair = kids[t]
+            if pair:
+                a, b = pair
+                m, ca, cb = node[color[t]], cont[a], cont[b]
+                G[t] = got = tuple([m[x, cb] for x in G[a]] + [m[ca, y] for y in G[b]])
+            else:
+                G[t] = got = ()
+            if got != grafts[cont[t]] and failed(got, grafts[cont[t]], render(t), render(s)):
+                return True
+        return False
+
+    def stream(grafts):
+        """With G the leaf's table, check every tree c(a, b) with V vertices
+        as a target of the leaf and as a graftee of the leaf."""
+        nonlocal checked
+        for c in COLORS:
+            m = node[c]
+            for va in range(V):
+                for a in levels[va]:
+                    ca, ga = cont[a], G[a]
+                    for b in levels[V - 1 - va]:
+                        cb = cont[b]
+                        ct = m[ca, cb]
+                        got = tuple([m[x, cb] for x in ga] + [m[ca, y] for y in G[b]])
+                        checked += len(got) + 1
+                        if got != grafts[ct] and failed(got, grafts[ct], f"{c}({render(a)},{render(b)})", "l"):
+                            return True
+                        want = (agraft(LEAF, ct, 1),)
+                        if (ct,) != want and failed((ct,), want, "l", f"{c}({render(a)},{render(b)})"):
+                            return True
+        return False
+
+    graftees = sorted(range(ends[-1]), key=cont.__getitem__)
+    for cs, group in itertools.groupby(graftees, key=cont.__getitem__):
+        grafts = _Memo(lambda ct, cs=cs: tuple(agraft(ct, cs, i) for i in range(1, atrees.leaves[ct] + 1)))
+        for s in group:
+            k = min(V - verts[s], kept)
+            checked += leaf_sums[k]
+            if sweep(s, cs, ends[k], grafts) or (s == LEAF and kept < V and stream(grafts)):
+                return checked, failures
     return checked, failures

@@ -62,6 +62,25 @@ def _expect(doc, kind):
             raise ValidationError(f"{kind}: field {name!r} is not a JSON {json_type}")
 
 
+def _keys(table, names, parts, where, what):
+    """`table` keyed by its keys split at spaces into `parts` members of
+    `names` (a one-part key is not split); a key that names nothing is
+    rejected."""
+    out = {}
+    for key, value in table.items():
+        split = tuple(key.split(" ")) if parts > 1 else (key,)
+        if len(split) != parts or not all(name in names for name in split):
+            raise ValidationError(f"{where} key {key!r} does not name {what}")
+        out[split] = value
+    return out
+
+
+def _arity(text, where):
+    if not (text.isascii() and text.isdigit()):
+        raise ValidationError(f"{where}: {text!r} is not an arity (a non-negative integer)")
+    return int(text)
+
+
 # -- monoids -----------------------------------------------------------------
 
 
@@ -85,6 +104,9 @@ def monoid_from_doc(doc) -> Monoid:
         raise ValidationError(f"monoid {doc['name']}: table has no entry for {exc}") from exc
     except TypeError as exc:
         raise ValidationError(f"monoid {doc['name']}: malformed elements or table ({exc})") from exc
+    where = f"monoid {doc['name']}: table"
+    for (a,), row in _keys(doc["table"], elements, 1, where, "an element").items():
+        _keys(row, elements, 1, f"{where} row {a!r}", "an element")
     return Monoid(doc["name"], elements, doc["unit"], table)
 
 
@@ -110,7 +132,9 @@ def category_from_doc(doc) -> FiniteCategory:
     _expect(doc, "category")
     try:
         arrows = [Arrow(a["name"], a["src"], a["tgt"]) for a in doc["arrows"]]
-        compose = {tuple(k.split(" ")): v for k, v in doc["compose"].items()}
+        where = f"category {doc['name']}:"
+        compose = _keys(doc["compose"], {a.name for a in arrows}, 2, f"{where} compose", "two arrows")
+        _keys(doc["identities"], doc["objects"], 1, f"{where} identities", "an object")
         return FiniteCategory(doc["name"], doc["objects"], arrows, compose, doc["identities"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"category {doc['name']}: malformed objects, arrows or tables ({exc})") from exc
@@ -122,6 +146,8 @@ def category_from_doc(doc) -> FiniteCategory:
 def object_functor_from_doc(doc) -> ObjectFunctor:
     _expect(doc, "object_functor")
     cat = category_from_doc(doc["category"])
+    _keys(doc["sets"], cat.objects, 1, "object_functor: sets", "an object")
+    _keys(doc["maps"], cat.arrows, 1, "object_functor: maps", "an arrow")
     return object_functor(cat, doc["sets"], doc["maps"])
 
 
@@ -145,6 +171,7 @@ def cat_valued_functor_to_doc(F: CatValuedFunctor) -> dict:
 def cat_valued_functor_from_doc(doc) -> CatValuedFunctor:
     _expect(doc, "cat_valued_functor")
     base = category_from_doc(doc["base"])
+    _keys(doc["values"], base.objects, 1, "cat_valued_functor: values", "an object")
     values = {a: category_from_doc(c) for a, c in doc["values"].items()}
     functors = {}
     for f, data in doc["functors"].items():
@@ -211,19 +238,19 @@ def table_duoidal_from_doc(doc) -> TableDuoidal:
     _expect(doc, "duoidal_table")
     base = category_from_doc(doc["base"])
 
-    def unpair(table):
-        return {tuple(k.split(" ")): v for k, v in table.items()}
+    def table(field, names, parts, what):
+        return _keys(doc[field], names, parts, f"{doc['name']}: {field}", what)
 
     return TableDuoidal(
         doc["name"],
         base,
-        unpair(doc["box0_objects"]),
-        unpair(doc["box1_objects"]),
+        table("box0_objects", base.objects, 2, "two objects"),
+        table("box1_objects", base.objects, 2, "two objects"),
         doc["e"],
         doc["v"],
-        unpair(doc["box0_arrows"]),
-        unpair(doc["box1_arrows"]),
-        unpair(doc["interchange"]),
+        table("box0_arrows", base.arrows, 2, "two arrows"),
+        table("box1_arrows", base.arrows, 2, "two arrows"),
+        table("interchange", base.objects, 4, "four objects"),
         doc["delta_e"],
         doc["mu_v"],
         doc["iota"],
@@ -241,17 +268,20 @@ def table_operad_from_doc(doc, D):
     _expect(doc, "one_operad")
     if not isinstance(D, TableDuoidal):
         raise ValidationError("a one_operad document names objects and arrows of a table instance")
-    components = {int(n): obj for n, obj in doc["components"].items()}
+    components = {_arity(n, "operad components"): obj for n, obj in doc["components"].items()}
     for n, obj in components.items():
         if obj not in D.objects():
             raise ValidationError(f"operad component {n} {obj!r} is not an object of the instance")
     gammas = {}
     for key, arrow in doc["gamma"].items():
         head, _, tail = key.partition(";")
-        ks = tuple(int(k) for k in tail.split(",")) if tail else ()
+        n = _arity(head, f"operad gamma {key!r}")
+        ks = tuple(_arity(k, f"operad gamma {key!r}") for k in tail.split(",")) if tail else ()
+        if len(ks) != n:
+            raise ValidationError(f"operad gamma {key!r} does not list {n} arities after its ';'")
         if not isinstance(arrow, str) or arrow not in D.base.arrows:
             raise ValidationError(f"operad gamma {key!r} {arrow!r} is not an arrow of the instance")
-        gammas[(int(head), ks)] = arrow
+        gammas[(n, ks)] = arrow
     if doc["unit"] not in D.base.arrows:
         raise ValidationError(f"operad unit {doc['unit']!r} is not an arrow of the instance")
     bound = max(components)

@@ -215,6 +215,7 @@ def check_two_operad(A: TwoOperad, max_leaves=3, tuple_cap=64) -> CheckReport:
     # 1-tree maps (classical operad associativity, always aligned)
     witness = ""
     pairs = aligned = 0
+    outer = {}  # (omega, positions of the b's, position of c) -> m_omega(b's; c)
     for level_trees, maps in (
         (trees2, P.enumerate_two_tree_maps),
         (trees1, P.enumerate_one_maps),
@@ -230,7 +231,7 @@ def check_two_operad(A: TwoOperad, max_leaves=3, tuple_cap=64) -> CheckReport:
                         if positions is None:
                             continue
                         aligned += 1
-                        if not _assoc_holds(B, sigma, omega, positions, tuple_cap):
+                        if not _assoc_holds(B, sigma, omega, positions, tuple_cap, outer):
                             witness = f"{P.render(sigma)} ; {P.render(omega)}"
     rep.add(
         "(*) associativity",
@@ -245,21 +246,28 @@ def _tuples(B, trees):
     return itertools.product(*[B.component(t) for t in trees])
 
 
-def _assoc_holds(B: PoolOperad, sigma, omega, positions, tuple_cap=64):
+def _assoc_holds(B: PoolOperad, sigma, omega, positions, tuple_cap, outer):
     """m_{omega sigma}(restrictions of sigma fed by the a's, b's; c) equals
-    m_sigma(a's; m_omega(b's; c)) on the first tuple_cap element tuples."""
+    m_sigma(a's; m_omega(b's; c)) on the first tuple_cap element tuples.
+
+    m_omega(b's; c) depends on neither sigma nor the a's, so it is read from
+    `outer`, keyed by omega and the positions of the b's and of c in their
+    components."""
     P, m = B.pool, B.m
     comp = P.compose(sigma, omega)
     restrictions = P.restrictions(sigma, omega)
-    combos = itertools.product(
-        _tuples(B, P.fiber_trees[sigma]), _tuples(B, P.fiber_trees[omega]), B.component(P.target[omega])
-    )
-    for a_elems, b_elems, c in itertools.islice(combos, tuple_cap):
+    b_trees = P.fiber_trees[omega]
+    b_tuples = zip(itertools.product(*[range(len(B.component(t))) for t in b_trees]), _tuples(B, b_trees))
+    combos = itertools.product(_tuples(B, P.fiber_trees[sigma]), b_tuples, enumerate(B.component(P.target[omega])))
+    for a_elems, (b_index, b_elems), (c_index, c) in itertools.islice(combos, tuple_cap):
         inner = [
             m(restr, [a_elems[p] for p in inputs], b)
             for restr, inputs, b in zip(restrictions, positions, b_elems)
         ]
-        if not B.eq(m(comp, inner, c), m(sigma, a_elems, m(omega, b_elems, c))):
+        key = (omega, b_index, c_index)
+        if key not in outer:
+            outer[key] = m(omega, b_elems, c)
+        if not B.eq(m(comp, inner, c), m(sigma, a_elems, outer[key])):
             return False
     return True
 

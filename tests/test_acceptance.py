@@ -255,6 +255,9 @@ def test_criterion_07_endomorphism_two_operad():
                             want = inst.compose(inst.box0_map_many(list(elems)), outer)
                             assert inst.maps_equal(got, want)
     scope = rep2.items[-1].scope
+    assert scope == rep1.items[-1].scope == (
+        "49792/101144 composable pairs aligned within bound; element tuples capped at 16"
+    )
     verdict(7, True, f"endomorphism tree operads pass all axioms over two small instances ({scope})")
 
 

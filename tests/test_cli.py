@@ -273,6 +273,44 @@ def test_wrong_json_types_exit_2(tmp_path, name, patch, argv, message):
     assert out.stdout == ""
 
 
+def _add_key(table, key):
+    """Give table an extra key, valued like its first entry."""
+    table[key] = next(iter(table.values()))
+
+
+DUOIDAL = ("check-duoidal", "--instance")
+OPERAD = ("check-operad", "--builtin", "additive_z2", "--bound", "2", "--operad")
+MONOID = ("center", "--monoid")
+
+
+@pytest.mark.parametrize(
+    "name, patch, argv, message",
+    [
+        ("bool_lattice.json", lambda d: _add_key(d["box0_arrows"], "x"), DUOIDAL, "box0_arrows key 'x' does not"),
+        ("bool_lattice.json", lambda d: _add_key(d["interchange"], "0 1 1"), DUOIDAL, "key '0 1 1' does not name four"),
+        ("bool_lattice.json", lambda d: _add_key(d["base"]["compose"], "s"), DUOIDAL, "compose key 's' does not"),
+        ("bool_lattice.json", lambda d: _add_key(d["base"]["identities"], "2"), DUOIDAL, "identities key '2' does not"),
+        ("fass_additive_z2.json", lambda d: _add_key(d["components"], "-1"), OPERAD, "'-1' is not an arity"),
+        ("fass_additive_z2.json", lambda d: _add_key(d["gamma"], "1;x"), OPERAD, "'x' is not an arity"),
+        ("fass_additive_z2.json", lambda d: _add_key(d["gamma"], "2;1"), OPERAD, "gamma '2;1' does not list 2 arities"),
+        ("z2.json", lambda d: _add_key(d["table"], "2"), MONOID, "monoid z2: table key '2' does not name an element"),
+        ("z2.json", lambda d: _add_key(d["table"]["0"], "2"), MONOID, "table row '0' key '2' does not name an element"),
+        (
+            "id_bz2_functor.json",
+            lambda d: _add_key(d["values"], "x"),
+            ("tamarkin", "--globe", "id_*,id_*", "--functor"),
+            "values key 'x' does not name an object",
+        ),
+    ],
+)
+def test_table_keys_that_name_nothing_exit_2(tmp_path, name, patch, argv, message):
+    out = run_cli(*argv, _patched(tmp_path, name, patch))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    assert message in out.stderr
+    assert out.stdout == ""
+
+
 @pytest.mark.parametrize(
     "field, key, value, message",
     [

@@ -123,3 +123,92 @@ def test_operad_map_exhaustive_small():
     checked, failures = check_contraction_operad_map(5)
     assert failures == []
     assert checked == 47337
+
+
+def _graft_then_contract(max_total_vertices):
+    """(triples, failing triples) of the contraction check, evaluated by
+    grafting every triple in the binary forest and contracting the result."""
+    bp, ap = BinaryForest(), AlternatingForest()
+    cm = ContractionMap(bp, ap)
+    levels = bp.by_vertices(max_total_vertices)
+    checked, failures = 0, []
+    for vt, targets in enumerate(levels):
+        for t in targets:
+            for s in (s for level in levels[: max_total_vertices - vt + 1] for s in level):
+                for i in range(1, bp.leaves[t] + 1):
+                    checked += 1
+                    if cm.contract(bp.graft(t, s, i)) != ap.graft(cm.contract(t), cm.contract(s), i):
+                        failures.append((bp.render(t), bp.render(s), i))
+    return checked, failures
+
+
+def _mirrored(monkeypatch):
+    """Make ContractionMap.contract reverse the children of every node it builds."""
+    real = ContractionMap.contract
+
+    def mirrored(self, t):
+        out = real(self, t)
+        kids = self.atrees.kids[out]
+        return self.atrees.intern(self.atrees.color[out], kids[::-1]) if len(kids) > 1 else out
+
+    monkeypatch.setattr(ContractionMap, "contract", mirrored)
+
+
+@pytest.mark.parametrize("bound", range(6))
+def test_operad_map_sweep_agrees_with_graft_then_contract(bound):
+    assert check_contraction_operad_map(bound) == _graft_then_contract(bound)
+
+
+@pytest.mark.parametrize(
+    "bound, wrong",
+    [
+        (4, lambda ap, t, s: t != LEAF and s != LEAF),  # only graftees other than the leaf
+        (4, lambda ap, t, s: s == LEAF and ap.verts[t] == 4),  # only the streamed targets
+        (4, lambda ap, t, s: t == LEAF and ap.verts[s] == 4),  # only the streamed graftees
+        (1, lambda ap, t, s: t == LEAF and s != LEAF),  # nothing streamed: the tables' leaf rows
+    ],
+)
+def test_operad_map_sweep_reports_what_graft_then_contract_finds(bound, wrong, monkeypatch):
+    # a right side wrong on the triples that one part of the sweep meets:
+    # the sweep fails, and every failure it reports is one the oracle finds
+    real = AlternatingForest.graft
+    running = []  # the outermost call is the one to corrupt
+
+    def graft(self, t, s, i):
+        if not running and wrong(self, t, s):
+            return self.node("w", ())
+        running.append(None)
+        try:
+            return real(self, t, s, i)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(AlternatingForest, "graft", graft)
+    _, failures = check_contraction_operad_map(bound)
+    assert 0 < len(failures) <= 6
+    assert set(failures) <= set(_graft_then_contract(bound)[1])
+
+
+@pytest.mark.parametrize("bound", range(7))
+def test_operad_map_counts_every_triple(bound):
+    # B[v] trees with v vertices, L[v] leaves over them: a vertex is white or
+    # black, nullary or binary, and the edgeless tree is one leaf
+    B, L = [1], [1]
+    for v in range(1, bound + 1):
+        splits = [(a, v - 1 - a) for a in range(v)]
+        B.append((2 if v == 1 else 0) + sum(2 * B[a] * B[b] for a, b in splits))
+        L.append(sum(2 * (L[a] * B[b] + B[a] * L[b]) for a, b in splits))
+    want = sum(L[vt] * B[vs] for vt in range(bound + 1) for vs in range(bound + 1 - vt))
+    assert check_contraction_operad_map(bound) == (want, [])
+
+
+@pytest.mark.parametrize("bound", range(3, 7))
+def test_operad_map_sweep_catches_a_mirrored_contraction(bound, monkeypatch):
+    # the sweep builds the grafted path with AlternatingForest.node, so a
+    # corrupted contract shows only through contract T, contract S and the
+    # siblings along the path; from three vertices on that suffices
+    _mirrored(monkeypatch)
+    _, failures = check_contraction_operad_map(bound)
+    assert 0 < len(failures) <= 6
+    if bound < 6:
+        assert _graft_then_contract(bound)[1]

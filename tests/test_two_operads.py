@@ -8,6 +8,7 @@ from duoidal_kit.instances import additive_instance, bool_lattice_instance
 from duoidal_kit.monoids import cyclic
 from duoidal_kit.trees import U2, Z2U0, ZU1, TreeError, TreePool
 from duoidal_kit.two_operads import (
+    TwoOperad,
     algebra_to_duoid,
     ass2,
     check_algebra_map,
@@ -94,6 +95,37 @@ def test_end2_z2_additive_small():
     assert not is_one_terminal(A)
 
 
+def _criterion_7_operads():
+    return end2(bool_lattice_instance(), "1"), end2(additive_instance(cyclic(2)), "*", name="end2_additive")
+
+
+def test_criterion_7_operads_keep_their_reports_at_leaf_bound_2():
+    for A in _criterion_7_operads():
+        assert check_two_operad(A, max_leaves=2, tuple_cap=16).render().splitlines() == [
+            f"== 2-operad axioms: {A.name} (leaf bound 2) ==",
+            "PASS  (**) identities act trivially  [trees <= 2 leaves]",
+            "PASS  (***) units absorb  [trees <= 2 leaves]",
+            "PASS  (*) associativity  [968/1149 composable pairs aligned within bound; element tuples capped at 16]",
+            "-- ALL PASS (3 checks)",
+        ]
+
+
+def test_a_tuple_cap_of_one_evaluates_one_tuple_per_aligned_pair():
+    # every evaluated element tuple makes one equality test; the identity and
+    # unit rows make the same number of them whatever the cap
+    A = end2(D, X)  # components of functions on {p, q}: many tuples per pair
+    tested = {}
+    for cap in (0, 1, 16):
+        calls = []
+        counted = TwoOperad(
+            A.name, A.component_fn, A.unit_fn, A.m_fn, lambda x, y: calls.append(None) or A.equal_fn(x, y)
+        )
+        assert check_two_operad(counted, max_leaves=2, tuple_cap=cap).all_passed
+        tested[cap] = len(calls)
+    assert tested[1] - tested[0] == 968
+    assert tested[16] - tested[0] > 968  # so a cap of 1 does bind
+
+
 def test_truncation_is_the_endomorphism_operad_of_v():
     lattice = bool_lattice_instance()
     A = end2(lattice, "1")
@@ -115,8 +147,6 @@ def test_truncation_is_the_endomorphism_operad_of_v():
 
 
 def test_corrupted_unit_fails_identity_axiom():
-    from duoidal_kit.two_operads import TwoOperad
-
     inst = additive_instance(cyclic(2))
     base = end2(inst, "*")
     bad = TwoOperad(
