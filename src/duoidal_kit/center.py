@@ -257,11 +257,11 @@ def duoid_on_center(A: MultOperad, name=None):
     mult1_raw = chain(
         D,
         D.box1_map(incl, incl),
-        D.box0_map(D.identity(pair1), chain(D, D.iota(), A.mult(2))),
+        D.box0_map(D.identity(pair1), chain(D, D.iota(), A.m[2])),
         A.base.gamma(2, (0, 0)),
     )
     mult1 = corestrict(mult1_raw, "mult1")
-    unit1 = corestrict(chain(D, A.mult(1), s0), "unit1")
+    unit1 = corestrict(chain(D, A.m[1], s0), "unit1")
     unit0 = chain(D, D.iota(), unit1)
     duoid = Duoid(z, mult0, unit0, mult1, unit1, name=name)
     rep = check_duoid_axioms(D, duoid)

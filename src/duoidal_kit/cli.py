@@ -8,6 +8,7 @@ no timestamps, canonical ordering everywhere.
 from __future__ import annotations
 
 import argparse
+import operator
 import os
 import sys
 
@@ -162,30 +163,22 @@ def cmd_cosimplicial_verify(args):
         cosimplicial_from_multiplicative,
         hochschild_oracle_cases,
         multiplicative_from_k_monoid,
+        oracle_witness,
     )
 
     monoid = _monoid_from(args)
     rep = certify_cosimplicial_generic(args.levels)
     M = _k_monoid(monoid)
-    D = M.K.D
     A = multiplicative_from_k_monoid(M, bound=args.levels + 2)
 
     # extensional confirmation on every level whose function space enumerates
-    witness = ""
-    checked = []
-    for n in range(0, args.levels + 1):
-        dom = A.base.component(n)
-        if (word_size(dom) or 10**9) > 20000:
-            continue
-        checked.append(n)
-        for label, lhs, rhs in hochschild_oracle_cases(A, monoid, M.K, M.carrier, n):
-            if not D.maps_equal(lhs, rhs):
-                witness = label
-    rep.add(
+    checked = [n for n in range(args.levels + 1) if (word_size(A.base.component(n)) or 10**9) <= 20000]
+    rep.add_law(
         f"extensional oracle agreement for {monoid.name}",
-        not witness,
+        hochschild_oracle_cases(A, monoid, M.K, M.carrier, checked),
+        M.K.D.maps_equal,
         f"levels {checked} (enumerable function spaces)",
-        witness,
+        oracle_witness,
     )
     # extensional identity depth bounded by the component sizes; the generic
     # certificate above is the exact check at every level
@@ -356,11 +349,9 @@ def cmd_selftest(args):
 
     rep = certify_cosimplicial_generic(3)
     picks = rng.sample(monoid_corpus(), 4)
-    ok = True
-    for m in picks:
-        got = _center_elements(m)
-        ok = ok and got == sorted(str(z) for z in m.center())
-    rep.add(f"sampled centers match brute force (seed {seed})", ok, f"monoids {[m.name for m in picks]}")
+    cases = ((m.name, _center_elements(m), sorted(str(z) for z in m.center())) for m in picks)
+    scope = f"monoids {[m.name for m in picks]}"
+    rep.add_law(f"sampled centers match brute force (seed {seed})", cases, operator.eq, scope, witness=None)
     return _report_exit(args, rep)
 
 

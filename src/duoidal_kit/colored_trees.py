@@ -205,13 +205,6 @@ class ContractionMap:
         self._table[t] = out
         return out
 
-    def fiber_classes(self, trees):
-        """Group binary trees by their contraction image."""
-        out = {}
-        for t in trees:
-            out.setdefault(self.contract(t), []).append(t)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # term syntax (CLI-facing): l, w(...), b(...), nullary as w() / b()

@@ -13,6 +13,8 @@ instance decides which, and operads keep their compositions through it.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 from .report import CheckReport, SizeError
@@ -168,149 +170,110 @@ def check_duoidal_axioms(D, objects=None, hom_limit=3) -> CheckReport:
         scope = f"pointwise on {len(sample)} sample objects"
     rep = CheckReport(f"duoidal axioms: {getattr(D, 'name', type(D).__name__)} ({scope})")
     eq = D.maps_equal
-
-    def find_witness(gen):
-        for tup, ok in gen:
-            if not ok:
-                return tup
-        return None
-
-    def pairs():
-        for a in sample:
-            for b in sample:
-                yield a, b
-
-    def quads():
-        for a, b in pairs():
-            for c, d in pairs():
-                yield a, b, c, d
+    capped = f"{scope}; homs capped at {hom_limit}"
+    pairs = list(itertools.product(sample, repeat=2))
 
     # strictness of the tensors on objects
-    w = find_witness(
+    cases = (
         (
-            ((a, b, c), D.box0(D.box0(a, b), c) == D.box0(a, D.box0(b, c))
-             and D.box1(D.box1(a, b), c) == D.box1(a, D.box1(b, c)))
-            for a in sample for b in sample for c in sample
+            (a, b, c),
+            (D.box0(D.box0(a, b), c), D.box1(D.box1(a, b), c)),
+            (D.box0(a, D.box0(b, c)), D.box1(a, D.box1(b, c))),
         )
+        for a, b, c in itertools.product(sample, repeat=3)
     )
-    rep.add("strict associativity of box0/box1 on objects", w is None, scope, repr(w))
-    w = find_witness(
-        (
-            ((a,), D.box0(D.e, a) == a == D.box0(a, D.e) and D.box1(D.v, a) == a == D.box1(a, D.v))
-            for a in sample
-        )
-    )
-    rep.add("strict unitality of box0/box1 on objects", w is None, scope, repr(w))
+    rep.add_law("strict associativity of box0/box1 on objects", cases, operator.eq, scope)
+    cases = (((a,), (D.box0(D.e, a), D.box0(a, D.e), D.box1(D.v, a), D.box1(a, D.v)), (a,) * 4) for a in sample)
+    rep.add_law("strict unitality of box0/box1 on objects", cases, operator.eq, scope)
 
     # functoriality of the tensors: composition squares over sampled homs
     def functorial(box_map):
-        for a, b in pairs():
+        for a, b in pairs:
             for f in _hom_sample(D, a, b, hom_limit):
                 for f2 in _hom_sample(D, b, a, hom_limit):
-                    for c, d in pairs():
+                    for c, d in pairs:
                         for g in _hom_sample(D, c, d, hom_limit):
                             for g2 in _hom_sample(D, d, c, hom_limit):
                                 lhs = box_map(D.compose(f, f2), D.compose(g, g2))
-                                rhs = D.compose(box_map(f, g), box_map(f2, g2))
-                                if not eq(lhs, rhs):
-                                    return (a, b, c, d)
-        return None
+                                yield (a, b, c, d), lhs, D.compose(box_map(f, g), box_map(f2, g2))
 
     for t, box_map in enumerate((D.box0_map, D.box1_map)):
-        w = functorial(box_map)
-        rep.add(f"box{t} functorial on morphisms", w is None, f"{scope}; homs capped at {hom_limit}", repr(w))
+        rep.add_law(f"box{t} functorial on morphisms", functorial(box_map), eq, capped)
 
     # associativity hexagon 1: three box0-factors of box1-pairs
     def hex1():
-        for a, b, c, d in quads():
-            for e2 in sample:
-                for f2 in sample:
-                    ef = D.box1(e2, f2)
-                    left = chain(
-                        D,
-                        D.box0_map(D.interchange(a, b, c, d), D.identity(ef)),
-                        D.interchange(D.box0(a, c), D.box0(b, d), e2, f2),
-                    )
-                    right = chain(
-                        D,
-                        D.box0_map(D.identity(D.box1(a, b)), D.interchange(c, d, e2, f2)),
-                        D.interchange(a, b, D.box0(c, e2), D.box0(d, f2)),
-                    )
-                    if not eq(left, right):
-                        return (a, b, c, d, e2, f2)
-        return None
+        for a, b, c, d, e2, f2 in itertools.product(sample, repeat=6):
+            left = chain(
+                D,
+                D.box0_map(D.interchange(a, b, c, d), D.identity(D.box1(e2, f2))),
+                D.interchange(D.box0(a, c), D.box0(b, d), e2, f2),
+            )
+            right = chain(
+                D,
+                D.box0_map(D.identity(D.box1(a, b)), D.interchange(c, d, e2, f2)),
+                D.interchange(a, b, D.box0(c, e2), D.box0(d, f2)),
+            )
+            yield (a, b, c, d, e2, f2), left, right
 
-    w = hex1()
-    rep.add("associativity hexagon for box0", w is None, scope, repr(w))
+    rep.add_law("associativity hexagon for box0", hex1(), eq, scope)
 
     # associativity hexagon 2: box0 of two box1-triples
     def hex2():
-        for a, b, c, d in quads():
-            for e2 in sample:
-                for f2 in sample:
-                    left = chain(
-                        D,
-                        D.interchange(D.box1(a, b), c, D.box1(d, e2), f2),
-                        D.box1_map(D.interchange(a, b, d, e2), D.identity(D.box0(c, f2))),
-                    )
-                    right = chain(
-                        D,
-                        D.interchange(a, D.box1(b, c), d, D.box1(e2, f2)),
-                        D.box1_map(D.identity(D.box0(a, d)), D.interchange(b, c, e2, f2)),
-                    )
-                    if not eq(left, right):
-                        return (a, b, c, d, e2, f2)
-        return None
+        for a, b, c, d, e2, f2 in itertools.product(sample, repeat=6):
+            left = chain(
+                D,
+                D.interchange(D.box1(a, b), c, D.box1(d, e2), f2),
+                D.box1_map(D.interchange(a, b, d, e2), D.identity(D.box0(c, f2))),
+            )
+            right = chain(
+                D,
+                D.interchange(a, D.box1(b, c), d, D.box1(e2, f2)),
+                D.box1_map(D.identity(D.box0(a, d)), D.interchange(b, c, e2, f2)),
+            )
+            yield (a, b, c, d, e2, f2), left, right
 
-    w = hex2()
-    rep.add("associativity hexagon for box1", w is None, scope, repr(w))
+    rep.add_law("associativity hexagon for box1", hex2(), eq, scope)
 
     # the four unit squares
     e, v = D.e, D.v
 
     def unit_squares():
-        for a, b in pairs():
-            ab1 = D.box1(a, b)
+        for a, b in pairs:
+            ab0, ab1 = D.box0(a, b), D.box1(a, b)
             lhs = chain(D, D.box0_map(D.delta_e(), D.identity(ab1)), D.interchange(e, e, a, b))
-            if not eq(lhs, D.identity(ab1)):
-                return ("left e-square", a, b)
+            yield ("left e-square", a, b), lhs, D.identity(ab1)
             lhs = chain(D, D.box0_map(D.identity(ab1), D.delta_e()), D.interchange(a, b, e, e))
-            if not eq(lhs, D.identity(ab1)):
-                return ("right e-square", a, b)
-            ab0 = D.box0(a, b)
+            yield ("right e-square", a, b), lhs, D.identity(ab1)
             lhs = chain(D, D.interchange(v, a, v, b), D.box1_map(D.mu_v(), D.identity(ab0)))
-            if not eq(lhs, D.identity(ab0)):
-                return ("left v-square", a, b)
+            yield ("left v-square", a, b), lhs, D.identity(ab0)
             lhs = chain(D, D.interchange(a, v, b, v), D.box1_map(D.identity(ab0), D.mu_v()))
-            if not eq(lhs, D.identity(ab0)):
-                return ("right v-square", a, b)
-        return None
+            yield ("right v-square", a, b), lhs, D.identity(ab0)
 
-    w = unit_squares()
-    rep.add("unitality squares (4)", w is None, scope, repr(w))
+    rep.add_law("unitality squares (4)", unit_squares(), eq, scope)
 
-    # v is a box0-monoid with unit iota
-    ok = eq(
-        chain(D, D.box0_map(D.mu_v(), D.identity(v)), D.mu_v()),
-        chain(D, D.box0_map(D.identity(v), D.mu_v()), D.mu_v()),
-    ) and eq(chain(D, D.box0_map(D.iota(), D.identity(v)), D.mu_v()), D.identity(v)) and eq(
-        chain(D, D.box0_map(D.identity(v), D.iota()), D.mu_v()), D.identity(v)
+    # v is a box0-monoid with unit iota, and e a box1-comonoid with counit iota
+    mu, delta, iota = D.mu_v(), D.delta_e(), D.iota()
+    cases = (
+        ("associativity", chain(D, D.box0_map(mu, D.identity(v)), mu), chain(D, D.box0_map(D.identity(v), mu), mu)),
+        ("left unit", chain(D, D.box0_map(iota, D.identity(v)), mu), D.identity(v)),
+        ("right unit", chain(D, D.box0_map(D.identity(v), iota), mu), D.identity(v)),
     )
-    rep.add("v is a monoid in (D, box0, e)", ok, scope)
-
-    # e is a box1-comonoid with counit iota
-    ok = eq(
-        chain(D, D.delta_e(), D.box1_map(D.delta_e(), D.identity(e))),
-        chain(D, D.delta_e(), D.box1_map(D.identity(e), D.delta_e())),
-    ) and eq(chain(D, D.delta_e(), D.box1_map(D.iota(), D.identity(e))), D.identity(e)) and eq(
-        chain(D, D.delta_e(), D.box1_map(D.identity(e), D.iota())), D.identity(e)
+    rep.add_law("v is a monoid in (D, box0, e)", cases, eq, scope, witness=None)
+    cases = (
+        (
+            "coassociativity",
+            chain(D, delta, D.box1_map(delta, D.identity(e))),
+            chain(D, delta, D.box1_map(D.identity(e), delta)),
+        ),
+        ("left counit", chain(D, delta, D.box1_map(iota, D.identity(e))), D.identity(e)),
+        ("right counit", chain(D, delta, D.box1_map(D.identity(e), iota)), D.identity(e)),
     )
-    rep.add("e is a comonoid in (D, box1, v)", ok, scope)
+    rep.add_law("e is a comonoid in (D, box1, v)", cases, eq, scope, witness=None)
 
     # naturality of the interchange in all four arguments
     def naturality():
-        for a, b in pairs():
-            for c, d in pairs():
+        for a, b in pairs:
+            for c, d in pairs:
                 fs = _hom_sample(D, a, b, hom_limit)
                 gs = _hom_sample(D, c, d, hom_limit)
                 for f in fs:
@@ -327,12 +290,9 @@ def check_duoidal_axioms(D, objects=None, hom_limit=3) -> CheckReport:
                                     D.interchange(a, c, D.dom(h), D.dom(k)),
                                     D.box1_map(D.box0_map(f, h), D.box0_map(g, k)),
                                 )
-                                if not eq(lhs, rhs):
-                                    return (a, b, c, d)
-        return None
+                                yield (a, b, c, d), lhs, rhs
 
-    w = naturality()
-    rep.add("interchange natural in all arguments", w is None, f"{scope}; homs capped at {hom_limit}", repr(w))
+    rep.add_law("interchange natural in all arguments", naturality(), eq, capped)
     return rep
 
 

@@ -6,7 +6,6 @@ import itertools
 from dataclasses import dataclass
 
 from .duoidal import Tensors
-from .report import CheckReport
 
 
 class ValidationError(ValueError):
@@ -98,9 +97,6 @@ class FiniteCategory:
 
     def tgt(self, f: str) -> str:
         return self.arrows[f].tgt
-
-    def arrow_names(self):
-        return tuple(sorted(self.arrows))
 
     def parallel_pairs(self):
         """All globes (A, B, f, g): ordered pairs of parallel arrows."""
@@ -360,12 +356,3 @@ def natural_transformations(F: CatFunctor, G: CatFunctor):
             out.append(tuple(sorted(alpha.items())))
     return tuple(sorted(out))
 
-
-def gate_check(D, objects=None) -> CheckReport:
-    """Load-time gate: run the duoidal axiom checker and fail hard on error."""
-    from .duoidal import check_duoidal_axioms
-
-    rep = check_duoidal_axioms(D, objects=objects)
-    if not rep.all_passed:
-        raise ValidationError(f"instance {getattr(D, 'name', '?')} failed its axiom gate:\n{rep.render()}")
-    return rep

@@ -66,6 +66,8 @@ def _keys(table, names, parts, where, what):
     """`table` keyed by its keys split at spaces into `parts` members of
     `names` (a one-part key is not split); a key that names nothing is
     rejected."""
+    if not isinstance(table, dict):
+        raise ValidationError(f"{where} is not a JSON object")
     out = {}
     for key, value in table.items():
         split = tuple(key.split(" ")) if parts > 1 else (key,)
@@ -146,8 +148,9 @@ def category_from_doc(doc) -> FiniteCategory:
 def object_functor_from_doc(doc) -> ObjectFunctor:
     _expect(doc, "object_functor")
     cat = category_from_doc(doc["category"])
-    _keys(doc["sets"], cat.objects, 1, "object_functor: sets", "an object")
-    _keys(doc["maps"], cat.arrows, 1, "object_functor: maps", "an arrow")
+    sets = _keys(doc["sets"], cat.objects, 1, "object_functor: sets", "an object")
+    for (f,), table in _keys(doc["maps"], cat.arrows, 1, "object_functor: maps", "an arrow").items():
+        _keys(table, sets.get((cat.src(f),), ()), 1, f"object_functor: map {f!r}", "an element of its source")
     return object_functor(cat, doc["sets"], doc["maps"])
 
 
@@ -177,7 +180,11 @@ def cat_valued_functor_from_doc(doc) -> CatValuedFunctor:
     for f, data in doc["functors"].items():
         try:
             arrow = base.arrows[f]
-            functors[f] = CatFunctor(f, values[arrow.src], values[arrow.tgt], data["objects"], data["arrows"])
+            source = values[arrow.src]
+            where = f"cat_valued_functor: functor {f!r}"
+            _keys(data["objects"], source.objects, 1, f"{where} objects", "an object of its source")
+            _keys(data["arrows"], source.arrows, 1, f"{where} arrows", "an arrow of its source")
+            functors[f] = CatFunctor(f, source, values[arrow.tgt], data["objects"], data["arrows"])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"cat_valued_functor: bad functor table at {f!r} ({exc})") from exc
     return cat_valued_functor(base, values, functors, name=doc.get("name", "F"))

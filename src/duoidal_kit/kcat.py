@@ -8,6 +8,7 @@ The underlying category has hom-sets D(e, K(X, Y)).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .duoidal import chain
@@ -131,11 +132,6 @@ def odot_hom_many(K, pairs):
 # the underlying category
 
 
-def und_hom(K, x, y):
-    """The underlying hom-set D(e, K(x, y)) as a list of D-maps."""
-    return K.D.hom(K.D.e, K.hom_obj(x, y))
-
-
 def und_compose(K, phi, psi, x, y, z):
     """Composition in the underlying category (phi: x->y then psi: y->z)."""
     D = K.D
@@ -201,35 +197,33 @@ def check_k_category(C: KCategory) -> CheckReport:
     K = C.K
     D = K.D
     rep = CheckReport(f"K-category axioms: {C.name}")
-    assoc_witness = ""
-    for x in C.objects:
-        for y in C.objects:
-            for z in C.objects:
-                for w in C.objects:
-                    hxy, hyz, hzw = C.hom[(x, y)], C.hom[(y, z)], C.hom[(z, w)]
-                    lhs = und_compose(
-                        K,
-                        und_odot(K, C.comps[(x, y, z)], K.unit_map(hzw), K.odot(hxy, hyz), C.hom[(x, z)], hzw, hzw),
-                        C.comps[(x, z, w)],
-                        K.odot_many([hxy, hyz, hzw]),
-                        K.odot(C.hom[(x, z)], hzw),
-                        C.hom[(x, w)],
-                    )
-                    rhs = und_compose(
-                        K,
-                        und_odot(K, K.unit_map(hxy), C.comps[(y, z, w)], hxy, hxy, K.odot(hyz, hzw), C.hom[(y, w)]),
-                        C.comps[(x, y, w)],
-                        K.odot_many([hxy, hyz, hzw]),
-                        K.odot(hxy, C.hom[(y, w)]),
-                        C.hom[(x, w)],
-                    )
-                    if not D.maps_equal(lhs, rhs):
-                        assoc_witness = repr((x, y, z, w))
-    rep.add("composition associative", not assoc_witness, scope=f"{len(C.objects)}^4 tuples", witness=assoc_witness)
-    ok_units = True
-    witness = ""
-    for x in C.objects:
-        for y in C.objects:
+    objs = C.objects
+
+    def associativity():
+        for x, y, z, w in itertools.product(objs, repeat=4):
+            hxy, hyz, hzw = C.hom[(x, y)], C.hom[(y, z)], C.hom[(z, w)]
+            lhs = und_compose(
+                K,
+                und_odot(K, C.comps[(x, y, z)], K.unit_map(hzw), K.odot(hxy, hyz), C.hom[(x, z)], hzw, hzw),
+                C.comps[(x, z, w)],
+                K.odot_many([hxy, hyz, hzw]),
+                K.odot(C.hom[(x, z)], hzw),
+                C.hom[(x, w)],
+            )
+            rhs = und_compose(
+                K,
+                und_odot(K, K.unit_map(hxy), C.comps[(y, z, w)], hxy, hxy, K.odot(hyz, hzw), C.hom[(y, w)]),
+                C.comps[(x, y, w)],
+                K.odot_many([hxy, hyz, hzw]),
+                K.odot(hxy, C.hom[(y, w)]),
+                C.hom[(x, w)],
+            )
+            yield (x, y, z, w), lhs, rhs
+
+    rep.add_law("composition associative", associativity(), D.maps_equal, f"{len(objs)}^4 tuples")
+
+    def unit_laws():
+        for x, y in itertools.product(objs, repeat=2):
             hxy = C.hom[(x, y)]
             left = und_compose(
                 K,
@@ -239,6 +233,7 @@ def check_k_category(C: KCategory) -> CheckReport:
                 K.odot(C.hom[(x, x)], hxy),
                 hxy,
             )
+            yield (x, y), left, K.unit_map(hxy)
             right = und_compose(
                 K,
                 und_odot(K, K.unit_map(hxy), C.units[y], hxy, hxy, K.eta, C.hom[(y, y)]),
@@ -247,41 +242,31 @@ def check_k_category(C: KCategory) -> CheckReport:
                 K.odot(hxy, C.hom[(y, y)]),
                 hxy,
             )
-            if not (D.maps_equal(left, K.unit_map(hxy)) and D.maps_equal(right, K.unit_map(hxy))):
-                ok_units = False
-                witness = repr((x, y))
-    rep.add("unit laws", ok_units, witness=witness)
-    ok_u = True
-    witness = ""
-    for x in C.objects:
-        for y in C.objects:
-            hxy = C.hom[(x, y)]
-            um = C.u[(x, y)]
-            lhs = chain(D, D.box0_map(um, um), K.comp_map(hxy, hxy, hxy))
-            if not D.maps_equal(lhs, chain(D, D.mu_v(), um)):
-                ok_u = False
-                witness = repr((x, y))
-            if not D.maps_equal(chain(D, D.iota(), um), K.unit_map(hxy)):
-                ok_u = False
-                witness = repr((x, y))
-    rep.add("u components are monoid morphisms", ok_u, witness=witness)
-    ok_compat = True
-    witness = ""
-    for x in C.objects:
-        for y in C.objects:
-            for z in C.objects:
-                hxy, hyz, hxz = C.hom[(x, y)], C.hom[(y, z)], C.hom[(x, z)]
-                lhs = chain(D, D.box0_map(C.comps[(x, y, z)], C.u[(x, z)]), K.comp_map(K.odot(hxy, hyz), hxz, hxz))
-                rhs = chain(
-                    D,
-                    D.box1_map(C.u[(x, y)], C.u[(y, z)]),
-                    D.box0_map(K.odot_hom_map(hxy, hxy, hyz, hyz), C.comps[(x, y, z)]),
-                    K.comp_map(K.odot(hxy, hyz), K.odot(hxy, hyz), hxz),
-                )
-                if not D.maps_equal(lhs, rhs):
-                    ok_compat = False
-                    witness = repr((x, y, z))
-    rep.add("(***) compatibility per triple", ok_compat, witness=witness)
+            yield (x, y), right, K.unit_map(hxy)
+
+    rep.add_law("unit laws", unit_laws(), D.maps_equal)
+
+    def u_morphisms():
+        for x, y in itertools.product(objs, repeat=2):
+            hxy, um = C.hom[(x, y)], C.u[(x, y)]
+            yield (x, y), chain(D, D.box0_map(um, um), K.comp_map(hxy, hxy, hxy)), chain(D, D.mu_v(), um)
+            yield (x, y), chain(D, D.iota(), um), K.unit_map(hxy)
+
+    rep.add_law("u components are monoid morphisms", u_morphisms(), D.maps_equal)
+
+    def compatibility():
+        for x, y, z in itertools.product(objs, repeat=3):
+            hxy, hyz, hxz = C.hom[(x, y)], C.hom[(y, z)], C.hom[(x, z)]
+            lhs = chain(D, D.box0_map(C.comps[(x, y, z)], C.u[(x, z)]), K.comp_map(K.odot(hxy, hyz), hxz, hxz))
+            rhs = chain(
+                D,
+                D.box1_map(C.u[(x, y)], C.u[(y, z)]),
+                D.box0_map(K.odot_hom_map(hxy, hxy, hyz, hyz), C.comps[(x, y, z)]),
+                K.comp_map(K.odot(hxy, hyz), K.odot(hxy, hyz), hxz),
+            )
+            yield (x, y, z), lhs, rhs
+
+    rep.add_law("(***) compatibility per triple", compatibility(), D.maps_equal)
     return rep
 
 

@@ -24,7 +24,7 @@ from .kcat import (
     und_compose,
     und_odot,
 )
-from .report import CheckReport, SizeError
+from .report import CheckReport, evaluate
 
 
 class OneOperad:
@@ -59,10 +59,6 @@ class OneOperad:
         if key not in self._gammas:
             self._gammas[key] = self.D.memoize(self._gamma_fn(n, ks))
         return self._gammas[key]
-
-    def inner_word(self, ks):
-        """The object A(k_1) box1 ... box1 A(k_n) (v for the empty list)."""
-        return self.D.box1_many([self.component(k) for k in ks])
 
 
 def fass(D, bound=4) -> OneOperad:
@@ -135,23 +131,6 @@ def check_one_operad(A: OneOperad, bound=None, max_assoc_total=None) -> CheckRep
     def eq(f, g):
         return D.maps_equal(f, g, cap=_EQ_CAP)
 
-    def per_arity(name, cases):
-        """One row over the arities k <= bound; `cases` yields (k, lhs, rhs)."""
-        witness = ""
-        skipped = 0
-        for k, lhs, rhs in cases:
-            try:
-                ok = eq(lhs, rhs)
-            except SizeError:
-                skipped += 1
-                continue
-            if not ok:
-                witness = f"k={k}"
-        scope = f"k <= {bound}"
-        if skipped:
-            scope += f"; {skipped} skipped"
-        rep.add(name, not witness, scope, witness)
-
     def inner_units():
         """Units inserted in all inner slots."""
         for k in range(0 if A.has_zero else 1, bound + 1):
@@ -165,51 +144,42 @@ def check_one_operad(A: OneOperad, bound=None, max_assoc_total=None) -> CheckRep
             left = chain(D, D.box0_map(D.identity(A.component(k)), A.unit), A.gamma(1, (k,)))
             yield k, left, D.identity(A.component(k))
 
-    per_arity("unit law (inner)", inner_units())
-    per_arity("unit law (outer)", outer_units())
+    arities, arity = f"k <= {bound}", "k={}".format
+    rep.add_law("unit law (inner)", inner_units(), eq, arities, arity)
+    rep.add_law("unit law (outer)", outer_units(), eq, arities, arity)
 
-    # associativity over all two-level shapes within the bound
-    witness = ""
-    count = skipped = 0
-    lo = 0 if A.has_zero else 1
-    for n in range(1, bound + 1):
-        for ks in itertools.product(range(lo, bound + 1), repeat=n):
-            if sum(ks) > bound:
-                continue
-            inner_choices = [
-                [ls for ls in itertools.product(range(lo, bound + 1), repeat=k)] for k in ks
-            ]
-            for lss in itertools.product(*inner_choices):
-                total = sum(sum(ls) for ls in lss)
-                if total > max_total:
+    def shapes():
+        """Associativity over all two-level shapes (n; ks; ls) within the bound."""
+        lo = 0 if A.has_zero else 1
+        for n in range(1, bound + 1):
+            for ks in itertools.product(range(lo, bound + 1), repeat=n):
+                if sum(ks) > bound:
                     continue
-                f_objs = [A.inner_word(ls) for ls in lss]
-                full_inner = D.box1_many(f_objs)
-                route1 = chain(
-                    D,
-                    D.box0_map(D.identity(full_inner), A.gamma(n, ks)),
-                    A.gamma(sum(ks), tuple(l for ls in lss for l in ls)),
-                )
-                inner_gammas = [A.gamma(k, ls) for k, ls in zip(ks, lss)]
-                shuffle = iterated_interchange(D, f_objs, [A.component(k) for k in ks])
-                route2 = chain(
-                    D,
-                    D.box0_map(shuffle, D.identity(A.component(n))),
-                    D.box0_map(D.box1_map_many(inner_gammas), D.identity(A.component(n))),
-                    A.gamma(n, tuple(sum(ls) for ls in lss)),
-                )
-                try:
-                    ok = eq(route1, route2)
-                except SizeError:
-                    skipped += 1
-                    continue
-                count += 1
-                if not ok:
-                    witness = f"(n={n}; ks={ks}; ls={lss})"
+                inner_choices = [list(itertools.product(range(lo, bound + 1), repeat=k)) for k in ks]
+                for lss in itertools.product(*inner_choices):
+                    if sum(sum(ls) for ls in lss) > max_total:
+                        continue
+                    f_objs = [D.box1_many([A.component(l) for l in ls]) for ls in lss]
+                    route1 = chain(
+                        D,
+                        D.box0_map(D.identity(D.box1_many(f_objs)), A.gamma(n, ks)),
+                        A.gamma(sum(ks), tuple(l for ls in lss for l in ls)),
+                    )
+                    inner_gammas = [A.gamma(k, ls) for k, ls in zip(ks, lss)]
+                    shuffle = iterated_interchange(D, f_objs, [A.component(k) for k in ks])
+                    route2 = chain(
+                        D,
+                        D.box0_map(shuffle, D.identity(A.component(n))),
+                        D.box0_map(D.box1_map_many(inner_gammas), D.identity(A.component(n))),
+                        A.gamma(n, tuple(sum(ls) for ls in lss)),
+                    )
+                    yield (n, ks, lss), route1, route2
+
+    failing, count, skipped = evaluate(shapes(), eq)
     scope = f"{count} shapes within bound {bound}"
     if skipped:
         scope += f"; {skipped} skipped (non-enumerable domains)"
-    rep.add("associativity", not witness, scope, witness)
+    rep.add("associativity", failing is None, scope, "" if failing is None else "(n={}; ks={}; ls={})".format(*failing))
 
     def v_action_squares():
         """The bimodule square for the v-action."""
@@ -225,7 +195,7 @@ def check_one_operad(A: OneOperad, bound=None, max_assoc_total=None) -> CheckRep
             yield k, top, left
 
     if A.has_zero:
-        per_arity("v-action bimodule square", v_action_squares())
+        rep.add_law("v-action bimodule square", v_action_squares(), eq, arities, arity)
     return rep
 
 
@@ -243,9 +213,6 @@ class MultOperad:
     def D(self):
         return self.base.D
 
-    def mult(self, n):
-        return self.m[n]
-
 
 def _check_morphism(S: OneOperad, E: OneOperad, f: dict, bound, title, unit_row, morphism_row) -> CheckReport:
     """Is f (arity n -> map S(n) -> E(n)) a morphism of operads from the
@@ -254,16 +221,15 @@ def _check_morphism(S: OneOperad, E: OneOperad, f: dict, bound, title, unit_row,
     D = E.D
     rep = CheckReport(title)
     rep.add(unit_row, D.maps_equal(chain(D, S.unit, f[1]), E.unit))
-    witness = ""
-    for n in range(0 if S.has_zero else 1, bound + 1):
-        for ks in itertools.product(range(0, bound + 1), repeat=n):
-            if sum(ks) > bound:
-                continue
-            lhs = chain(D, D.box0_map(D.box1_map_many([f[k] for k in ks]), f[n]), E.gamma(n, ks))
-            rhs = chain(D, S.gamma(n, ks), f[sum(ks)])
-            if not D.maps_equal(lhs, rhs):
-                witness = f"(n={n}; ks={ks})"
-    rep.add(morphism_row, not witness, f"shapes within {bound}", witness)
+
+    def shapes():
+        for n in range(0 if S.has_zero else 1, bound + 1):
+            for ks in itertools.product(range(0, bound + 1), repeat=n):
+                if sum(ks) <= bound:
+                    lhs = chain(D, D.box0_map(D.box1_map_many([f[k] for k in ks]), f[n]), E.gamma(n, ks))
+                    yield (n, ks), lhs, chain(D, S.gamma(n, ks), f[sum(ks)])
+
+    rep.add_law(morphism_row, shapes(), D.maps_equal, f"shapes within {bound}", lambda w: "(n={}; ks={})".format(*w))
     return rep
 
 
@@ -303,9 +269,9 @@ def algebra_to_monoid(A: MultOperad, K, carrier, name="monoid") -> KMonoid:
     return KMonoid(
         K,
         carrier,
-        nu_bar=chain(D, D.iota(), A.mult(0)),
-        mu_bar=chain(D, D.iota(), A.mult(2)),
-        u=A.mult(1),
+        nu_bar=chain(D, D.iota(), A.m[0]),
+        mu_bar=chain(D, D.iota(), A.m[2]),
+        u=A.m[1],
         name=name,
     )
 
@@ -320,7 +286,7 @@ def check_fass_algebra_diagrams(M: KMonoid) -> CheckReport:
     D = K.D
     x = M.carrier
     A = multiplicative_from_k_monoid(M, bound=3)
-    nu, u, mu = A.mult(0), A.mult(1), A.mult(2)
+    nu, u, mu = A.m[0], A.m[1], A.m[2]
     x2, x3 = K.odot(x, x), K.odot_many([x, x, x])
     rep = CheckReport(f"algebra diagrams (d1)-(d5): {M.name}")
 
@@ -386,42 +352,32 @@ def check_eass_algebra(K, x, kappa, bound=3) -> CheckReport:
     )
 
 
-def eass_algebra_to_und_monoid(kappa):
-    """Extract the underlying-category monoid data from an algebra."""
-    return kappa[0], kappa[2]
-
-
 def algebra_hom_elements(K, x, y, kx, ky, bound=3):
     """The hom-set of two algebras: the equalizer of post- and pre-composition.
 
-    kx, ky assign to each arity the structure maps into the endomorphism
-    components (maps from v for the all-v operad); the returned elements are
-    the maps e -> K(x, y) equalizing both induced families up to the bound.
+    kx, ky map each arity to the structure map into the endomorphism
+    component (a map from v for the all-v operad, as in `MultOperad.m`); the
+    returned elements are the maps e -> K(x, y) equalizing both induced
+    families up to the bound.
     """
     D = K.D
-    out = []
-    for phi in D.hom(D.e, K.hom_obj(x, y)):
-        keep = True
-        for n in range(0, bound + 1):
-            post = chain(
-                D,
-                kx(n),
-                D.box0_map(D.identity(K.hom_obj(K.odot_power(x, n), x)), phi),
-                K.comp_map(K.odot_power(x, n), x, y),
-            )
-            power = _und_power(K, phi, x, y, n)
-            pre = chain(
-                D,
-                ky(n),
-                D.box0_map(power, D.identity(K.hom_obj(K.odot_power(y, n), y))),
-                K.comp_map(K.odot_power(x, n), K.odot_power(y, n), y),
-            )
-            if not D.maps_equal(post, pre, cap=4096):
-                keep = False
-                break
-        if keep:
-            out.append(phi)
-    return out
+
+    def preserves(phi, n):
+        post = chain(
+            D,
+            kx[n],
+            D.box0_map(D.identity(K.hom_obj(K.odot_power(x, n), x)), phi),
+            K.comp_map(K.odot_power(x, n), x, y),
+        )
+        pre = chain(
+            D,
+            ky[n],
+            D.box0_map(_und_power(K, phi, x, y, n), D.identity(K.hom_obj(K.odot_power(y, n), y))),
+            K.comp_map(K.odot_power(x, n), K.odot_power(y, n), y),
+        )
+        return D.maps_equal(post, pre, cap=4096)
+
+    return [phi for phi in D.hom(D.e, K.hom_obj(x, y)) if all(preserves(phi, n) for n in range(bound + 1))]
 
 
 def _und_power(K, phi, x, y, n):
@@ -447,19 +403,19 @@ def coface(A: MultOperad, n: int, i: int):
         return chain(
             D,
             D.box0_map(D.identity(an), D.iota()),
-            D.box0_map(D.box1_map(A.mult(1), D.identity(an)), A.mult(2)),
+            D.box0_map(D.box1_map(A.m[1], D.identity(an)), A.m[2]),
             base.gamma(2, (1, n)),
         )
     if i == n + 1:
         return chain(
             D,
             D.box0_map(D.identity(an), D.iota()),
-            D.box0_map(D.box1_map(D.identity(an), A.mult(1)), A.mult(2)),
+            D.box0_map(D.box1_map(D.identity(an), A.m[1]), A.m[2]),
             base.gamma(2, (n, 1)),
         )
     if not 1 <= i <= n:
         raise ValueError(f"coface index {i} outside 0..{n + 1}")
-    f_i = D.box1_map_many([A.mult(1)] * (i - 1) + [A.mult(2)] + [A.mult(1)] * (n - i))
+    f_i = D.box1_map_many([A.m[1]] * (i - 1) + [A.m[2]] + [A.m[1]] * (n - i))
     ks = (1,) * (i - 1) + (2,) + (1,) * (n - i)
     return chain(
         D,
@@ -476,7 +432,7 @@ def codegeneracy(A: MultOperad, n: int, i: int):
     an1 = base.component(n + 1)
     if not 0 <= i <= n:
         raise ValueError(f"codegeneracy index {i} outside 0..{n}")
-    g_i = D.box1_map_many([A.mult(1)] * i + [A.mult(0)] + [A.mult(1)] * (n - i))
+    g_i = D.box1_map_many([A.m[1]] * i + [A.m[0]] + [A.m[1]] * (n - i))
     ks = (1,) * i + (0,) + (1,) * (n - i)
     return chain(
         D,
@@ -527,17 +483,18 @@ def hochschild_oracle_codegeneracy(m, K, n: int, i: int, carrier):
     return CartMap(K.hom_obj(dom_word, carrier), K.hom_obj(cod_word, carrier), fn=transform)
 
 
-def hochschild_oracle_cases(A: MultOperad, m, K, carrier, n: int):
-    """(label, constructed map, oracle map) for the cofaces out of level n
-    and the codegeneracies into level n - 1."""
-    for i in range(n + 2):
-        yield f"d_{i} at level {n}", coface(A, n, i), hochschild_oracle_coface(m, K, n, i, carrier=carrier)
-    for i in range(n):
-        yield (
-            f"s_{i} at level {n - 1}",
-            codegeneracy(A, n - 1, i),
-            hochschild_oracle_codegeneracy(m, K, n - 1, i, carrier=carrier),
-        )
+def hochschild_oracle_cases(A: MultOperad, m, K, carrier, levels):
+    """(label, constructed map, oracle map) for the cofaces out of each level
+    n and the codegeneracies into level n - 1; `oracle_witness` reads a label."""
+    for n in levels:
+        for i in range(n + 2):
+            yield ("d", i, n), coface(A, n, i), hochschild_oracle_coface(m, K, n, i, carrier=carrier)
+        for i in range(n):
+            yield ("s", i, n - 1), codegeneracy(A, n - 1, i), hochschild_oracle_codegeneracy(m, K, n - 1, i, carrier)
+
+
+def oracle_witness(label):
+    return "{}_{} at level {}".format(*label)
 
 
 def _probe_function(n: int):
@@ -582,20 +539,15 @@ def certify_cosimplicial_generic(N: int = 4) -> CheckReport:
         out_el = map_.apply((_probe_function(len(letter_in.dom_word)),))[0]
         return fn_eval(out_el)(_probe_point(len(letter_out.dom_word)))
 
-    witness = [""] * len(_IDENTITY_ROWS)
-    for row, label, lhs, rhs in _identity_cases(cosimplicial_from_multiplicative(A, N), N):
-        if value(lhs) != value(rhs):
-            witness[row] = label
-    for name, w in zip(_IDENTITY_ROWS, witness):
-        rep.add(f"{name} (generic)", not w, f"levels <= {N + 1}", w)
+    def same_value(lhs, rhs):
+        return value(lhs) == value(rhs)
 
+    scope = f"levels <= {N + 1}"
+    for (name, text), cases in zip(_IDENTITY_ROWS, _identity_cases(cosimplicial_from_multiplicative(A, N), N)):
+        rep.add_law(f"{name} (generic)", cases, same_value, scope, lambda w: text.format(*w))
     # the constructed maps against the classical oracle, generically
-    witness = ""
-    for n in range(N + 1):
-        for label, lhs, rhs in hochschild_oracle_cases(A, free, K, M.carrier, n):
-            if value(lhs) != value(rhs):
-                witness = label
-    rep.add("construction agrees with the classical oracle (generic)", not witness, f"levels <= {N + 1}", witness)
+    cases = hochschild_oracle_cases(A, free, K, M.carrier, range(N + 1))
+    rep.add_law("construction agrees with the classical oracle (generic)", cases, same_value, scope, oracle_witness)
     return rep
 
 
@@ -627,43 +579,44 @@ def cosimplicial_from_multiplicative(A: MultOperad, N: int) -> CosimplicialObjec
     return CosimplicialObject(A.D, levels, ds, ss, N, name=A.name)
 
 
-_IDENTITY_ROWS = ("coface identities", "codegeneracy identities", "mixed identities")
+# the rows of the cosimplicial identities, with the text of a label (j, i, n)
+_IDENTITY_ROWS = (
+    ("coface identities", "d_{} d_{} at level {}"),
+    ("codegeneracy identities", "s_{} s_{} at level {}"),
+    ("mixed identities", "s_{} d_{} at level {}"),
+)
 
 
 def _identity_cases(X: CosimplicialObject, N: int):
-    """(row, label, lhs, rhs) for every cosimplicial identity whose composites
-    stay within level N+1; row indexes `_IDENTITY_ROWS`."""
+    """One stream of (label, lhs, rhs) per row of `_IDENTITY_ROWS`, over the
+    cosimplicial identities whose composites stay within level N+1."""
     D = X.D
-    for n in range(N):
-        for j in range(n + 3):
-            for i in range(j):
-                yield (
-                    0,
-                    f"d_{j} d_{i} at level {n}",
-                    chain(D, X.d(n, i), X.d(n + 1, j)),
-                    chain(D, X.d(n, j - 1), X.d(n + 1, i)),
-                )
-    for n in range(N):
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                yield (
-                    1,
-                    f"s_{j} s_{i} at level {n}",
-                    chain(D, X.s(n + 1, i), X.s(n, j)),
-                    chain(D, X.s(n + 1, j + 1), X.s(n, i)),
-                )
-    for n in range(N + 1):
-        for i in range(n + 2):
-            for j in range(n + 1):
-                if i == j or i == j + 1:
-                    rhs = D.identity(X.level(n))
-                elif n == 0:
-                    continue
-                elif i < j:
-                    rhs = chain(D, X.s(n - 1, j - 1), X.d(n - 1, i))
-                else:
-                    rhs = chain(D, X.s(n - 1, j), X.d(n - 1, i - 1))
-                yield 2, f"s_{j} d_{i} at level {n}", chain(D, X.d(n, i), X.s(n, j)), rhs
+    cofaces = (
+        ((j, i, n), chain(D, X.d(n, i), X.d(n + 1, j)), chain(D, X.d(n, j - 1), X.d(n + 1, i)))
+        for n in range(N)
+        for j in range(n + 3)
+        for i in range(j)
+    )
+    codegeneracies = (
+        ((j, i, n), chain(D, X.s(n + 1, i), X.s(n, j)), chain(D, X.s(n + 1, j + 1), X.s(n, i)))
+        for n in range(N)
+        for i in range(n + 1)
+        for j in range(i, n + 1)
+    )
+
+    def mixed():
+        for n in range(N + 1):
+            for i in range(n + 2):
+                for j in range(n + 1):
+                    if i == j or i == j + 1:
+                        rhs = D.identity(X.level(n))
+                    elif i < j:
+                        rhs = chain(D, X.s(n - 1, j - 1), X.d(n - 1, i))
+                    else:
+                        rhs = chain(D, X.s(n - 1, j), X.d(n - 1, i - 1))
+                    yield (j, i, n), chain(D, X.d(n, i), X.s(n, j)), rhs
+
+    return cofaces, codegeneracies, mixed()
 
 
 def check_cosimplicial_identities(X: CosimplicialObject) -> CheckReport:
@@ -675,21 +628,10 @@ def check_cosimplicial_identities(X: CosimplicialObject) -> CheckReport:
     """
     N = X.N
     rep = CheckReport(f"cosimplicial identities: {X.name} (levels <= {N + 1})")
-    witness = [""] * len(_IDENTITY_ROWS)
-    checked = [0] * len(_IDENTITY_ROWS)
-    skipped = [0] * len(_IDENTITY_ROWS)
-    for row, label, lhs, rhs in _identity_cases(X, N):
-        try:
-            ok = X.D.maps_equal(lhs, rhs)
-        except SizeError:
-            skipped[row] += 1
-            continue
-        checked[row] += 1
-        if not ok:
-            witness[row] = label
-    for row, name in enumerate(_IDENTITY_ROWS):
-        scope = f"levels <= {N + 1}; {checked[row]} checked"
-        if skipped[row]:
-            scope += f", {skipped[row]} skipped (non-enumerable domains)"
-        rep.add(name, not witness[row], scope, witness[row])
+    for (name, text), cases in zip(_IDENTITY_ROWS, _identity_cases(X, N)):
+        failing, checked, skipped = evaluate(cases, X.D.maps_equal)
+        scope = f"levels <= {N + 1}; {checked} checked"
+        if skipped:
+            scope += f", {skipped} skipped (non-enumerable domains)"
+        rep.add(name, failing is None, scope, "" if failing is None else text.format(*failing))
     return rep

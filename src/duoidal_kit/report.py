@@ -1,5 +1,6 @@
-"""Check reports shared by all axiom checkers and the CLI, and the size
-guard that every enumeration raises."""
+"""Check reports shared by all axiom checkers and the CLI, the one rule that
+decides a report row from its cases, and the size guard that every
+enumeration raises."""
 
 from __future__ import annotations
 
@@ -8,6 +9,29 @@ from dataclasses import dataclass, field
 
 class SizeError(RuntimeError):
     """Raised when an enumeration would exceed its size guard."""
+
+
+def evaluate(cases, eq):
+    """Decide one law over its cases: (failing, evaluated, skipped).
+
+    `cases` yields (label, lhs, rhs), and the law holds at a case when
+    eq(lhs, rhs) is true.  Every case is evaluated, so the counts cover the
+    law's whole scope.  `failing` is the label of the last case where the law
+    fails, or None if it holds everywhere; a case whose eq raises `SizeError`
+    is counted as skipped, never as evaluated.
+    """
+    failing = None
+    evaluated = skipped = 0
+    for label, lhs, rhs in cases:
+        try:
+            ok = eq(lhs, rhs)
+        except SizeError:
+            skipped += 1
+            continue
+        evaluated += 1
+        if not ok:
+            failing = label
+    return failing, evaluated, skipped
 
 
 @dataclass
@@ -34,6 +58,15 @@ class CheckReport:
 
     def add(self, name: str, passed: bool, scope: str = "", witness: str = "") -> None:
         self.items.append(CheckItem(name, passed, scope, witness))
+
+    def add_law(self, name: str, cases, eq, scope: str = "", witness=repr) -> None:
+        """A row deciding one law by `evaluate`: a failing row's witness is
+        `witness` of the failing label (none if `witness` is None), and
+        skipped cases are counted in the scope."""
+        failing, _, skipped = evaluate(cases, eq)
+        if skipped:
+            scope = f"{scope}; {skipped} skipped" if scope else f"{skipped} skipped"
+        self.add(name, failing is None, scope, witness(failing) if failing is not None and witness else "")
 
     @property
     def all_passed(self) -> bool:

@@ -351,12 +351,6 @@ def factorization_from_monoid(M: KMonoid, name="F") -> CatValuedFunctor:
     return cat_valued_functor(base, values, functors, name=name)
 
 
-def und_monoid_data(F: CatValuedFunctor, J=None):
-    """The level-two data: multiplication and unit only (no u)."""
-    M = monoid_from_factorization(F, J)
-    return M.carrier, M.mu_bar, M.nu_bar, M.K
-
-
 def categories_from_und_monoid(carrier, mu_bar, nu_bar, J, name="fact2"):
     """Rebuild the per-object categories from level-two data; the category
     at a is named name@a."""

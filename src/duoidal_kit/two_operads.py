@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass
 
 from .duoidal import Duoid, chain, iterated_mu_v, matrix_interchange
-from .report import CheckReport
+from .report import CheckReport, evaluate
 from .trees import MAP0, MAP1, TREE0, TREE1, U0, U1, Z2U0, ZERO_ID, TreeError, TreePool
 
 
@@ -175,70 +175,70 @@ def check_two_operad(A: TwoOperad, max_leaves=3, tuple_cap=64) -> CheckReport:
     trees2 = P.enumerate_two_trees(max_leaves)
     trees1 = [P.one_tree(n) for n in range(_ORDINAL_BOUND + 1)]
 
+    def where(t):
+        return "U0" if t == U0 else P.render(t)
+
+    scope = f"trees <= {max_leaves} leaves"
+
     # (**) identity axiom on every level
-    witness = ""
-    for t in trees2:
-        ident = P.two_identity(t)
-        units = [B.unit(f.height) for f in P.fibers[ident]]
-        for a in B.component(t):
-            if not B.eq(B.m(ident, units, a), a):
-                witness = P.render(t)
-    for t in trees1:
-        ident = P.one_identity(t)
-        units = [B.unit(1)] * P.n[t]
-        for a in B.component(t):
-            if not B.eq(B.m(ident, units, a), a):
-                witness = P.render(t)
-    for a in B.component(U0):
-        if not B.eq(B.m(ZERO_ID, [B.unit(0)], a), a):
-            witness = "U0"
-    rep.add("(**) identities act trivially", not witness, f"trees <= {max_leaves} leaves", witness)
+    def identities():
+        for t in trees2:
+            ident = P.two_identity(t)
+            units = [B.unit(f.height) for f in P.fibers[ident]]
+            for a in B.component(t):
+                yield t, B.m(ident, units, a), a
+        for t in trees1:
+            ident, units = P.one_identity(t), [B.unit(1)] * P.n[t]
+            for a in B.component(t):
+                yield t, B.m(ident, units, a), a
+        for a in B.component(U0):
+            yield U0, B.m(ZERO_ID, [B.unit(0)], a), a
+
+    rep.add_law("(**) identities act trivially", identities(), B.eq, scope, where)
 
     # (***) the terminal maps absorb units
-    witness = ""
-    for t in trees2:
-        term = P.terminal_map(t)
-        for a in B.component(t):
-            if not B.eq(B.m(term, [a], B.unit(2)), a):
-                witness = P.render(t)
-    for t in trees1:
-        term = P.one_map(t, U1, (1,) * P.n[t])
-        for a in B.component(t):
-            if not B.eq(B.m(term, [a], B.unit(1)), a):
-                witness = P.render(t)
-    for a in B.component(U0):
-        if not B.eq(B.m(ZERO_ID, [a], B.unit(0)), a):
-            witness = "U0"
-    rep.add("(***) units absorb", not witness, f"trees <= {max_leaves} leaves", witness)
+    def absorption():
+        for t in trees2:
+            term = P.terminal_map(t)
+            for a in B.component(t):
+                yield t, B.m(term, [a], B.unit(2)), a
+        for t in trees1:
+            term = P.one_map(t, U1, (1,) * P.n[t])
+            for a in B.component(t):
+                yield t, B.m(term, [a], B.unit(1)), a
+        for a in B.component(U0):
+            yield U0, B.m(ZERO_ID, [a], B.unit(0)), a
+
+    rep.add_law("(***) units absorb", absorption(), B.eq, scope, where)
 
     # (*) associativity over aligned composable pairs: of 2-tree maps, then of
     # 1-tree maps (classical operad associativity, always aligned)
-    witness = ""
-    pairs = aligned = 0
+    pairs = 0
+
+    def aligned_pairs():
+        nonlocal pairs
+        for level_trees, maps in (
+            (trees2, P.enumerate_two_tree_maps),
+            (trees1, P.enumerate_one_maps),
+        ):
+            table = [[maps(T, S) for S in level_trees] for T in level_trees]
+            maps_out = [list(itertools.chain.from_iterable(row)) for row in table]
+            for row in table:
+                for b, sigmas in enumerate(row):
+                    for sigma in sigmas:
+                        for omega in maps_out[b]:
+                            pairs += 1
+                            if P.aligned[omega] is not None:
+                                yield (sigma, omega), sigma, omega
+
     outer = {}  # (omega, positions of the b's, position of c) -> m_omega(b's; c)
-    for level_trees, maps in (
-        (trees2, P.enumerate_two_tree_maps),
-        (trees1, P.enumerate_one_maps),
-    ):
-        table = [[maps(T, S) for S in level_trees] for T in level_trees]
-        maps_out = [list(itertools.chain.from_iterable(row)) for row in table]
-        for row in table:
-            for b, sigmas in enumerate(row):
-                for sigma in sigmas:
-                    for omega in maps_out[b]:
-                        pairs += 1
-                        positions = P.aligned[omega]
-                        if positions is None:
-                            continue
-                        aligned += 1
-                        if not _assoc_holds(B, sigma, omega, positions, tuple_cap, outer):
-                            witness = f"{P.render(sigma)} ; {P.render(omega)}"
-    rep.add(
-        "(*) associativity",
-        not witness,
-        f"{aligned}/{pairs} composable pairs aligned within bound; element tuples capped at {tuple_cap}",
-        witness,
+    failing, evaluated, skipped = evaluate(
+        aligned_pairs(), lambda sigma, omega: _assoc_holds(B, sigma, omega, tuple_cap, outer)
     )
+    scope = f"{evaluated + skipped}/{pairs} composable pairs aligned within bound; element tuples capped at {tuple_cap}"
+    if skipped:
+        scope += f"; {skipped} skipped"
+    rep.add("(*) associativity", failing is None, scope, "" if failing is None else " ; ".join(map(P.render, failing)))
     return rep
 
 
@@ -246,7 +246,7 @@ def _tuples(B, trees):
     return itertools.product(*[B.component(t) for t in trees])
 
 
-def _assoc_holds(B: PoolOperad, sigma, omega, positions, tuple_cap, outer):
+def _assoc_holds(B: PoolOperad, sigma, omega, tuple_cap, outer):
     """m_{omega sigma}(restrictions of sigma fed by the a's, b's; c) equals
     m_sigma(a's; m_omega(b's; c)) on the first tuple_cap element tuples.
 
@@ -254,6 +254,7 @@ def _assoc_holds(B: PoolOperad, sigma, omega, positions, tuple_cap, outer):
     `outer`, keyed by omega and the positions of the b's and of c in their
     components."""
     P, m = B.pool, B.m
+    positions = P.aligned[omega]
     comp = P.compose(sigma, omega)
     restrictions = P.restrictions(sigma, omega)
     b_trees = P.fiber_trees[omega]
@@ -383,27 +384,27 @@ def check_algebra_map(D, d, P, evaluations, max_leaves=3) -> CheckReport:
     E = end2(D, d.carrier).over(P)
 
     # the level-1 part: substitution for ordinal maps with the v-operad maps
-    witness = ""
-    for a in range(_ORDINAL_BOUND + 1):
-        for b in range(_ORDINAL_BOUND + 1):
-            for f in P.enumerate_one_maps(P.one_tree(a), P.one_tree(b)):
-                fib = [iterated_mu_v(D, P.n[t]) for t in P.fiber_trees[f]]
-                lhs = E.m(f, fib, iterated_mu_v(D, b))
-                if not D.maps_equal(lhs, iterated_mu_v(D, a)):
-                    witness = P.render(f)
-    rep.add("level-1 part is the canonical v-operad map", not witness, f"ordinals <= {_ORDINAL_BOUND}", witness)
+    def level1():
+        for a in range(_ORDINAL_BOUND + 1):
+            for b in range(_ORDINAL_BOUND + 1):
+                for f in P.enumerate_one_maps(P.one_tree(a), P.one_tree(b)):
+                    fib = [iterated_mu_v(D, P.n[t]) for t in P.fiber_trees[f]]
+                    yield f, E.m(f, fib, iterated_mu_v(D, b)), iterated_mu_v(D, a)
 
-    witness = ""
-    trees2 = P.enumerate_two_trees(max_leaves)
-    for T in trees2:
-        for S in trees2:
-            for sigma in P.enumerate_two_tree_maps(T, S):
-                fib = [
-                    evaluations[f.tree] if f.height == 2 else iterated_mu_v(D, P.n[f.tree])
-                    for f in P.fibers[sigma]
-                ]
-                lhs = E.m(sigma, fib, evaluations[S])
-                if not D.maps_equal(lhs, evaluations[T]):
-                    witness = P.render(sigma)
-    rep.add("evaluations respect substitution", not witness, f"trees <= {max_leaves} leaves", witness)
+    scope = f"ordinals <= {_ORDINAL_BOUND}"
+    rep.add_law("level-1 part is the canonical v-operad map", level1(), D.maps_equal, scope, P.render)
+
+    def substitutions():
+        trees2 = P.enumerate_two_trees(max_leaves)
+        for T in trees2:
+            for S in trees2:
+                for sigma in P.enumerate_two_tree_maps(T, S):
+                    fib = [
+                        evaluations[f.tree] if f.height == 2 else iterated_mu_v(D, P.n[f.tree])
+                        for f in P.fibers[sigma]
+                    ]
+                    yield sigma, E.m(sigma, fib, evaluations[S]), evaluations[T]
+
+    scope = f"trees <= {max_leaves} leaves"
+    rep.add_law("evaluations respect substitution", substitutions(), D.maps_equal, scope, P.render)
     return rep

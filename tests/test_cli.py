@@ -72,6 +72,27 @@ def test_check_operad_monoid_and_corrupted_table():
     assert "FAIL" in bad.stdout and "witness" in bad.stdout
 
 
+def test_corrupted_operad_table_report_text():
+    out = run_cli(
+        "check-operad",
+        "--builtin",
+        "additive_z2",
+        "--operad",
+        str(CORPUS / "fass_corrupt_additive_z2.json"),
+        "--bound",
+        "3",
+    )
+    assert out.returncode == 1, out.stderr
+    assert out.stdout.splitlines() == [
+        "== operad axioms: fass_corrupt (arity bound 3) ==",
+        "FAIL  unit law (inner)  [k <= 3]  witness: k=2",
+        "PASS  unit law (outer)  [k <= 3]",
+        "FAIL  associativity  [427 shapes within bound 3]  witness: (n=3; ks=(2, 1, 0); ls=((1, 1), (1,), ()))",
+        "PASS  v-action bimodule square  [k <= 3]",
+        "-- FAILURES PRESENT (4 checks)",
+    ]
+
+
 def test_check_operad_counts_skipped_arities():
     # A(2) and A(3) of t2 have 4^16 and 4^64 elements: skipped and counted
     out = run_cli("check-operad", "--monoid", str(CORPUS / "t2.json"), "--bound", "3")
@@ -79,6 +100,7 @@ def test_check_operad_counts_skipped_arities():
     rows = out.stdout.splitlines()
     for name in ("unit law (inner)", "unit law (outer)", "v-action bimodule square"):
         assert f"PASS  {name}  [k <= 3; 2 skipped]" in rows
+    assert "PASS  associativity  [1 shapes within bound 3; 426 skipped (non-enumerable domains)]" in rows
     assert "-- ALL PASS (6 checks)" in rows
 
 
@@ -301,6 +323,18 @@ MONOID = ("center", "--monoid")
             ("tamarkin", "--globe", "id_*,id_*", "--functor"),
             "values key 'x' does not name an object",
         ),
+        (
+            "pair_bz2_functor.json",
+            lambda d: d["functors"]["u"]["objects"].update(nothing="*"),
+            ("tamarkin", "--globe", "u,w", "--functor"),
+            "functor 'u' objects key 'nothing' does not name an object",
+        ),
+        (
+            "pair_bz2_functor.json",
+            lambda d: _add_key(d["functors"]["w"]["arrows"], "t"),
+            ("tamarkin", "--globe", "u,w", "--functor"),
+            "functor 'w' arrows key 't' does not name an arrow",
+        ),
     ],
 )
 def test_table_keys_that_name_nothing_exit_2(tmp_path, name, patch, argv, message):
@@ -379,6 +413,15 @@ def test_json_format_and_out_file(tmp_path):
     assert out.returncode == 0
     doc = json.loads(target.read_text())
     assert doc["all_passed"] is True and doc["items"]
+
+
+@pytest.mark.parametrize("argv", [("--builtin", name) for name in ("bool_lattice", "cartesian", "discrete_z3")])
+def test_passing_json_rows_carry_an_empty_witness(argv):
+    out = run_cli("--format", "json", "check-duoidal", *argv)
+    assert out.returncode == 0, out.stderr
+    items = json.loads(out.stdout)["items"]
+    assert len(items) == 11 and all(item["passed"] for item in items)
+    assert [item["witness"] for item in items] == [""] * 11
 
 
 def test_selftest_seeded():

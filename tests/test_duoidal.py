@@ -7,7 +7,7 @@ from duoidal_kit.duoidal import (
     derived_unit_comparison,
     v_as_duoid,
 )
-from duoidal_kit.fincat import ValidationError, gate_check
+from duoidal_kit.fincat import ValidationError
 from duoidal_kit.finset import CartMap, CartesianFinSet, atom_letter
 from duoidal_kit.instances import (
     additive_instance,
@@ -48,7 +48,7 @@ def test_tensors_are_strict_folds(D, objects):
 
 @pytest.mark.parametrize("instance", table_instances(), ids=lambda d: d.name)
 def test_table_instances_pass_the_gate(instance):
-    rep = gate_check(instance)
+    rep = check_duoidal_axioms(instance)
     assert rep.all_passed
 
 
@@ -122,6 +122,8 @@ def test_constant_interchange_corruption_fails_unitality_not_hexagons():
     rep = check_duoidal_axioms(bad, objects=[a], hom_limit=1)
     names = {i.name: i.passed for i in rep.items}
     assert not names["unitality squares (4)"]
+    # every square fails; the witness is the last one, as on every row
+    assert rep.items[6].witness == repr(("right v-square", a, a))
     # constant components satisfy both hexagons: each leg is constant at the
     # same value, which is why the targeted corruption above is needed
     assert names["associativity hexagon for box0"]

@@ -139,3 +139,16 @@ def test_a_wrong_json_type_names_the_field(kind, field, value):
     }
     with pytest.raises(ValidationError, match=f"{kind}: field '{field}' is not a JSON"):
         loaders[kind](doc)
+
+
+def test_object_functor_map_keys_name_source_elements():
+    doc = _object_functor_doc()
+    doc["sets"] = {"0": ["p", "q"], "1": ["r"]}
+    doc["maps"] = {"a": {"p": "r", "q": "r"}, "id_0": {"p": "p", "q": "q"}, "id_1": {"r": "r"}}
+    assert dict(jsonio.object_functor_from_doc(doc).maps)["a"] == (("p", "r"), ("q", "r"))
+    doc["maps"]["a"]["s"] = "r"
+    with pytest.raises(ValidationError, match="object_functor: map 'a' key 's' does not name an element"):
+        jsonio.object_functor_from_doc(doc)
+    doc["maps"]["a"] = [["p", "r"], ["q", "r"]]
+    with pytest.raises(ValidationError, match="object_functor: map 'a' is not a JSON object"):
+        jsonio.object_functor_from_doc(doc)

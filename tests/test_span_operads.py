@@ -7,13 +7,12 @@ import pytest
 from duoidal_kit.fincat import identity_functor
 from duoidal_kit.finset import CartesianFinSet
 from duoidal_kit.instances import bz2_cat, parallel_pair_cat
-from duoidal_kit.kcat import CartesianSelfEnriched, k_monoid_from_monoid, und_hom
+from duoidal_kit.kcat import CartesianSelfEnriched, k_monoid_from_monoid
 from duoidal_kit.monoids import cyclic, full_transformation2
 from duoidal_kit.operads import (
     algebra_hom_elements,
     check_eass_algebra,
     check_one_operad,
-    eass_algebra_to_und_monoid,
     end_operad,
     fass,
     multiplicative_from_k_monoid,
@@ -129,7 +128,7 @@ def test_eass_algebra_round_trip():
         kappa = und_monoid_to_eass_algebra(K, M.carrier, M.nu_bar, M.mu_bar, bound=3)
         rep = check_eass_algebra(K, M.carrier, kappa, bound=3)
         assert rep.all_passed, (m.name, rep.render())
-        nu, mu = eass_algebra_to_und_monoid(kappa)
+        nu, mu = kappa[0], kappa[2]
         assert D.maps_equal(nu, M.nu_bar) and D.maps_equal(mu, M.mu_bar)
         rebuilt = und_monoid_to_eass_algebra(K, M.carrier, nu, mu, bound=3)
         for n in range(4):
@@ -142,7 +141,7 @@ def test_algebra_hom_set_is_the_monoid_morphism_set():
     m = cyclic(2)
     M = k_monoid_from_monoid(m, K)
     A = multiplicative_from_k_monoid(M, bound=3)
-    homs = algebra_hom_elements(K, M.carrier, M.carrier, A.mult, A.mult, bound=3)
+    homs = algebra_hom_elements(K, M.carrier, M.carrier, A.m, A.m, bound=3)
     values = set()
     for phi in homs:
         el = phi.apply(())[0]

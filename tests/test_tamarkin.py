@@ -10,7 +10,7 @@ from duoidal_kit.instances import (
     functor_pair_corpus,
     parallel_pair_cat,
 )
-from duoidal_kit.kcat import check_k_category, sigma, und_hom
+from duoidal_kit.kcat import check_k_category, sigma
 from duoidal_kit.spans import Globe, arrow_globe, identity_globe
 from duoidal_kit.tamarkin import (
     CatValuedFunctor,
@@ -26,7 +26,6 @@ from duoidal_kit.tamarkin import (
     object_functor_of,
     pullback_family,
     tamarkin_fiber,
-    und_monoid_data,
 )
 
 
@@ -113,8 +112,7 @@ def test_factorization_round_trip(id_bz2_pair):
             assert F2.functor(f).obj_map == F.functor(f).obj_map
             assert F2.functor(f).arr_map == F.functor(f).arr_map
         # level-two data (no u) rebuilds the categories alone
-        carrier, mu_bar, nu_bar, J = und_monoid_data(F)
-        cats = categories_from_und_monoid(carrier, mu_bar, nu_bar, J)
+        cats = categories_from_und_monoid(M.carrier, M.mu_bar, M.nu_bar, M.K)
         for a in F.base.objects:
             assert cats[a].identities == F.value(a).identities
 
