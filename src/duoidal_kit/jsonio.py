@@ -13,7 +13,7 @@ import json
 
 from .fincat import Arrow, CatFunctor, FiniteCategory, TableDuoidal, ValidationError
 from .monoids import Monoid
-from .spans import Globe, SpanDuoidal
+from .spans import Globe, SpanDuoidal, all_globes
 from .tamarkin import CatValuedFunctor, ObjectFunctor, cat_valued_functor, object_functor
 
 SCHEMA_VERSION = 1
@@ -176,6 +176,9 @@ def cat_valued_functor_from_doc(doc) -> CatValuedFunctor:
     base = category_from_doc(doc["base"])
     _keys(doc["values"], base.objects, 1, "cat_valued_functor: values", "an object")
     values = {a: category_from_doc(c) for a, c in doc["values"].items()}
+    for a in base.objects:
+        if a not in values:
+            raise ValidationError(f"cat_valued_functor: no value category for object {a!r}")
     functors = {}
     for f, data in doc["functors"].items():
         try:
@@ -210,10 +213,21 @@ def span_object_from_doc(doc):
     _expect(doc, "span_object")
     cat = category_from_doc(doc["category"])
     D = SpanDuoidal(cat)
-    try:
-        fibers = {Globe(*f["globe"]): tuple(f["elements"]) for f in doc["fibers"]}
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"span_object {doc['name']}: bad fiber entry ({exc})") from exc
+    globes = all_globes(cat)
+    fibers = {}
+    for i, entry in enumerate(doc["fibers"]):
+        where = f"span_object {doc['name']}: fiber entry {i}"
+        try:
+            globe, elements = Globe(*entry["globe"]), entry["elements"]
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"{where} is malformed ({exc})") from exc
+        if not isinstance(elements, list):
+            raise ValidationError(f"{where}: 'elements' is not a JSON array")
+        if globe not in globes:
+            raise ValidationError(f"{where}: globe {globe.render()} is not a parallel pair of the base")
+        if globe in fibers:
+            raise ValidationError(f"{where}: globe {globe.render()} repeats an earlier entry")
+        fibers[globe] = tuple(elements)
     return D, D.atom(doc["name"], fibers)
 
 

@@ -59,11 +59,13 @@ class CheckReport:
     def add(self, name: str, passed: bool, scope: str = "", witness: str = "") -> None:
         self.items.append(CheckItem(name, passed, scope, witness))
 
-    def add_law(self, name: str, cases, eq, scope: str = "", witness=repr) -> None:
+    def add_law(self, name: str, cases, eq, scope: str = "", witness=repr, skipped: int = 0) -> None:
         """A row deciding one law by `evaluate`: a failing row's witness is
-        `witness` of the failing label (none if `witness` is None), and
-        skipped cases are counted in the scope."""
-        failing, _, skipped = evaluate(cases, eq)
+        `witness` of the failing label (none if `witness` is None), and the
+        skipped cases are counted in the scope: those `evaluate` skips plus
+        the `skipped` ones the caller dropped before evaluation."""
+        failing, _, evaluate_skipped = evaluate(cases, eq)
+        skipped += evaluate_skipped
         if skipped:
             scope = f"{scope}; {skipped} skipped" if scope else f"{skipped} skipped"
         self.add(name, failing is None, scope, witness(failing) if failing is not None and witness else "")

@@ -7,15 +7,24 @@ composable parallel pairs; the interchange includes the matching-middles
 configurations into the general ones.
 
 Strictness is achieved formally: objects are atoms or flattened tensor
-nodes, with unit atoms dropped during canonicalization, and the fibers of a
-tensor node are chain-tagged tuples.  All morphisms are stored as per-globe
-dictionaries over the (finite) support.
+nodes, with unit atoms dropped during canonicalization.  An element of a
+tensor node over a globe is a pair (chain of globes composing to it, one
+element of each factor over its globe of the chain).
+
+Inside an instance every element has an integer code: an atom's elements
+are numbered per (atom, globe) in the order they are first met, so coding
+never lists a fiber, and a node element is the tuple (chain id, child
+code, ...), with chains interned per instance.  The maps the instance
+builds (identities, composites, tensors, structure maps) work on codes and
+store their value at each code they meet, one dict per globe.  Values
+appear only at the boundary: `fiber`, `SpanMor.apply`/`apply_at`, and the
+maps given on values by a function or a table, which are decoded, applied
+and re-coded once per element.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .duoidal import Tensors
@@ -26,8 +35,8 @@ from .report import SizeError, skey, sorted_elements
 class Globe(NamedTuple):
     """A parallel pair of arrows f, g: a -> b of the base.
 
-    A named tuple of four strings, so globes (and the chain-tagged elements
-    that hold them) hash and compare in C.
+    A named tuple of four strings, so globes (and the chains that hold them)
+    hash and compare in C.
     """
 
     a: str
@@ -87,22 +96,24 @@ class SpanAtom:
     """An atom: a family whose fiber over a globe comes from a function.
 
     A listed atom (`span_atom`) looks its fibers up in a table; a hom object
-    computes them.  Identity is the structural `key`.  Fibers are cached by
-    the instance (`SpanDuoidal.fiber`), not by the atom.
+    computes them.  Identity is the structural `key`, hashed once.  Fibers
+    are listed and coded by the instance (`SpanDuoidal.fiber`), not by the
+    atom.
     """
 
-    __slots__ = ("name", "key", "fiber_fn")
+    __slots__ = ("name", "key", "fiber_fn", "_hash")
 
     def __init__(self, name, key, fiber_fn):
         self.name = name
         self.key = key
         self.fiber_fn = fiber_fn
+        self._hash = hash(key)
 
     def __eq__(self, other):
-        return isinstance(other, SpanAtom) and self.key == other.key
+        return self is other or (isinstance(other, SpanAtom) and self._hash == other._hash and self.key == other.key)
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __repr__(self):
         return f"SpanAtom({self.name})"
@@ -122,10 +133,29 @@ def span_atom(name, fibers: dict) -> SpanAtom:
     return SpanAtom(name, (name, listed), lambda g: table.get(g, ()))
 
 
-@dataclass(frozen=True)
 class SpanNode:
-    kind: str  # "p0" or "p1"
-    children: tuple
+    """A flattened tensor node: `kind` is "p0" or "p1", and no child is a
+    node of the same kind.  The hash is computed once."""
+
+    __slots__ = ("kind", "children", "_hash")
+
+    def __init__(self, kind, children):
+        self.kind = kind
+        self.children = children
+        self._hash = hash((kind, children))
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, SpanNode)
+            and self._hash == other._hash
+            and (self.kind, self.children) == (other.kind, other.children)
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"SpanNode(kind={self.kind!r}, children={self.children!r})"
 
     def sort_key(self):
         return (self.kind, tuple(c.sort_key() for c in self.children))
@@ -134,31 +164,52 @@ class SpanNode:
 class SpanMor:
     """A morphism of globe-indexed families, evaluated lazily.
 
-    Either a per-globe table or a callable (globe, element) -> element; the
-    table is materialized on demand (equality always materializes).
+    Defined on element values by `fn(globe, element) -> element` or by a
+    per-globe table `mapping`, or on codes by an instance
+    (`SpanDuoidal.code_map`).  Once an instance uses a map, the map stores
+    its value at each code it meets (`at`), one dict per globe.
     """
 
-    __slots__ = ("dom", "cod", "_mapping", "_fn", "_memo")
+    __slots__ = ("dom", "cod", "_fn", "_code", "_owner", "_rows")
 
     def __init__(self, dom, cod, mapping=None, fn=None):
         self.dom = dom
         self.cod = cod
-        self._mapping = mapping
-        self._fn = fn
-        self._memo = {} if mapping is None else None
+        if mapping is not None:
+            fn = lambda g, el: mapping[g][el]
+        self._fn = fn  # on values; None for a map built on codes
+        # on the codes of the instance `_owner`, and its values by globe and code
+        self._code = self._owner = self._rows = None
 
-    def apply(self, globe, elt):
-        if self._mapping is not None:
-            return self._mapping[globe][elt]
-        key = (globe, elt)
-        out = self._memo.get(key)
+    def at(self, globe, code):
+        """The code of the image of a code of the domain over `globe`."""
+        row = self._rows.get(globe)
+        if row is None:
+            row = self._rows[globe] = {}
+        out = row.get(code)
         if out is None:
-            out = self._memo[key] = self._fn(globe, elt)
+            out = row[code] = self._code(globe, code)
         return out
 
+    def apply(self, globe, elt):
+        """The image of an element value over `globe`."""
+        if self._fn is not None:
+            return self._fn(globe, elt)
+        D = self._owner
+        return D.decode(self.cod, globe, self.at(globe, D.encode(self.dom, globe, elt)))
+
     def __repr__(self):
-        state = "table" if self._mapping is not None else "lazy"
-        return f"SpanMor({state})"
+        return f"SpanMor({'values' if self._fn is not None else 'codes'})"
+
+
+def _intern(pool, x):
+    """The id of x in a pool (ids by value, values by id), adding x if new."""
+    ids, values = pool
+    out = ids.get(x)
+    if out is None:
+        out = ids[x] = len(values)
+        values.append(x)
+    return out
 
 
 # per tensor t: the kind of a tensor-t node, the Globe fields where the
@@ -175,6 +226,7 @@ class SpanDuoidal(Tensors):
     def __init__(self, cat: FiniteCategory):
         self.cat = cat
         self.name = f"spans({cat.name})"
+        self._globes = all_globes(cat)
         # per tensor t (0 = horizontal, 1 = vertical): the unit globes by
         # cursor position (an object for box0, an arrow for box1), the unit
         # object, and the composition of globes
@@ -187,7 +239,13 @@ class SpanDuoidal(Tensors):
         )
         self._compose = (self._hcompose, vcompose)
         self._hcompose_cache = {}
-        self._fiber_cache = {}
+        self._nodes = {}
+        self._codes_cache = {}
+        # per (atom, globe): ids by element, elements by id; () is code 0 over every unit globe
+        self._pools = {
+            (self._units[t], g): ({(): 0}, [()]) for t in (0, 1) for g in self._unit_globes[t].values()
+        }
+        self._chains = ({}, [])  # ids by chain, chains by id
 
     # -- objects ---------------------------------------------------------
     def objects(self):
@@ -195,7 +253,7 @@ class SpanDuoidal(Tensors):
 
     def atom(self, name, fibers: dict):
         for g in fibers:
-            if g not in self.cat.parallel_pairs():
+            if g not in self._globes:
                 raise ValueError(f"atom {name}: globe {g.render()} not in the base")
         return span_atom(name, fibers)
 
@@ -213,14 +271,17 @@ class SpanDuoidal(Tensors):
 
     def tensor(self, t, xs):
         """The flattened tensor-t product (0 = horizontal, 1 = vertical)."""
-        flat = [c for x in xs for c in self._factors(t, x)]
+        flat = tuple(c for x in xs for c in self._factors(t, x))
         if not flat:
             return self._units[t]
         if len(flat) == 1:
             return flat[0]
-        return SpanNode(_NODE_KINDS[t], tuple(flat))
+        node = self._nodes.get((t, flat))
+        if node is None:
+            node = self._nodes[(t, flat)] = SpanNode(_NODE_KINDS[t], flat)
+        return node
 
-    # -- fibers ----------------------------------------------------------
+    # -- fibers and codes --------------------------------------------------
     def chains(self, t, globe, k):
         """All k-chains of globes whose tensor-t composite is the globe; the
         empty chain composes to the unit globe at the cursor."""
@@ -230,56 +291,79 @@ class SpanDuoidal(Tensors):
             return [(globe,)]
         return [(g1,) + rest for g1, g2 in _SPLITS[t](self.cat, globe) for rest in self.chains(t, g2, k - 1)]
 
-    def fiber(self, obj, globe):
-        """The fiber of an object over one globe (computed on demand)."""
-        key = (obj, globe)
-        cached = self._fiber_cache.get(key)
-        if cached is not None:
-            return cached
+    def _pool(self, atom, globe):
+        pool = self._pools.get((atom, globe))
+        if pool is None:
+            pool = self._pools[(atom, globe)] = ({}, [])
+        return pool
+
+    def encode(self, obj, globe, elt):
+        """The code of an element of obj over globe; an atom element met for
+        the first time gets the next id of its (atom, globe) pool."""
         if isinstance(obj, SpanAtom):
-            out = tuple(obj.fiber_fn(globe))
+            return _intern(self._pool(obj, globe), elt)
+        chain, comps = elt
+        codes = tuple(self.encode(c, g, x) for c, g, x in zip(obj.children, chain, comps))
+        return (_intern(self._chains, tuple(chain)),) + codes
+
+    def decode(self, obj, globe, code):
+        """The element of obj over globe with the given code."""
+        if isinstance(obj, SpanAtom):
+            return self._pool(obj, globe)[1][code]
+        chain = self._chains[1][code[0]]
+        return chain, tuple(self.decode(c, g, x) for c, g, x in zip(obj.children, chain, code[1:]))
+
+    def _codes(self, obj, globe):
+        """The codes of the fiber of obj over globe, listed once."""
+        out = self._codes_cache.get((obj, globe))
+        if out is not None:
+            return out
+        if isinstance(obj, SpanAtom):
+            out = tuple(self.encode(obj, globe, x) for x in obj.fiber_fn(globe))
         else:
-            t = _NODE_KINDS.index(obj.kind)
-            elems = []
-            for chain in self.chains(t, globe, len(obj.children)):
-                child_fibers = [self.fiber(c, g) for c, g in zip(obj.children, chain)]
-                if any(not f for f in child_fibers):
-                    continue
-                for comps in itertools.product(*child_fibers):
-                    elems.append((chain, comps))
-            out = tuple(elems)
-        self._fiber_cache[key] = out
+            out = []
+            for chain in self.chains(_NODE_KINDS.index(obj.kind), globe, len(obj.children)):
+                child_codes = [self._codes(c, g) for c, g in zip(obj.children, chain)]
+                if all(child_codes):
+                    cid = _intern(self._chains, chain)
+                    out.extend((cid,) + comps for comps in itertools.product(*child_codes))
+            out = tuple(out)
+        self._codes_cache[(obj, globe)] = out
         return out
 
+    def fiber(self, obj, globe):
+        """The elements of an object over one globe (listed on demand)."""
+        return tuple(self.decode(obj, globe, c) for c in self._codes(obj, globe))
+
     def fibers_of(self, obj) -> dict:
-        return {g: self.fiber(obj, g) for g in all_globes(self.cat) if self.fiber(obj, g)}
+        return {g: self.fiber(obj, g) for g in self.support(obj)}
 
     def support(self, obj):
-        return tuple(g for g in all_globes(self.cat) if self.fiber(obj, g))
+        return tuple(g for g in self._globes if self._codes(obj, g))
 
     # -- splitting and joining tensor elements ----------------------------
     def _hcompose(self, g1, g2):
         """`hcompose` over the base, stored per pair of globes."""
-        key = (g1, g2)
-        out = self._hcompose_cache.get(key)
+        out = self._hcompose_cache.get((g1, g2))
         if out is None:
-            out = self._hcompose_cache[key] = hcompose(self.cat, g1, g2)
+            out = self._hcompose_cache[(g1, g2)] = hcompose(self.cat, g1, g2)
         return out
 
-    def split(self, t, arities, globe, elt):
-        """Decompose an element of a tensor-t product over `globe` into one
-        (globe, element) pair per factor, given the factors' arities.
+    def split(self, t, arities, globe, code):
+        """Decompose the code of an element of a tensor-t product over
+        `globe` into one (globe, code) pair per factor, given the factors'
+        arities.
 
-        A factor of arity 0 gets the unit globe at the cursor: the current
-        object for box0, the current arrow for box1.
+        A factor of arity 0 gets the unit globe at the cursor (the current
+        object for box0, the current arrow for box1) and the unit code 0.
         """
         total = sum(arities)
         if total == 0:
             chain, comps = (), ()
         elif total == 1:
-            chain, comps = (globe,), (elt,)
+            chain, comps = (globe,), (code,)
         else:
-            chain, comps = elt
+            chain, comps = self._chains[1][code[0]], code[1:]
         compose = self._compose[t]
         unit_globes = self._unit_globes[t]
         start, end = _CURSOR[t]
@@ -288,73 +372,70 @@ class SpanDuoidal(Tensors):
         pos = 0
         for k in arities:
             if k == 0:
-                parts.append((unit_globes[cur], ()))
+                parts.append((unit_globes[cur], 0))
                 continue
             g = chain[pos]
             for nxt in chain[pos + 1 : pos + k]:
                 g = compose(g, nxt)
             cur = g[end]
-            parts.append((g, comps[pos] if k == 1 else (chain[pos : pos + k], comps[pos : pos + k])))
+            sub = comps[pos] if k == 1 else (_intern(self._chains, chain[pos : pos + k]),) + comps[pos : pos + k]
+            parts.append((g, sub))
             pos += k
         return parts
 
     def join(self, t, arities, parts):
-        """Reassemble per-factor (globe, element) pairs into the composite
-        globe and an element of the tensor-t product; inverse of `split`."""
+        """Reassemble per-factor (globe, code) pairs into the composite globe
+        and the code of an element of the tensor-t product; inverse of
+        `split`."""
         compose = self._compose[t]
         chain = []
         comps = []
         composite = None
-        for k, (g, elt) in zip(arities, parts):
+        for k, (g, code) in zip(arities, parts):
             composite = g if composite is None else compose(composite, g)
             if k == 1:
                 chain.append(g)
-                comps.append(elt)
+                comps.append(code)
             elif k > 1:
-                sub_chain, sub_comps = elt
-                chain.extend(sub_chain)
-                comps.extend(sub_comps)
+                chain.extend(self._chains[1][code[0]])
+                comps.extend(code[1:])
         if not chain:
-            return composite, ()
+            return composite, 0
         if len(chain) == 1:
             return composite, comps[0]
-        return composite, (tuple(chain), tuple(comps))
+        return composite, (_intern(self._chains, tuple(chain)),) + tuple(comps)
 
     # -- morphisms ---------------------------------------------------------
-    def mor(self, dom, cod, mapping) -> SpanMor:
-        """A validated, fully tabulated morphism."""
-        out = {}
-        fibers = self.fibers_of(dom)
-        cods = self.fibers_of(cod)
-        for g, elems in fibers.items():
-            table = mapping.get(g, {})
-            row = {}
-            for x in elems:
-                if x not in table:
-                    raise ValueError(f"morphism not total at {g.render()}: missing {x!r}")
-                y = table[x]
-                if y not in cods.get(g, ()):
-                    raise ValueError(f"morphism leaves the codomain fiber at {g.render()}")
-                row[x] = y
-            if row:
-                out[g] = row
-        return SpanMor(dom, cod, mapping=out)
+    def code_map(self, dom, cod, fn) -> SpanMor:
+        """A morphism given on codes: fn(globe, code) -> code."""
+        f = SpanMor(dom, cod)
+        f._code, f._owner, f._rows = fn, self, {}
+        return f
 
-    def materialize(self, f: SpanMor) -> dict:
-        if f._mapping is None:
-            mapping = {}
-            for g in self.support(f.dom):
-                cod_fiber = set(self.fiber(f.cod, g))
-                row = {}
-                for x in self.fiber(f.dom, g):
-                    y = f._fn(g, x)
-                    if y not in cod_fiber:
-                        raise ValueError(f"morphism leaves the codomain fiber at {g.render()}")
-                    row[x] = y
-                if row:
-                    mapping[g] = row
-            f._mapping = mapping
-        return f._mapping
+    def _coded(self, f: SpanMor) -> SpanMor:
+        """f on the codes of this instance.  A map given on values (bound to
+        the first instance that uses it) or built by another instance is
+        decoded, applied and re-coded once per element."""
+        if f._owner is self:
+            return f
+        dom, cod = f.dom, f.cod
+        code = lambda g, c: self.encode(cod, g, f.apply(g, self.decode(dom, g, c)))
+        if f._owner is not None:
+            return self.code_map(dom, cod, code)
+        f._code, f._owner, f._rows = code, self, {}
+        return f
+
+    def _table(self, f: SpanMor):
+        """The image codes of f over its listed domain, one list per globe
+        of the support, checked against the listed codomain."""
+        at = self._coded(f).at
+        out = []
+        for g in self.support(f.dom):
+            row = [at(g, c) for c in self._codes(f.dom, g)]
+            if not set(self._codes(f.cod, g)).issuperset(row):
+                raise ValueError(f"morphism leaves the codomain fiber at {g.render()}")
+            out.append(row)
+        return out
 
     def dom(self, f):
         return f.dom
@@ -363,21 +444,22 @@ class SpanDuoidal(Tensors):
         return f.cod
 
     def identity(self, x):
-        return SpanMor(x, x, fn=lambda g, el: el)
+        return self.code_map(x, x, lambda g, c: c)
 
     def compose(self, f, g):
         """f then g."""
         if f.cod != g.dom:
             raise ValueError("compose: middle objects differ")
-        return SpanMor(f.dom, g.cod, fn=lambda gl, el: g.apply(gl, f.apply(gl, el)))
+        f_at, g_at = self._coded(f).at, self._coded(g).at
+        return self.code_map(f.dom, g.cod, lambda gl, c: g_at(gl, f_at(gl, c)))
 
     def maps_equal(self, f, g, cap=None):
         if f.dom != g.dom or f.cod != g.cod:
             return False
-        return self.materialize(f) == self.materialize(g)
+        return self._table(f) == self._table(g)
 
     def memoize(self, f):
-        """Every lazy `SpanMor` already stores its values."""
+        """Every `SpanMor` already stores its values."""
         return f
 
     def apply_at(self, f, key, elt):
@@ -389,44 +471,38 @@ class SpanDuoidal(Tensors):
         yf = self.fibers_of(y)
         total = 1
         for g, elems in xf.items():
-            choices = len(yf.get(g, ()))
-            total *= choices ** len(elems)
+            total *= len(yf.get(g, ())) ** len(elems)
             if total > cap:
                 raise SizeError("span hom set exceeds cap")
         if total == 0:
             return []
-        globes = sorted(xf, key=lambda g: g.sort_key())
-        per_globe = []
-        for g in globes:
-            targets = yf.get(g, ())
-            rows = [dict(zip(xf[g], combo)) for combo in itertools.product(targets, repeat=len(xf[g]))]
-            per_globe.append(rows)
-        out = []
-        for combo in itertools.product(*per_globe):
-            out.append(SpanMor(x, y, {g: row for g, row in zip(globes, combo) if row}))
-        return out
+        per_globe = [
+            [dict(zip(xf[g], combo)) for combo in itertools.product(yf[g], repeat=len(xf[g]))] for g in xf
+        ]
+        return [SpanMor(x, y, dict(zip(xf, combo))) for combo in itertools.product(*per_globe)]
 
     # -- tensor on morphisms ------------------------------------------------
     def tensor_map(self, t, fs):
         """The tensor-t product of morphisms, evaluated per element by
         splitting over the domains and joining over the codomains."""
-        fs = list(fs)
+        fs = [self._coded(f) for f in fs]
         if not fs:
             return self.identity(self._units[t])
         doms = [f.dom for f in fs]
         cods = [f.cod for f in fs]
         dom_arities = self.arities(t, doms)
         cod_arities = self.arities(t, cods)
+        ats = [f.at for f in fs]
+        split, join = self.split, self.join
 
-        def act(globe, elt):
-            parts = self.split(t, dom_arities, globe, elt)
-            outs = [(g, f.apply(g, el)) for f, (g, el) in zip(fs, parts)]
-            out_globe, out_elt = self.join(t, cod_arities, outs)
+        def act(globe, code):
+            parts = split(t, dom_arities, globe, code)
+            out_globe, out = join(t, cod_arities, [(g, at(g, c)) for at, (g, c) in zip(ats, parts)])
             if out_globe != globe:
                 raise AssertionError(f"box{t} tensor moved a globe")
-            return out_elt
+            return out
 
-        return SpanMor(self.tensor(t, doms), self.tensor(t, cods), fn=act)
+        return self.code_map(self.tensor(t, doms), self.tensor(t, cods), act)
 
     # -- duoidal structure ----------------------------------------------
     def interchange(self, a, b, c, d):
@@ -440,31 +516,29 @@ class SpanDuoidal(Tensors):
         ac_arities = self.arities(0, (a, c))
         bd_arities = self.arities(0, (b, d))
         outer1 = self.arities(1, (ac, bd))
+        split, join = self.split, self.join
 
-        def act(globe, elt):
-            (g1, e_ab), (g2, e_cd) = self.split(0, outer0, globe, elt)
-            (g1u, ea), (g1d, eb) = self.split(1, ab_arities, g1, e_ab)
-            (g2u, ec), (g2d, ed) = self.split(1, cd_arities, g2, e_cd)
-            gu, e_ac = self.join(0, ac_arities, [(g1u, ea), (g2u, ec)])
-            gd, e_bd = self.join(0, bd_arities, [(g1d, eb), (g2d, ed)])
-            out_globe, out = self.join(1, outer1, [(gu, e_ac), (gd, e_bd)])
+        def act(globe, code):
+            (g1, c_ab), (g2, c_cd) = split(0, outer0, globe, code)
+            (g1u, ca), (g1d, cb) = split(1, ab_arities, g1, c_ab)
+            (g2u, cc), (g2d, c_d) = split(1, cd_arities, g2, c_cd)
+            gu, c_ac = join(0, ac_arities, [(g1u, ca), (g2u, cc)])
+            gd, c_bd = join(0, bd_arities, [(g1d, cb), (g2d, c_d)])
+            out_globe, out = join(1, outer1, [(gu, c_ac), (gd, c_bd)])
             if out_globe != globe:
                 raise AssertionError("interchange moved a globe")
             return out
 
-        return SpanMor(self.tensor(0, (ab, cd)), self.tensor(1, (ac, bd)), fn=act)
+        return self.code_map(self.tensor(0, (ab, cd)), self.tensor(1, (ac, bd)), act)
 
     def delta_e(self):
-        def act(globe, elt):
-            return ((globe, globe), ((), ()))
-
-        return SpanMor(self.e, self.box1(self.e, self.e), fn=act)
+        return self.code_map(self.e, self.box1(self.e, self.e), lambda g, c: (_intern(self._chains, (g, g)), 0, 0))
 
     def mu_v(self):
-        return SpanMor(self.box0(self.v, self.v), self.v, fn=lambda g, el: ())
+        return self.code_map(self.box0(self.v, self.v), self.v, lambda g, c: 0)
 
     def iota(self):
-        return SpanMor(self.e, self.v, fn=lambda g, el: ())
+        return self.code_map(self.e, self.v, lambda g, c: 0)
 
     # -- extra structure used by the center machinery --------------------
     def subobject_from_fibers(self, x, fibers, name):
@@ -473,17 +547,12 @@ class SpanDuoidal(Tensors):
         return sub, incl
 
     def corestrict_map(self, f, sub, fibers):
-        allowed = {g: set(elems) for g, elems in fibers.items()}
         mapping = {}
         for g, elems in self.fibers_of(f.dom).items():
-            row = {}
-            for x in elems:
-                y = f.apply(g, x)
-                if y not in allowed.get(g, set()):
-                    raise KeyError(f"image at {g.render()} not in the subobject")
-                row[x] = y
-            mapping[g] = row
-        return self.mor(f.dom, sub, mapping)
+            row = mapping[g] = {x: f.apply(g, x) for x in elems}
+            if not set(row.values()) <= set(fibers.get(g, ())):
+                raise KeyError(f"image at {g.render()} not in the subobject")
+        return SpanMor(f.dom, sub, mapping)
 
     def cotensor(self, y, s, name=None):
         """Fiberwise function sets (Y_G)^s, with functions stored as graphs.
@@ -493,12 +562,11 @@ class SpanDuoidal(Tensors):
         """
         s = tuple(sorted_elements(s))
         if not s:
-            return self.atom(name or "cotensor", {g: ((),) for g in all_globes(self.cat)})
-        fibers = {}
-        for g, elems in self.fibers_of(y).items():
-            fibers[g] = tuple(
-                tuple(zip(s, choice)) for choice in itertools.product(elems, repeat=len(s))
-            )
+            return self.atom(name or "cotensor", {g: ((),) for g in self._globes})
+        fibers = {
+            g: tuple(tuple(zip(s, choice)) for choice in itertools.product(elems, repeat=len(s)))
+            for g, elems in self.fibers_of(y).items()
+        }
         return self.atom(name or "cotensor", fibers)
 
     def coproduct(self, parts, name=None):
@@ -506,10 +574,6 @@ class SpanDuoidal(Tensors):
         fibers = {}
         for i, p in enumerate(parts):
             for g, elems in self.fibers_of(p).items():
-                fibers.setdefault(g, [])
-                fibers[g].extend((i, el) for el in elems)
+                fibers.setdefault(g, []).extend((i, el) for el in elems)
         out = self.atom(name or "coproduct", {g: tuple(v) for g, v in fibers.items()})
-        injections = [
-            SpanMor(p, out, fn=lambda g, el, i=i: (i, el)) for i, p in enumerate(parts)
-        ]
-        return out, injections
+        return out, [SpanMor(p, out, fn=lambda g, el, i=i: (i, el)) for i, p in enumerate(parts)]

@@ -171,19 +171,19 @@ class EnrichedGraphCategory(WordTensor):
         out_obj = self.hom_obj(w1, w3)
         arities = self.D.arities(0, (h12, h23))
 
-        def act(globe, elt):
-            (g1, fam1), (g2, fam2) = self.D.split(0, arities, globe, elt)
-            phi = self._family_dict(fam1)
-            psi = self._family_dict(fam2)
+        def act(globe, code):
+            (g1, c1), (g2, c2) = self.D.split(0, arities, globe, code)
+            phi = self._family_dict(self.D.decode(h12, g1, c1))
+            psi = self._family_dict(self.D.decode(h23, g2, c2))
             f1map = self.O.map_of(g1.f)
             g1map = self.O.map_of(g1.g)
 
             def graph(a1, a2):
                 return tuple((x, psi[(f1map[a1], g1map[a2])][y]) for x, y in phi.get((a1, a2), {}).items())
 
-            return self.family(globe.a, graph)
+            return self.D.encode(out_obj, globe, self.family(globe.a, graph))
 
-        return SpanMor(dom, out_obj, fn=act)
+        return self.D.code_map(dom, out_obj, act)
 
     def unit_map(self, w):
         target = self.hom_obj(w, w)
@@ -202,10 +202,10 @@ class EnrichedGraphCategory(WordTensor):
         k1 = len(e1)
         arities = self.D.arities(1, (h1, h2))
 
-        def act(globe, elt):
-            (g1, fam1), (g2, fam2) = self.D.split(1, arities, globe, elt)
-            phi = self._family_dict(fam1)
-            psi = self._family_dict(fam2)
+        def act(globe, code):
+            (g1, c1), (g2, c2) = self.D.split(1, arities, globe, code)
+            phi = self._family_dict(self.D.decode(h1, g1, c1))
+            psi = self._family_dict(self.D.decode(h2, g2, c2))
 
             def graph(a1, a2):
                 table = []
@@ -216,9 +216,9 @@ class EnrichedGraphCategory(WordTensor):
                     table.append(((path, comps), (out_left[0] + out_right[0][1:], out_left[1] + out_right[1])))
                 return tuple(table)
 
-            return self.family(globe.a, graph)
+            return self.D.encode(out_obj, globe, self.family(globe.a, graph))
 
-        return SpanMor(dom, out_obj, fn=act)
+        return self.D.code_map(dom, out_obj, act)
 
     def v_action_map(self):
         target = self.hom_obj((), ())

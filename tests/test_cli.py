@@ -130,16 +130,41 @@ def test_delta_center_exit_codes():
 
 
 def test_tamarkin_subcommand():
-    out = run_cli(
-        "tamarkin", "--functor", str(CORPUS / "id_bz2_functor.json"), "--delta", "const", "--globe", "id_*,id_*"
-    )
-    assert out.returncode == 0
-    assert "families: 2" in out.stdout
-    pair = run_cli(
-        "tamarkin", "--functor", str(CORPUS / "pair_bz2_functor.json"), "--delta", "const", "--globe", "u,w"
-    )
-    assert pair.returncode == 0
-    assert "families: 0" in pair.stdout
+    """The whole output of the four corpus runs: both functor files, with
+    constant and with ordinal weights."""
+    runs = {
+        ("id_bz2_functor.json", "id_*,id_*", "const"): (
+            "tamarkin fiber of id_bz2 over (*,*,id_*,id_*) with constant weights\n"
+            "families: 2\n"
+            "stabilized: True (from level 1)\n"
+        ),
+        ("id_bz2_functor.json", "id_*,id_*", "ordinals"): (
+            "tamarkin fiber of id_bz2 over (*,*,id_*,id_*) with ordinals weights\n"
+            "families: 2\n"
+            "stabilized: True (from level 1)\n"
+        ),
+        ("pair_bz2_functor.json", "u,w", "const"): (
+            "tamarkin fiber of pair_bz2 over (0,1,u,w) with constant weights\n"
+            "families: 0\n"
+            "stabilized: True (from level 1)\n"
+        ),
+        ("pair_bz2_functor.json", "u,w", "ordinals"): (
+            "tamarkin fiber of pair_bz2 over (0,1,u,w) with ordinals weights\n"
+            "families: 2\n"
+            "stabilized: True (from level 1)\n"
+        ),
+    }
+    for (name, globe, delta), expected in runs.items():
+        out = run_cli("tamarkin", "--functor", str(CORPUS / name), "--delta", delta, "--globe", globe)
+        assert (out.returncode, out.stdout, out.stderr) == (0, expected, ""), (name, delta)
+
+
+def test_a_missing_value_category_names_its_object(tmp_path):
+    path = _patched(tmp_path, "pair_bz2_functor.json", lambda d: d["values"].pop("1"))
+    out = run_cli("tamarkin", "--globe", "u,w", "--functor", path)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == "error: cat_valued_functor: no value category for object '1'\n"
+    assert out.stdout == ""
 
 
 def test_trees_subcommands():

@@ -19,6 +19,7 @@ from duoidal_kit.instances import (
 from duoidal_kit.instances import bz2_cat
 from duoidal_kit.jsonio import table_duoidal_from_doc, table_duoidal_to_doc
 from duoidal_kit.monoids import cyclic, left_zero_plus_unit
+from duoidal_kit.report import SizeError
 from duoidal_kit.spans import Globe, SpanDuoidal
 
 
@@ -70,6 +71,25 @@ def test_cartesian_instance_pointwise():
     y = (atom_letter("y", [0, 1, 2]),)
     rep = check_duoidal_axioms(D, objects=[D.e, x, y], hom_limit=2)
     assert rep.all_passed
+
+
+class _HomCapped(InterchangeOverride):
+    """An instance whose hom set (1, 1) is too large to list."""
+
+    def hom(self, x, y):
+        if (x, y) == ("1", "1"):
+            raise SizeError("hom set exceeds cap")
+        return self._base.hom(x, y)
+
+
+def test_hom_sets_too_large_to_list_are_counted_as_skipped():
+    D = _HomCapped(bool_lattice_instance(), lambda a, b, c, d: None)
+    scopes = {item.name: item.scope for item in check_duoidal_axioms(D).items}
+    capped = "all 2 objects; homs capped at 3; 1 skipped"
+    assert scopes["box0 functorial on morphisms"] == capped
+    assert scopes["box1 functorial on morphisms"] == capped
+    assert scopes["interchange natural in all arguments"] == capped
+    assert scopes["associativity hexagon for box0"] == "all 2 objects"
 
 
 @pytest.mark.parametrize("instance", table_instances(), ids=lambda d: d.name)

@@ -152,3 +152,27 @@ def test_object_functor_map_keys_name_source_elements():
     doc["maps"]["a"] = [["p", "r"], ["q", "r"]]
     with pytest.raises(ValidationError, match="object_functor: map 'a' is not a JSON object"):
         jsonio.object_functor_from_doc(doc)
+
+
+def _span_doc(fibers):
+    doc = json.loads((CORPUS / "span_object_parallel.json").read_text())
+    doc["fibers"] = fibers
+    return doc
+
+
+def test_span_fiber_over_a_globe_outside_the_base_is_rejected():
+    doc = _span_doc([{"globe": ["0", "1", "u", "u"], "elements": ["y"]}, {"globe": ["1", "0", "u", "u"], "elements": []}])
+    with pytest.raises(ValidationError, match=r"fiber entry 1: globe \(1,0,u,u\) is not a parallel pair of the base"):
+        jsonio.span_object_from_doc(doc)
+
+
+def test_span_fiber_over_a_repeated_globe_is_rejected():
+    doc = _span_doc([{"globe": ["0", "1", "u", "w"], "elements": ["x"]}, {"globe": ["0", "1", "u", "w"], "elements": ["y"]}])
+    with pytest.raises(ValidationError, match=r"fiber entry 1: globe \(0,1,u,w\) repeats an earlier entry"):
+        jsonio.span_object_from_doc(doc)
+
+
+def test_span_fiber_elements_must_be_an_array():
+    doc = _span_doc([{"globe": ["0", "1", "u", "w"], "elements": "yz"}])
+    with pytest.raises(ValidationError, match="fiber entry 0: 'elements' is not a JSON array"):
+        jsonio.span_object_from_doc(doc)

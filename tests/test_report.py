@@ -54,3 +54,10 @@ def test_add_law_without_scope_or_witness():
     (item,) = rep.items
     assert (item.passed, item.scope, item.witness) == (False, "1 skipped", "")
     assert "witness" not in rep.render()
+
+
+def test_add_law_adds_cases_dropped_before_evaluation_to_the_skips():
+    rep = CheckReport("t")
+    rep.add_law("law", [("x", None, 1), ("y", 1, 1)], _eq([]), "k <= 2", skipped=2)
+    rep.add_law("law", [], _eq([]), skipped=1)
+    assert [(item.passed, item.scope) for item in rep.items] == [(True, "k <= 2; 3 skipped"), (True, "1 skipped")]

@@ -8,6 +8,7 @@ from duoidal_kit.instances import arrow_cat, bz2_cat, cat_one, composable_pair_c
 from duoidal_kit.report import sorted_elements
 from duoidal_kit.spans import (
     Globe,
+    SpanAtom,
     SpanDuoidal,
     SpanMor,
     all_globes,
@@ -117,7 +118,8 @@ def test_interchange_empty_support(par):
     empty = D.atom("empty", {})
     z = D.interchange(X, empty, X, X)
     assert D.support(z.dom) == ()
-    assert D.materialize(z) == {}
+    # no element to apply at, so even a map that raises wherever it is applied is equal to z
+    assert D.maps_equal(z, SpanMor(z.dom, z.cod, fn=lambda g, el: 1 // 0))
 
 
 def test_interchange_naturality_pointwise(par):
@@ -208,13 +210,47 @@ def test_join_inverts_split(base, t):
         obj = D.tensor(t, factors)
         for globe in D.support(obj):
             for x in D.fiber(obj, globe):
-                parts = D.split(t, arities, globe, x)
+                code = D.encode(obj, globe, x)
+                assert D.decode(obj, globe, code) == x
+                parts = D.split(t, arities, globe, code)
                 assert len(parts) == len(factors)
-                for factor, (g, el) in zip(factors, parts):
+                for factor, (g, c) in zip(factors, parts):
+                    el = D.decode(factor, g, c)
                     assert el in D.fiber(factor, g)
-                assert D.join(t, arities, parts) == (globe, x)
+                    assert D.encode(factor, g, el) == c
+                assert D.join(t, arities, parts) == (globe, code)
                 elements += 1
     assert elements > 100
+
+
+def test_apply_lists_no_intermediate_fiber(par):
+    """Applying a composite at one element codes the middle element on first
+    use; listing the middle fiber would raise."""
+    cat, D = par
+    g = arrow_globe(cat, "u")
+    X = D.atom("X", {g: ("x1", "x2")})
+    Y = D.atom("Y", {g: ("y",)})
+
+    def unlisted(globe):
+        raise AssertionError("the middle fiber was listed")
+
+    mid = SpanAtom("mid", ("mid",), unlisted)
+    f = SpanMor(X, mid, fn=lambda gl, el: ("m", el))
+    h = SpanMor(mid, Y, fn=lambda gl, el: "y")
+    assert D.compose(f, h).apply(g, "x2") == "y"
+    assert D.box0_map(D.compose(f, h), D.identity(D.e)).apply(g, "x1") == "y"
+
+
+def test_value_map_leaving_its_codomain_is_an_error(par):
+    cat, D = par
+    g = arrow_globe(cat, "u")
+    X = D.atom("X", {g: ("x1", "x2")})
+    Y = D.atom("Y", {g: ("y",)})
+    stray = SpanMor(X, Y, fn=lambda gl, el: "y" if el == "x1" else "z")
+    with pytest.raises(ValueError, match="leaves the codomain fiber"):
+        D.maps_equal(stray, SpanMor(X, Y, fn=lambda gl, el: "y"))
+    with pytest.raises(ValueError, match="leaves the codomain fiber"):
+        D.maps_equal(D.compose(D.identity(X), stray), D.compose(stray, D.identity(Y)))
 
 
 def test_globes_sort_by_sort_key():
@@ -251,3 +287,13 @@ def test_chains_are_the_k_tuples_composing_to_the_globe(base, t):
             got = D.chains(t, globe, k)
             assert len(set(got)) == len(got)
             assert sorted(got) == brute, (globe, k)
+
+
+def test_maps_of_another_instance_are_applied_through_values(par):
+    cat, D = par
+    other = SpanDuoidal(cat)
+    X = D.atom("X", {arrow_globe(cat, "u"): ("a", "b")})
+    swap = SpanMor(X, X, fn=lambda g, el: {"a": "b", "b": "a"}[el])
+    assert other.maps_equal(D.compose(swap, swap), other.identity(X))
+    assert D.maps_equal(other.compose(swap, swap), D.identity(X))
+    assert not other.maps_equal(D.box0_map(swap, D.identity(D.e)), other.identity(X))
