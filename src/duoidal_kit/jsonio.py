@@ -1,7 +1,9 @@
 """JSON interchange for the corpus: one schema family with a kind tag.
 
-Every document carries `kind` and `schema_version`; loaders validate the
-payload through the same constructors the library uses internally, so a
+Every document carries `kind` and `schema_version`.  The package's
+`schemas/<kind>.schema.json` are the one statement of the format: loaders
+walk each document against its schema (`SCHEMAS`, `_walk`), then validate
+the payload through the same constructors the library uses internally, so a
 malformed file fails before any checking starts.  `dumps` is canonical
 (sorted keys, fixed separators), which makes load/save round trips
 byte-exact on canonical files.
@@ -10,6 +12,7 @@ byte-exact on canonical files.
 from __future__ import annotations
 
 import json
+from importlib.resources import files
 
 from .fincat import Arrow, CatFunctor, FiniteCategory, TableDuoidal, ValidationError
 from .monoids import Monoid
@@ -18,28 +21,53 @@ from .tamarkin import CatValuedFunctor, ObjectFunctor, cat_valued_functor, objec
 
 SCHEMA_VERSION = 1
 
-# The required fields of each kind, in the order they are checked, with
-# their JSON types as in schemas/<kind>.schema.json.  None marks a nested
-# document, which the loader of its own kind checks.
-REQUIRED = {
-    "monoid": {"name": "string", "elements": "array", "unit": "string", "table": "object"},
-    "category": {
-        "name": "string", "objects": "array", "arrows": "array", "identities": "object", "compose": "object",
-    },
-    "object_functor": {"category": None, "sets": "object", "maps": "object"},
-    "cat_valued_functor": {"base": None, "values": "object", "functors": "object"},
-    "span_object": {"name": "string", "category": None, "fibers": "array"},
-    "duoidal_table": {
-        "name": "string", "base": None, "e": "string", "v": "string",
-        "box0_objects": "object", "box1_objects": "object", "box0_arrows": "object", "box1_arrows": "object",
-        "interchange": "object", "delta_e": "string", "mu_v": "string", "iota": "string",
-    },
-    "one_operad": {
-        "name": "string", "instance": "string", "components": "object", "gamma": "object", "unit": "string",
-    },
-    "duoid": {"carrier": "string", "mult0": "string", "unit0": "string", "mult1": "string", "unit1": "string"},
-}
+# The JSON Schema 2020-12 keywords that `_walk` interprets, and the annotations it ignores.
+KEYWORDS = {"type", "required", "properties", "const", "items", "$ref", "minItems", "maxItems"}
+ANNOTATIONS = {"title", "description", "$schema"}
 _JSON_TYPES = {"string": str, "array": list, "object": dict}
+
+
+def interpreted(schema, name):
+    """`schema`, refused if it or a subschema uses a keyword that `_walk` would ignore."""
+    unknown = set(schema) - KEYWORDS - ANNOTATIONS
+    if unknown:
+        raise ValueError(f"{name}: schema keywords {sorted(unknown)} are not interpreted")
+    for sub in [*schema.get("properties", {}).values(), *([schema["items"]] if "items" in schema else [])]:
+        interpreted(sub, name)
+    return schema
+
+
+SCHEMAS = {
+    path.name.removesuffix(".schema.json"): interpreted(json.loads(path.read_text(encoding="utf-8")), path.name)
+    for path in (files(__package__) / "schemas").iterdir()
+    if path.name.endswith(".schema.json")
+}
+
+
+def _walk(value, schema, kind, path=""):
+    """Check `value` against `schema`; a fault names `kind` and the JSON path of
+    the value.  A `$ref` restarts both at the document it refers to."""
+    field = f"field {path!r}" if path else "the document"
+    if "$ref" in schema:
+        ref = schema["$ref"].removesuffix(".schema.json")
+        _walk(value, SCHEMAS[ref], ref)
+    if "type" in schema and not isinstance(value, _JSON_TYPES[schema["type"]]):
+        raise ValidationError(f"{kind}: {field} is not a JSON {schema['type']}")
+    if "const" in schema and (value != schema["const"] or isinstance(value, bool) != isinstance(schema["const"], bool)):
+        raise ValidationError(f"{kind}: {field} is not {json.dumps(schema['const'])}")
+    if isinstance(value, dict):
+        for name in schema.get("required", ()):
+            if name not in value:
+                raise ValidationError(f"{kind}: missing field {f'{path}.{name}'.lstrip('.')!r}")
+        for name, sub in schema.get("properties", {}).items():
+            if name in value:
+                _walk(value[name], sub, kind, f"{path}.{name}".lstrip("."))
+    if isinstance(value, list):
+        low, high = schema.get("minItems", 0), schema.get("maxItems", len(value))
+        if not low <= len(value) <= high:
+            raise ValidationError(f"{kind}: {field} has {len(value)} items, not between {low} and {high}")
+        for i, item in enumerate(value if "items" in schema else ()):
+            _walk(item, schema["items"], kind, f"{path}[{i}]")
 
 
 def dumps(doc) -> str:
@@ -47,19 +75,15 @@ def dumps(doc) -> str:
 
 
 def _expect(doc, kind):
-    """Check the kind tag, the schema version and the required fields with
-    their JSON types (`REQUIRED`)."""
+    """Check the kind tag and the schema version, then walk the document
+    against the schema of its kind."""
     if not isinstance(doc, dict):
         raise ValidationError(f"expected a {kind} object, found {type(doc).__name__}")
     if doc.get("kind") != kind:
         raise ValidationError(f"expected kind {kind!r}, found {doc.get('kind')!r}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    for name, json_type in REQUIRED[kind].items():
-        if name not in doc:
-            raise ValidationError(f"{kind}: missing field {name!r}")
-        if json_type is not None and not isinstance(doc[name], _JSON_TYPES[json_type]):
-            raise ValidationError(f"{kind}: field {name!r} is not a JSON {json_type}")
+    _walk(doc, SCHEMAS[kind], kind)
 
 
 def _keys(table, names, parts, where, what):
@@ -217,17 +241,12 @@ def span_object_from_doc(doc):
     fibers = {}
     for i, entry in enumerate(doc["fibers"]):
         where = f"span_object {doc['name']}: fiber entry {i}"
-        try:
-            globe, elements = Globe(*entry["globe"]), entry["elements"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"{where} is malformed ({exc})") from exc
-        if not isinstance(elements, list):
-            raise ValidationError(f"{where}: 'elements' is not a JSON array")
+        globe = Globe(*entry["globe"])
         if globe not in globes:
             raise ValidationError(f"{where}: globe {globe.render()} is not a parallel pair of the base")
         if globe in fibers:
             raise ValidationError(f"{where}: globe {globe.render()} repeats an earlier entry")
-        fibers[globe] = tuple(elements)
+        fibers[globe] = tuple(entry["elements"])
     return D, D.atom(doc["name"], fibers)
 
 
@@ -290,6 +309,8 @@ def table_operad_from_doc(doc, D):
     if not isinstance(D, TableDuoidal):
         raise ValidationError("a one_operad document names objects and arrows of a table instance")
     components = {_arity(n, "operad components"): obj for n, obj in doc["components"].items()}
+    if not components:
+        raise ValidationError("one_operad: field 'components' lists no arity")
     for n, obj in components.items():
         if obj not in D.objects():
             raise ValidationError(f"operad component {n} {obj!r} is not an object of the instance")
@@ -340,16 +361,6 @@ def duoid_from_doc(doc, D):
     return Duoid(x, doc["mult0"], doc["unit0"], doc["mult1"], doc["unit1"], name=doc.get("name", "duoid"))
 
 
-LOADERS = {
-    "monoid": monoid_from_doc,
-    "category": category_from_doc,
-    "object_functor": object_functor_from_doc,
-    "cat_valued_functor": cat_valued_functor_from_doc,
-    "span_object": span_object_from_doc,
-    "duoidal_table": table_duoidal_from_doc,
-}
-
-
 def load_document(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -359,6 +370,6 @@ def load_document(path):
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: the top level is not a JSON object")
     kind = doc.get("kind")
-    if kind not in LOADERS and kind not in ("one_operad", "duoid"):
+    if kind not in SCHEMAS:
         raise ValidationError(f"{path}: unknown kind {kind!r}")
     return doc

@@ -310,6 +310,13 @@ def _patched(path, name, patch):
             ("check-duoid", "--builtin", "bool_lattice", "--duoid"),
             "field 'mult0' is not a JSON string",
         ),
+        ("z2.json", lambda d: d.update(elements=[0, 1]), ("center", "--monoid"), "monoid: field 'elements[0]' is not a JSON string"),
+        (
+            "id_bz2_functor.json",
+            lambda d: d["base"]["arrows"][0].update(tgt=1),
+            ("tamarkin", "--globe", "id_*,id_*", "--functor"),
+            "category: field 'arrows[0].tgt' is not a JSON string",
+        ),
     ],
 )
 def test_wrong_json_types_exit_2(tmp_path, name, patch, argv, message):
@@ -360,6 +367,7 @@ MONOID = ("center", "--monoid")
             ("tamarkin", "--globe", "u,w", "--functor"),
             "functor 'w' arrows key 't' does not name an arrow",
         ),
+        ("fass_additive_z2.json", lambda d: d.update(components={}), OPERAD, "one_operad: field 'components' lists no arity"),
     ],
 )
 def test_table_keys_that_name_nothing_exit_2(tmp_path, name, patch, argv, message):

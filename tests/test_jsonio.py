@@ -7,6 +7,7 @@ from duoidal_kit import jsonio
 from duoidal_kit.fincat import ValidationError
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+SCHEMAS = Path(jsonio.__file__).resolve().parent / "schemas"
 
 
 @pytest.mark.parametrize(
@@ -60,7 +61,6 @@ def test_loading_validates_through_the_constructors(tmp_path):
 
 
 def test_schema_documents_exist_for_every_kind():
-    schema_dir = Path(__file__).resolve().parent.parent / "schemas"
     kinds = {
         "monoid",
         "category",
@@ -71,8 +71,9 @@ def test_schema_documents_exist_for_every_kind():
         "one_operad",
         "duoid",
     }
+    assert set(jsonio.SCHEMAS) == kinds
     for kind in kinds:
-        body = json.loads((schema_dir / f"{kind}.schema.json").read_text())
+        body = json.loads((SCHEMAS / f"{kind}.schema.json").read_text())
         assert body["title"] == kind
         assert "schema_version" in body["properties"]
 
@@ -84,19 +85,15 @@ def test_unknown_kind_rejected(tmp_path):
         jsonio.load_document(path)
 
 
-SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
-
-
-def test_required_field_types_match_the_schemas():
-    """The loaders enforce exactly the required fields and top-level JSON types
-    of schemas/<kind>.schema.json (None where the schema refers to another
-    kind's document)."""
-    kinds = {p.name.removesuffix(".schema.json") for p in SCHEMAS.glob("*.schema.json")}
-    assert set(jsonio.REQUIRED) == kinds
-    for kind in kinds:
-        body = json.loads((SCHEMAS / f"{kind}.schema.json").read_text())
-        required = [f for f in body["required"] if f not in ("kind", "schema_version")]
-        assert jsonio.REQUIRED[kind] == {f: body["properties"][f].get("type") for f in required}, kind
+def test_a_schema_keyword_outside_the_subset_is_refused():
+    for schema in (
+        {"type": "string", "enum": ["a", "b"]},
+        {"type": "object", "properties": {"table": {"type": "object", "additionalProperties": {"type": "string"}}}},
+        {"type": "array", "items": {"type": "string", "pattern": "^[a-z]+$"}},
+    ):
+        with pytest.raises(ValueError, match="are not interpreted"):
+            jsonio.interpreted(schema, "widget.schema.json")
+    assert jsonio.interpreted(jsonio.SCHEMAS["category"], "category.schema.json") is jsonio.SCHEMAS["category"]
 
 
 def _object_functor_doc():
@@ -104,41 +101,50 @@ def _object_functor_doc():
     return {"kind": "object_functor", "schema_version": 1, "category": category, "sets": {}, "maps": {}}
 
 
-@pytest.mark.parametrize(
-    "kind, field, value",
-    [
-        ("monoid", "elements", "01"),
-        ("category", "objects", "01"),
-        ("object_functor", "sets", ["a"]),
-        ("cat_valued_functor", "functors", ["id_*"]),
-        ("span_object", "fibers", {}),
-        ("duoidal_table", "e", 0),
-        ("one_operad", "components", ["*"]),
-        ("duoid", "mult0", ["x"]),
-    ],
-)
+WRONG_TYPES = [
+    ("monoid", "elements", "01"),
+    ("category", "objects", "01"),
+    ("object_functor", "sets", ["a"]),
+    ("cat_valued_functor", "functors", ["id_*"]),
+    ("span_object", "fibers", {}),
+    ("duoidal_table", "e", 0),
+    ("one_operad", "components", ["*"]),
+    ("duoid", "mult0", ["x"]),
+]
+FILES = {
+    "monoid": "z2.json",
+    "category": "arrow_category.json",
+    "cat_valued_functor": "id_bz2_functor.json",
+    "span_object": "span_object_parallel.json",
+    "duoidal_table": "bool_lattice.json",
+    "one_operad": "fass_additive_z2.json",
+    "duoid": "duoid_v_bool_lattice.json",
+}
+
+
+def _wrong_type_doc(kind, field, value):
+    doc = _object_functor_doc() if kind == "object_functor" else json.loads((CORPUS / FILES[kind]).read_text())
+    doc[field] = value
+    return doc
+
+
+@pytest.mark.parametrize("kind, field, value", WRONG_TYPES)
 def test_a_wrong_json_type_names_the_field(kind, field, value):
     from duoidal_kit.instances import additive_instance, bool_lattice_instance
     from duoidal_kit.monoids import cyclic
 
-    files = {
-        "monoid": "z2.json",
-        "category": "arrow_category.json",
-        "cat_valued_functor": "id_bz2_functor.json",
-        "span_object": "span_object_parallel.json",
-        "duoidal_table": "bool_lattice.json",
-        "one_operad": "fass_additive_z2.json",
-        "duoid": "duoid_v_bool_lattice.json",
-    }
-    doc = _object_functor_doc() if kind == "object_functor" else json.loads((CORPUS / files[kind]).read_text())
-    doc[field] = value
     loaders = {
-        **jsonio.LOADERS,
+        "monoid": jsonio.monoid_from_doc,
+        "category": jsonio.category_from_doc,
+        "object_functor": jsonio.object_functor_from_doc,
+        "cat_valued_functor": jsonio.cat_valued_functor_from_doc,
+        "span_object": jsonio.span_object_from_doc,
+        "duoidal_table": jsonio.table_duoidal_from_doc,
         "one_operad": lambda d: jsonio.table_operad_from_doc(d, additive_instance(cyclic(2))),
         "duoid": lambda d: jsonio.duoid_from_doc(d, bool_lattice_instance()),
     }
     with pytest.raises(ValidationError, match=f"{kind}: field '{field}' is not a JSON"):
-        loaders[kind](doc)
+        loaders[kind](_wrong_type_doc(kind, field, value))
 
 
 def test_object_functor_map_keys_name_source_elements():
@@ -174,5 +180,68 @@ def test_span_fiber_over_a_repeated_globe_is_rejected():
 
 def test_span_fiber_elements_must_be_an_array():
     doc = _span_doc([{"globe": ["0", "1", "u", "w"], "elements": "yz"}])
-    with pytest.raises(ValidationError, match="fiber entry 0: 'elements' is not a JSON array"):
+    with pytest.raises(ValidationError, match=r"span_object: field 'fibers\[0\]\.elements' is not a JSON array"):
         jsonio.span_object_from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "fiber, message",
+    [
+        ({"globe": ["0", "1", "u", "w"], "elements": [[1]]}, r"field 'fibers\[0\]\.elements\[0\]' is not a JSON string"),
+        ({"globe": ["0", "1", "u"], "elements": ["y"]}, r"field 'fibers\[0\]\.globe' has 3 items, not between 4 and 4"),
+        ({"globe": ["0", "1", "u", 5], "elements": ["y"]}, r"field 'fibers\[0\]\.globe\[3\]' is not a JSON string"),
+        ({"globe": ["0", "1", "u", "w"]}, r"missing field 'fibers\[0\]\.elements'"),
+    ],
+)
+def test_span_fiber_items_are_checked_by_path(fiber, message):
+    with pytest.raises(ValidationError, match=f"^span_object: {message}$"):
+        jsonio.span_object_from_doc(_span_doc([fiber]))
+
+
+def _nested(name, patch):
+    doc = json.loads((CORPUS / name).read_text())
+    patch(doc)
+    return doc
+
+
+# Documents whose faults lie in nested items, or outside what the schemas say.
+NESTED = [
+    _nested("z2.json", lambda d: d.update(elements=[0, 1])),
+    _nested("z2.json", lambda d: d["table"].update({"0": "01"})),
+    _nested("id_bz2_functor.json", lambda d: d["base"]["arrows"][0].update(tgt=1)),
+    _nested("id_bz2_functor.json", lambda d: d["base"]["arrows"][0].pop("src")),
+    _nested("id_bz2_functor.json", lambda d: d["base"].update(objects="*")),
+    _nested("id_bz2_functor.json", lambda d: d["base"].update(schema_version=True)),
+    _nested("id_bz2_functor.json", lambda d: d.update(base=5)),
+    _nested("id_bz2_functor.json", lambda d: d["functors"].update({"id_*": "id"})),
+    _nested("arrow_category.json", lambda d: d["arrows"].append("a")),
+    _nested("arrow_category.json", lambda d: d["compose"].update({"a a": 5})),
+    _nested("fass_additive_z2.json", lambda d: d.update(components={})),
+    _nested("fass_additive_z2.json", lambda d: d["gamma"].update({"1;1": ["a"]})),
+    _nested("span_object_parallel.json", lambda d: d["fibers"][0].update(elements=[[1]])),
+    _nested("span_object_parallel.json", lambda d: d["fibers"][0]["globe"].pop()),
+    _nested("span_object_parallel.json", lambda d: d["fibers"][0]["globe"].append("u")),
+]
+
+
+def test_the_interpreter_agrees_with_jsonschema():
+    """`jsonio` accepts and rejects exactly the documents that a full JSON
+    Schema 2020-12 validator does, on the corpus and on malformed documents."""
+    jsonschema = pytest.importorskip("jsonschema")
+    referencing = pytest.importorskip("referencing")
+    registry = referencing.Registry().with_resources(
+        (f"{kind}.schema.json", referencing.Resource.from_contents(schema)) for kind, schema in jsonio.SCHEMAS.items()
+    )
+    documents = [json.loads(path.read_text()) for path in sorted(CORPUS.glob("*.json"))]
+    documents += [_wrong_type_doc(*row) for row in WRONG_TYPES] + NESTED
+    verdicts = set()
+    for doc in documents:
+        try:
+            jsonio._expect(doc, doc["kind"])
+            accepted = True
+        except ValidationError:
+            accepted = False
+        validator = jsonschema.Draft202012Validator(jsonio.SCHEMAS[doc["kind"]], registry=registry)
+        assert accepted == validator.is_valid(doc), jsonio.dumps(doc)
+        verdicts.add(accepted)
+    assert verdicts == {True, False} and len(documents) == 14 + len(WRONG_TYPES) + len(NESTED)
