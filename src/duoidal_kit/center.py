@@ -166,6 +166,8 @@ def totalize(D, X: CosimplicialObject, delta: CosimplicialObject, N: int = 3, ke
         raise ValueError("totalization needs N >= 1")
     if N > X.N:
         raise ValueError(f"cosimplicial object only defined to level {X.N + 1}")
+    if N > delta.N:
+        raise ValueError(f"weights only defined to level {delta.N + 1}")
     if keys is None:
         keys = D.support(X.level(0))
     by_level = {key: _families_at(D, X, delta, N, key) for key in keys}
@@ -249,7 +251,7 @@ def duoid_on_center(A: MultOperad, name=None):
     def corestrict(f, label):
         try:
             return D.corestrict_map(f, z, cen.fibers)
-        except KeyError as exc:
+        except ValueError as exc:
             raise InternalConsistencyError(f"{label} left the equalizer: {exc}") from exc
 
     mult0 = corestrict(mult0_variants(A, cen)[(0, 0)], "mult0")

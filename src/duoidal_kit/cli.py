@@ -12,36 +12,21 @@ import operator
 import os
 import sys
 
-from . import jsonio
+from . import instances, jsonio
 from .fincat import ValidationError
 from .finset import CartesianFinSet, atom_letter
+from .monoids import cyclic
 from .report import CheckReport, SizeError, sorted_elements
 
-BUILTIN_INSTANCES = (
-    "bool_lattice",
-    "bool_cartesian",
-    "additive_z2",
-    "additive_z3",
-    "discrete_z3",
-    "cartesian",
-)
-
-
-def _builtin_instance(name):
-    from . import instances
-    from .monoids import cyclic
-
-    table = {
-        "bool_lattice": instances.bool_lattice_instance,
-        "bool_cartesian": instances.bool_cartesian_instance,
-        "additive_z2": lambda: instances.additive_instance(cyclic(2)),
-        "additive_z3": lambda: instances.additive_instance(cyclic(3)),
-        "discrete_z3": lambda: instances.discrete_commutative_instance(cyclic(3)),
-        "cartesian": CartesianFinSet,
-    }
-    if name not in table:
-        raise ValidationError(f"unknown builtin instance {name!r}; choose from {', '.join(BUILTIN_INSTANCES)}")
-    return table[name]()
+# the --builtin choices, each built when chosen
+BUILTIN_INSTANCES = {
+    "bool_lattice": instances.bool_lattice_instance,
+    "bool_cartesian": instances.bool_cartesian_instance,
+    "additive_z2": lambda: instances.additive_instance(cyclic(2)),
+    "additive_z3": lambda: instances.additive_instance(cyclic(3)),
+    "discrete_z3": lambda: instances.discrete_commutative_instance(cyclic(3)),
+    "cartesian": CartesianFinSet,
+}
 
 
 def _load_instance(args):
@@ -49,7 +34,7 @@ def _load_instance(args):
     has a default)."""
     if args.instance:
         return jsonio.table_duoidal_from_doc(jsonio.load_document(args.instance))
-    return _builtin_instance(args.builtin)
+    return BUILTIN_INSTANCES[args.builtin]()
 
 
 def _emit(args, text):
@@ -214,9 +199,9 @@ def cmd_delta_center(args):
     weights = {
         "const": constant_weights,
         "ordinals": ordinal_weights,
-        "lax": lambda: lax_center_weights("lax"),
-        "colax": lambda: lax_center_weights("colax"),
-    }[args.delta]()
+        "lax": lambda N: lax_center_weights("lax", N),
+        "colax": lambda N: lax_center_weights("colax", N),
+    }[args.delta](args.levels)
     X = cosimplicial_from_multiplicative(A, args.levels)
     tot = totalize(A.D, X, weights, N=args.levels)
     lines = [f"delta-center of {monoid.name} with {weights.name} weights (N = {args.levels})"]

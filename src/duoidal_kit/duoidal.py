@@ -43,23 +43,11 @@ class Tensors:
     def box1(self, x, y):
         return self.tensor(1, (x, y))
 
-    def box0_many(self, xs):
-        return self.tensor(0, xs)
-
-    def box1_many(self, xs):
-        return self.tensor(1, xs)
-
     def box0_map(self, f, g):
         return self.tensor_map(0, (f, g))
 
     def box1_map(self, f, g):
         return self.tensor_map(1, (f, g))
-
-    def box0_map_many(self, fs):
-        return self.tensor_map(0, fs)
-
-    def box1_map_many(self, fs):
-        return self.tensor_map(1, fs)
 
 
 def chain(D, *maps):
@@ -77,7 +65,7 @@ def iterated_mu_v(D, m: int):
         return D.identity(D.v)
     if m == 2:
         return D.mu_v()
-    step = D.box0_map(D.mu_v(), D.identity(D.box0_many([D.v] * (m - 2))))
+    step = D.box0_map(D.mu_v(), D.identity(D.tensor(0, [D.v] * (m - 2))))
     return chain(D, step, iterated_mu_v(D, m - 1))
 
 
@@ -107,8 +95,8 @@ def iterated_interchange(D, xs, ys):
         return D.mu_v()
     if n == 1:
         return D.identity(D.box0(xs[0], ys[0]))
-    x_rest = D.box1_many(xs[1:])
-    y_rest = D.box1_many(ys[1:])
+    x_rest = D.tensor(1, xs[1:])
+    y_rest = D.tensor(1, ys[1:])
     first = D.interchange(xs[0], x_rest, ys[0], y_rest)
     rest = iterated_interchange(D, xs[1:], ys[1:])
     return chain(D, first, D.box1_map(D.identity(D.box0(xs[0], ys[0])), rest))
@@ -130,11 +118,11 @@ def matrix_interchange(D, grid):
     if m == 0:
         return iterated_delta_e(D, k)
     if m == 1:
-        return D.identity(D.box1_many([row[0] for row in grid]))
-    col0 = D.box1_many([row[0] for row in grid])
+        return D.identity(D.tensor(1, [row[0] for row in grid]))
+    col0 = D.tensor(1, [row[0] for row in grid])
     rest_rows = [[row[j] for j in range(1, m)] for row in grid]
     rest = matrix_interchange(D, rest_rows)
-    rest_objs = [D.box0_many(row) for row in rest_rows]
+    rest_objs = [D.tensor(0, row) for row in rest_rows]
     step = D.box0_map(D.identity(col0), rest)
     shuffle = iterated_interchange(D, [row[0] for row in grid], rest_objs)
     return chain(D, step, shuffle)

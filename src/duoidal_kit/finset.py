@@ -326,13 +326,13 @@ class CartesianFinSet(Tensors):
         sub = (atom_letter(name, tuple(fibers[None])),)
         return sub, CartMap(sub, x, fn=lambda t: t[0])
 
-    def corestrict_map(self, f, sub, fibers, cap=DEFAULT_CAP):
+    def corestrict_map(self, f, sub, fibers):
         """Factor f through a subobject, checking the image pointwise."""
         allowed = set(fibers[None])
         table = {}
-        for x in word_elements(f.dom, cap):
+        for x in word_elements(f.dom):
             y = f.apply(x)
             if y not in allowed:
-                raise KeyError(f"image {y!r} is not in the subobject")
+                raise ValueError(f"image {y!r} is not in the subobject")
             table[x] = (y,)
         return CartMap(f.dom, sub, table=table)

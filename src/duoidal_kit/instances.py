@@ -92,7 +92,7 @@ def bool_cartesian_instance():
     )
 
 
-def additive_instance(m: Monoid, name=None):
+def additive_instance(m: Monoid):
     """One object, hom = a commutative monoid, both tensors = addition.
 
     Interchange and all unit comparison maps are the monoid unit.  The homs
@@ -102,7 +102,7 @@ def additive_instance(m: Monoid, name=None):
 
     if not m.is_commutative():
         raise ValidationError("additive instances need a commutative monoid")
-    name = name or f"additive_{m.name}"
+    name = f"additive_{m.name}"
     label = {x: f"a{i}" for i, x in enumerate(m.elements)}
     arrows = [Arrow(label[x], "*", "*") for x in m.elements]
     table = {(label[x], label[y]): label[m.mult(x, y)] for x in m.elements for y in m.elements}
@@ -126,14 +126,14 @@ def additive_instance(m: Monoid, name=None):
     )
 
 
-def discrete_commutative_instance(m: Monoid, name=None):
+def discrete_commutative_instance(m: Monoid):
     """Objects = elements of a commutative monoid, only identity arrows,
     both tensors = the monoid operation."""
     from .fincat import TableDuoidal
 
     if not m.is_commutative():
         raise ValidationError("discrete instances need a commutative monoid")
-    name = name or f"discrete_{m.name}"
+    name = f"discrete_{m.name}"
     objs = tuple(str(x) for x in m.elements)
     lift = {str(x): x for x in m.elements}
     base = finite_category(name, objs, [])

@@ -21,8 +21,9 @@ from .tamarkin import CatValuedFunctor, ObjectFunctor, cat_valued_functor, objec
 
 SCHEMA_VERSION = 1
 
-# The JSON Schema 2020-12 keywords that `_walk` interprets, and the annotations it ignores.
-KEYWORDS = {"type", "required", "properties", "const", "items", "$ref", "minItems", "maxItems"}
+# The JSON Schema 2020-12 keywords that `_walk` interprets (`additionalProperties`
+# only as false), and the annotations it ignores.
+KEYWORDS = {"type", "required", "properties", "additionalProperties", "const", "items", "$ref", "minItems", "maxItems"}
 ANNOTATIONS = {"title", "description", "$schema"}
 _JSON_TYPES = {"string": str, "array": list, "object": dict}
 
@@ -30,6 +31,8 @@ _JSON_TYPES = {"string": str, "array": list, "object": dict}
 def interpreted(schema, name):
     """`schema`, refused if it or a subschema uses a keyword that `_walk` would ignore."""
     unknown = set(schema) - KEYWORDS - ANNOTATIONS
+    if schema.get("additionalProperties", False) is not False:
+        unknown.add("additionalProperties")
     if unknown:
         raise ValueError(f"{name}: schema keywords {sorted(unknown)} are not interpreted")
     for sub in [*schema.get("properties", {}).values(), *([schema["items"]] if "items" in schema else [])]:
@@ -59,6 +62,10 @@ def _walk(value, schema, kind, path=""):
         for name in schema.get("required", ()):
             if name not in value:
                 raise ValidationError(f"{kind}: missing field {f'{path}.{name}'.lstrip('.')!r}")
+        if schema.get("additionalProperties") is False:
+            for name in value:
+                if name not in schema.get("properties", {}):
+                    raise ValidationError(f"{kind}: unknown field {f'{path}.{name}'.lstrip('.')!r}")
         for name, sub in schema.get("properties", {}).items():
             if name in value:
                 _walk(value[name], sub, kind, f"{path}.{name}".lstrip("."))
@@ -308,6 +315,8 @@ def table_operad_from_doc(doc, D):
     _expect(doc, "one_operad")
     if not isinstance(D, TableDuoidal):
         raise ValidationError("a one_operad document names objects and arrows of a table instance")
+    if doc["instance"] != D.name:
+        raise ValidationError(f"operad over the instance {doc['instance']!r}, not over the instance {D.name!r}")
     components = {_arity(n, "operad components"): obj for n, obj in doc["components"].items()}
     if not components:
         raise ValidationError("one_operad: field 'components' lists no arity")

@@ -134,7 +134,7 @@ def check_one_operad(A: OneOperad, bound=None, max_assoc_total=None) -> CheckRep
     def inner_units():
         """Units inserted in all inner slots."""
         for k in range(0 if A.has_zero else 1, bound + 1):
-            units = chain(D, iterated_delta_e(D, k), D.box1_map_many([A.unit] * k))
+            units = chain(D, iterated_delta_e(D, k), D.tensor_map(1, [A.unit] * k))
             left = chain(D, D.box0_map(units, D.identity(A.component(k))), A.gamma(k, (1,) * k))
             yield k, left, D.identity(A.component(k))
 
@@ -159,10 +159,10 @@ def check_one_operad(A: OneOperad, bound=None, max_assoc_total=None) -> CheckRep
                 for lss in itertools.product(*inner_choices):
                     if sum(sum(ls) for ls in lss) > max_total:
                         continue
-                    f_objs = [D.box1_many([A.component(l) for l in ls]) for ls in lss]
+                    f_objs = [D.tensor(1, [A.component(l) for l in ls]) for ls in lss]
                     route1 = chain(
                         D,
-                        D.box0_map(D.identity(D.box1_many(f_objs)), A.gamma(n, ks)),
+                        D.box0_map(D.identity(D.tensor(1, f_objs)), A.gamma(n, ks)),
                         A.gamma(sum(ks), tuple(l for ls in lss for l in ls)),
                     )
                     inner_gammas = [A.gamma(k, ls) for k, ls in zip(ks, lss)]
@@ -170,7 +170,7 @@ def check_one_operad(A: OneOperad, bound=None, max_assoc_total=None) -> CheckRep
                     route2 = chain(
                         D,
                         D.box0_map(shuffle, D.identity(A.component(n))),
-                        D.box0_map(D.box1_map_many(inner_gammas), D.identity(A.component(n))),
+                        D.box0_map(D.tensor_map(1, inner_gammas), D.identity(A.component(n))),
                         A.gamma(n, tuple(sum(ls) for ls in lss)),
                     )
                     yield (n, ks, lss), route1, route2
@@ -189,7 +189,7 @@ def check_one_operad(A: OneOperad, bound=None, max_assoc_total=None) -> CheckRep
             left = chain(
                 D,
                 D.box0_map(iterated_interchange(D, [D.v] * k, zeros), D.identity(A.component(k))),
-                D.box0_map(D.box1_map_many([A.gamma(0, ())] * k), D.identity(A.component(k))),
+                D.box0_map(D.tensor_map(1, [A.gamma(0, ())] * k), D.identity(A.component(k))),
                 A.gamma(k, (0,) * k),
             )
             yield k, top, left
@@ -226,7 +226,7 @@ def _check_morphism(S: OneOperad, E: OneOperad, f: dict, bound, title, unit_row,
         for n in range(0 if S.has_zero else 1, bound + 1):
             for ks in itertools.product(range(0, bound + 1), repeat=n):
                 if sum(ks) <= bound:
-                    lhs = chain(D, D.box0_map(D.box1_map_many([f[k] for k in ks]), f[n]), E.gamma(n, ks))
+                    lhs = chain(D, D.box0_map(D.tensor_map(1, [f[k] for k in ks]), f[n]), E.gamma(n, ks))
                     yield (n, ks), lhs, chain(D, S.gamma(n, ks), f[sum(ks)])
 
     rep.add_law(morphism_row, shapes(), D.maps_equal, f"shapes within {bound}", lambda w: "(n={}; ks={})".format(*w))
@@ -415,7 +415,7 @@ def coface(A: MultOperad, n: int, i: int):
         )
     if not 1 <= i <= n:
         raise ValueError(f"coface index {i} outside 0..{n + 1}")
-    f_i = D.box1_map_many([A.m[1]] * (i - 1) + [A.m[2]] + [A.m[1]] * (n - i))
+    f_i = D.tensor_map(1, [A.m[1]] * (i - 1) + [A.m[2]] + [A.m[1]] * (n - i))
     ks = (1,) * (i - 1) + (2,) + (1,) * (n - i)
     return chain(
         D,
@@ -432,7 +432,7 @@ def codegeneracy(A: MultOperad, n: int, i: int):
     an1 = base.component(n + 1)
     if not 0 <= i <= n:
         raise ValueError(f"codegeneracy index {i} outside 0..{n}")
-    g_i = D.box1_map_many([A.m[1]] * i + [A.m[0]] + [A.m[1]] * (n - i))
+    g_i = D.tensor_map(1, [A.m[1]] * i + [A.m[0]] + [A.m[1]] * (n - i))
     ks = (1,) * i + (0,) + (1,) * (n - i)
     return chain(
         D,

@@ -14,11 +14,11 @@ element of each factor over its globe of the chain).
 Inside an instance every element has an integer code: an atom's elements
 are numbered per (atom, globe) in the order they are first met, so coding
 never lists a fiber, and a node element is the tuple (chain id, child
-code, ...), with chains interned per instance.  The maps the instance
-builds (identities, composites, tensors, structure maps) work on codes and
-store their value at each code they meet, one dict per globe.  Values
+code, ...), with chains interned per instance.  Every map (`SpanMor`)
+belongs to the instance that built it and works on that instance's codes,
+storing its value at each code it meets, one dict per globe.  Values
 appear only at the boundary: `fiber`, `SpanMor.apply`/`apply_at`, and the
-maps given on values by a function or a table, which are decoded, applied
+maps given on values (`SpanDuoidal.value_map`), which are decoded, applied
 and re-coded once per element.
 """
 
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .duoidal import Tensors
 from .fincat import FiniteCategory
-from .report import SizeError, skey, sorted_elements
+from .report import SizeError, sorted_elements
 
 
 class Globe(NamedTuple):
@@ -43,9 +43,6 @@ class Globe(NamedTuple):
     b: str
     f: str
     g: str
-
-    def sort_key(self):
-        return (self.a, self.b, self.f, self.g)
 
     def render(self):
         return f"({self.a},{self.b},{self.f},{self.g})"
@@ -95,8 +92,8 @@ def vsplits(cat: FiniteCategory, globe: Globe):
 class SpanAtom:
     """An atom: a family whose fiber over a globe comes from a function.
 
-    A listed atom (`span_atom`) looks its fibers up in a table; a hom object
-    computes them.  Identity is the structural `key`, hashed once.  Fibers
+    A listed atom (`SpanDuoidal.atom`) looks its fibers up in a table; a hom
+    object computes them.  Identity is the structural `key`, hashed once.  Fibers
     are listed and coded by the instance (`SpanDuoidal.fiber`), not by the
     atom.
     """
@@ -117,20 +114,6 @@ class SpanAtom:
 
     def __repr__(self):
         return f"SpanAtom({self.name})"
-
-    def sort_key(self):
-        return (self.name, skey(self.key))
-
-
-def span_atom(name, fibers: dict) -> SpanAtom:
-    """An atom with listed fibers, globe -> elements; empty fibers are dropped."""
-    table = {}
-    for g, elems in fibers.items():
-        elems = tuple(sorted_elements(elems))
-        if elems:
-            table[g] = elems
-    listed = tuple(sorted(table.items(), key=lambda p: p[0].sort_key()))
-    return SpanAtom(name, (name, listed), lambda g: table.get(g, ()))
 
 
 class SpanNode:
@@ -157,29 +140,21 @@ class SpanNode:
     def __repr__(self):
         return f"SpanNode(kind={self.kind!r}, children={self.children!r})"
 
-    def sort_key(self):
-        return (self.kind, tuple(c.sort_key() for c in self.children))
-
 
 class SpanMor:
-    """A morphism of globe-indexed families, evaluated lazily.
-
-    Defined on element values by `fn(globe, element) -> element` or by a
-    per-globe table `mapping`, or on codes by an instance
-    (`SpanDuoidal.code_map`).  Once an instance uses a map, the map stores
-    its value at each code it meets (`at`), one dict per globe.
+    """A morphism of globe-indexed families on the codes of the instance
+    `owner` that built it, evaluated lazily: `code(globe, code) -> code`.
+    It stores its value at each code it meets (`at`), one dict per globe.
     """
 
-    __slots__ = ("dom", "cod", "_fn", "_code", "_owner", "_rows")
+    __slots__ = ("owner", "dom", "cod", "code", "_rows")
 
-    def __init__(self, dom, cod, mapping=None, fn=None):
+    def __init__(self, owner, dom, cod, code):
+        self.owner = owner
         self.dom = dom
         self.cod = cod
-        if mapping is not None:
-            fn = lambda g, el: mapping[g][el]
-        self._fn = fn  # on values; None for a map built on codes
-        # on the codes of the instance `_owner`, and its values by globe and code
-        self._code = self._owner = self._rows = None
+        self.code = code
+        self._rows = {}  # its values by globe and code
 
     def at(self, globe, code):
         """The code of the image of a code of the domain over `globe`."""
@@ -188,18 +163,16 @@ class SpanMor:
             row = self._rows[globe] = {}
         out = row.get(code)
         if out is None:
-            out = row[code] = self._code(globe, code)
+            out = row[code] = self.code(globe, code)
         return out
 
     def apply(self, globe, elt):
         """The image of an element value over `globe`."""
-        if self._fn is not None:
-            return self._fn(globe, elt)
-        D = self._owner
+        D = self.owner
         return D.decode(self.cod, globe, self.at(globe, D.encode(self.dom, globe, elt)))
 
     def __repr__(self):
-        return f"SpanMor({'values' if self._fn is not None else 'codes'})"
+        return f"SpanMor({self.owner.name})"
 
 
 def _intern(pool, x):
@@ -234,9 +207,7 @@ class SpanDuoidal(Tensors):
             {a: identity_globe(cat, a) for a in cat.objects},
             {f: arrow_globe(cat, f) for f in cat.arrows},
         )
-        self._units = tuple(
-            span_atom(f"I{t}", {g: ((),) for g in self._unit_globes[t].values()}) for t in (0, 1)
-        )
+        self._units = tuple(self.atom(f"I{t}", {g: ((),) for g in self._unit_globes[t].values()}) for t in (0, 1))
         self._compose = (self._hcompose, vcompose)
         self._hcompose_cache = {}
         self._nodes = {}
@@ -251,11 +222,16 @@ class SpanDuoidal(Tensors):
     def objects(self):
         return None
 
-    def atom(self, name, fibers: dict):
-        for g in fibers:
+    def atom(self, name, fibers: dict) -> SpanAtom:
+        """An atom with listed fibers, globe -> elements; empty fibers are dropped."""
+        table = {}
+        for g, elems in fibers.items():
             if g not in self._globes:
                 raise ValueError(f"atom {name}: globe {g.render()} not in the base")
-        return span_atom(name, fibers)
+            elems = tuple(sorted_elements(elems))
+            if elems:
+                table[g] = elems
+        return SpanAtom(name, (name, tuple(sorted(table.items()))), lambda g: table.get(g, ()))
 
     def arities(self, t, xs):
         """The number of tensor-t factors of each object: 0 for the unit
@@ -406,24 +382,14 @@ class SpanDuoidal(Tensors):
         return composite, (_intern(self._chains, tuple(chain)),) + tuple(comps)
 
     # -- morphisms ---------------------------------------------------------
-    def code_map(self, dom, cod, fn) -> SpanMor:
-        """A morphism given on codes: fn(globe, code) -> code."""
-        f = SpanMor(dom, cod)
-        f._code, f._owner, f._rows = fn, self, {}
-        return f
+    def value_map(self, dom, cod, fn) -> SpanMor:
+        """A morphism given on values, fn(globe, element) -> element: each
+        element is decoded, applied and re-coded once."""
+        return SpanMor(self, dom, cod, lambda g, c: self.encode(cod, g, fn(g, self.decode(dom, g, c))))
 
     def _coded(self, f: SpanMor) -> SpanMor:
-        """f on the codes of this instance.  A map given on values (bound to
-        the first instance that uses it) or built by another instance is
-        decoded, applied and re-coded once per element."""
-        if f._owner is self:
-            return f
-        dom, cod = f.dom, f.cod
-        code = lambda g, c: self.encode(cod, g, f.apply(g, self.decode(dom, g, c)))
-        if f._owner is not None:
-            return self.code_map(dom, cod, code)
-        f._code, f._owner, f._rows = code, self, {}
-        return f
+        """f on the codes of this instance; another instance's map goes through values."""
+        return f if f.owner is self else self.value_map(f.dom, f.cod, f.apply)
 
     def _table(self, f: SpanMor):
         """The image codes of f over its listed domain, one list per globe
@@ -444,14 +410,14 @@ class SpanDuoidal(Tensors):
         return f.cod
 
     def identity(self, x):
-        return self.code_map(x, x, lambda g, c: c)
+        return SpanMor(self, x, x, lambda g, c: c)
 
     def compose(self, f, g):
         """f then g."""
         if f.cod != g.dom:
             raise ValueError("compose: middle objects differ")
         f_at, g_at = self._coded(f).at, self._coded(g).at
-        return self.code_map(f.dom, g.cod, lambda gl, c: g_at(gl, f_at(gl, c)))
+        return SpanMor(self, f.dom, g.cod, lambda gl, c: g_at(gl, f_at(gl, c)))
 
     def maps_equal(self, f, g, cap=None):
         if f.dom != g.dom or f.cod != g.cod:
@@ -466,20 +432,22 @@ class SpanDuoidal(Tensors):
         return f.apply(key, elt)
 
     def hom(self, x, y, cap=100_000):
-        """All morphisms x -> y, enumerated per fiber."""
-        xf = self.fibers_of(x)
-        yf = self.fibers_of(y)
+        """All morphisms x -> y, enumerated per fiber: one code table per
+        globe of the support of x."""
+        xc = {g: self._codes(x, g) for g in self.support(x)}
+        yc = {g: self._codes(y, g) for g in xc}
         total = 1
-        for g, elems in xf.items():
-            total *= len(yf.get(g, ())) ** len(elems)
+        for g, codes in xc.items():
+            total *= len(yc[g]) ** len(codes)
             if total > cap:
                 raise SizeError("span hom set exceeds cap")
         if total == 0:
             return []
-        per_globe = [
-            [dict(zip(xf[g], combo)) for combo in itertools.product(yf[g], repeat=len(xf[g]))] for g in xf
+        per_globe = [[dict(zip(xc[g], combo)) for combo in itertools.product(yc[g], repeat=len(xc[g]))] for g in xc]
+        return [
+            SpanMor(self, x, y, lambda g, c, tables=dict(zip(xc, combo)): tables[g][c])
+            for combo in itertools.product(*per_globe)
         ]
-        return [SpanMor(x, y, dict(zip(xf, combo))) for combo in itertools.product(*per_globe)]
 
     # -- tensor on morphisms ------------------------------------------------
     def tensor_map(self, t, fs):
@@ -502,7 +470,7 @@ class SpanDuoidal(Tensors):
                 raise AssertionError(f"box{t} tensor moved a globe")
             return out
 
-        return self.code_map(self.tensor(t, doms), self.tensor(t, cods), act)
+        return SpanMor(self, self.tensor(t, doms), self.tensor(t, cods), act)
 
     # -- duoidal structure ----------------------------------------------
     def interchange(self, a, b, c, d):
@@ -529,32 +497,29 @@ class SpanDuoidal(Tensors):
                 raise AssertionError("interchange moved a globe")
             return out
 
-        return self.code_map(self.tensor(0, (ab, cd)), self.tensor(1, (ac, bd)), act)
+        return SpanMor(self, self.tensor(0, (ab, cd)), self.tensor(1, (ac, bd)), act)
 
     def delta_e(self):
-        return self.code_map(self.e, self.box1(self.e, self.e), lambda g, c: (_intern(self._chains, (g, g)), 0, 0))
+        return SpanMor(self, self.e, self.box1(self.e, self.e), lambda g, c: (_intern(self._chains, (g, g)), 0, 0))
 
     def mu_v(self):
-        return self.code_map(self.box0(self.v, self.v), self.v, lambda g, c: 0)
+        return SpanMor(self, self.box0(self.v, self.v), self.v, lambda g, c: 0)
 
     def iota(self):
-        return self.code_map(self.e, self.v, lambda g, c: 0)
+        return SpanMor(self, self.e, self.v, lambda g, c: 0)
 
     # -- extra structure used by the center machinery --------------------
     def subobject_from_fibers(self, x, fibers, name):
-        sub = span_atom(name, {g: elems for g, elems in fibers.items() if elems})
-        incl = SpanMor(sub, x, fn=lambda g, el: el)
-        return sub, incl
+        sub = self.atom(name, fibers)
+        return sub, self.value_map(sub, x, lambda g, el: el)
 
     def corestrict_map(self, f, sub, fibers):
-        mapping = {}
         for g, elems in self.fibers_of(f.dom).items():
-            row = mapping[g] = {x: f.apply(g, x) for x in elems}
-            if not set(row.values()) <= set(fibers.get(g, ())):
-                raise KeyError(f"image at {g.render()} not in the subobject")
-        return SpanMor(f.dom, sub, mapping)
+            if not {f.apply(g, x) for x in elems} <= set(fibers.get(g, ())):
+                raise ValueError(f"image at {g.render()} not in the subobject")
+        return self.value_map(f.dom, sub, f.apply)
 
-    def cotensor(self, y, s, name=None):
+    def cotensor(self, y, s):
         """Fiberwise function sets (Y_G)^s, with functions stored as graphs.
 
         Cotensoring by the empty set gives the singleton over every globe of
@@ -562,18 +527,18 @@ class SpanDuoidal(Tensors):
         """
         s = tuple(sorted_elements(s))
         if not s:
-            return self.atom(name or "cotensor", {g: ((),) for g in self._globes})
+            return self.atom("cotensor", {g: ((),) for g in self._globes})
         fibers = {
             g: tuple(tuple(zip(s, choice)) for choice in itertools.product(elems, repeat=len(s)))
             for g, elems in self.fibers_of(y).items()
         }
-        return self.atom(name or "cotensor", fibers)
+        return self.atom("cotensor", fibers)
 
-    def coproduct(self, parts, name=None):
+    def coproduct(self, parts):
         """Tagged disjoint union of atoms, with the injection morphisms."""
         fibers = {}
         for i, p in enumerate(parts):
             for g, elems in self.fibers_of(p).items():
                 fibers.setdefault(g, []).extend((i, el) for el in elems)
-        out = self.atom(name or "coproduct", {g: tuple(v) for g, v in fibers.items()})
-        return out, [SpanMor(p, out, fn=lambda g, el, i=i: (i, el)) for i, p in enumerate(parts)]
+        out = self.atom("coproduct", {g: tuple(v) for g, v in fibers.items()})
+        return out, [self.value_map(p, out, lambda g, el, i=i: (i, el)) for i, p in enumerate(parts)]

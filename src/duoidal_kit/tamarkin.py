@@ -167,7 +167,7 @@ class EnrichedGraphCategory(WordTensor):
         """Composition of hom families along a horizontal globe pairing."""
         h12 = self.hom_obj(w1, w2)
         h23 = self.hom_obj(w2, w3)
-        dom = self.D.box0_many([h12, h23])
+        dom = self.D.tensor(0, (h12, h23))
         out_obj = self.hom_obj(w1, w3)
         arities = self.D.arities(0, (h12, h23))
 
@@ -183,7 +183,7 @@ class EnrichedGraphCategory(WordTensor):
 
             return self.D.encode(out_obj, globe, self.family(globe.a, graph))
 
-        return self.D.code_map(dom, out_obj, act)
+        return SpanMor(self.D, dom, out_obj, act)
 
     def unit_map(self, w):
         target = self.hom_obj(w, w)
@@ -191,13 +191,13 @@ class EnrichedGraphCategory(WordTensor):
         def act(globe, _elt):
             return self.family(globe.a, lambda a1, a2: tuple((x, x) for x in self.word_fiber(w, globe.a, a1, a2)))
 
-        return SpanMor(self.D.e, target, fn=act)
+        return self.D.value_map(self.D.e, target, act)
 
     def odot_hom_map(self, e1, f1, e2, f2):
         e1, f1, e2, f2 = tuple(e1), tuple(f1), tuple(e2), tuple(f2)
         h1 = self.hom_obj(e1, f1)
         h2 = self.hom_obj(e2, f2)
-        dom = self.D.box1_many([h1, h2])
+        dom = self.D.tensor(1, (h1, h2))
         out_obj = self.hom_obj(self.odot(e1, e2), self.odot(f1, f2))
         k1 = len(e1)
         arities = self.D.arities(1, (h1, h2))
@@ -218,7 +218,7 @@ class EnrichedGraphCategory(WordTensor):
 
             return self.D.encode(out_obj, globe, self.family(globe.a, graph))
 
-        return self.D.code_map(dom, out_obj, act)
+        return SpanMor(self.D, dom, out_obj, act)
 
     def v_action_map(self):
         target = self.hom_obj((), ())
@@ -229,7 +229,7 @@ class EnrichedGraphCategory(WordTensor):
                 globe.a, lambda a1, a2: tuple((x, ((fmap[a1],), ())) for x in self.word_fiber((), globe.a, a1, a2))
             )
 
-        return SpanMor(self.D.v, target, fn=act)
+        return self.D.value_map(self.D.v, target, act)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +281,12 @@ def object_functor_of(F: CatValuedFunctor) -> ObjectFunctor:
     return object_functor(F.base, sets, maps)
 
 
-def hom_family_of(F: CatValuedFunctor, name=None) -> GraphFamily:
+def hom_family_of(F: CatValuedFunctor) -> GraphFamily:
     data = {}
     for a in F.base.objects:
         C = F.value(a)
         data[a] = {(x, y): C.hom(x, y) for x in C.objects for y in C.objects if C.hom(x, y)}
-    return graph_family(name or f"M({F.name})", data)
+    return graph_family(f"M({F.name})", data)
 
 
 def monoid_from_factorization(F: CatValuedFunctor, J: EnrichedGraphCategory = None) -> KMonoid:
@@ -308,7 +308,7 @@ def monoid_from_factorization(F: CatValuedFunctor, J: EnrichedGraphCategory = No
             ),
         )
 
-    mu_bar = SpanMor(D.e, J.hom_obj(m2, M), fn=mu_act)
+    mu_bar = D.value_map(D.e, J.hom_obj(m2, M), mu_act)
 
     def nu_act(globe, _elt):
         C = F.value(globe.a)
@@ -316,7 +316,7 @@ def monoid_from_factorization(F: CatValuedFunctor, J: EnrichedGraphCategory = No
             globe.a, lambda a1, a2: ((((a1,), ()), ((a1, a1), (C.identities[a1],))),) if a1 == a2 else ()
         )
 
-    nu_bar = SpanMor(D.e, J.hom_obj((), M), fn=nu_act)
+    nu_bar = D.value_map(D.e, J.hom_obj((), M), nu_act)
 
     def u_act(globe, _elt):
         f = globe.f  # an arrow globe on the support of the second unit
@@ -329,7 +329,7 @@ def monoid_from_factorization(F: CatValuedFunctor, J: EnrichedGraphCategory = No
             ),
         )
 
-    u = SpanMor(D.v, J.hom_obj(M, M), fn=u_act)
+    u = D.value_map(D.v, J.hom_obj(M, M), u_act)
     return KMonoid(J, M, nu_bar, mu_bar, u, name=f"M({F.name})")
 
 

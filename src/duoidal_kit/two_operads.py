@@ -43,8 +43,8 @@ def tensor_power(D, x, P, tree):
     if kind == TREE0 or tree == Z2U0:
         return D.e
     if kind == TREE1:
-        return D.box0_many([D.v] * P.n[tree])
-    return D.box0_many([D.box1_many([x] * len(p)) for p in P.pre[tree]])
+        return D.tensor(0, [D.v] * P.n[tree])
+    return D.tensor(0, [D.tensor(1, [x] * len(p)) for p in P.pre[tree]])
 
 
 def suspension_interchange(D, x, P, sigma):
@@ -58,7 +58,7 @@ def suspension_interchange(D, x, P, sigma):
         return iterated_mu_v(D, P.m[T])
     s2 = P.images2[sigma]
     grid = [
-        [D.box1_many([x] * sum(1 for q in p if s2[q - 1] == i)) for p in P.pre[T]]
+        [D.tensor(1, [x] * sum(1 for q in p if s2[q - 1] == i)) for p in P.pre[T]]
         for i in range(1, k + 1)
     ]
     return matrix_interchange(D, grid)
@@ -169,6 +169,8 @@ _ORDINAL_BOUND = 3  # the largest ordinal of the level-1 checks
 
 
 def check_two_operad(A: TwoOperad, max_leaves=3, tuple_cap=64) -> CheckReport:
+    if tuple_cap < 1:
+        raise ValueError(f"the element tuple cap must be at least 1, got {tuple_cap}")
     rep = CheckReport(f"2-operad axioms: {A.name} (leaf bound {max_leaves})")
     P = TreePool()
     B = A.over(P)
@@ -352,7 +354,7 @@ def duoid_evaluation(D, d, P, tree):
             out = chain(D, D.box1_map(D.identity(x), out), d.mult1)
         return out
 
-    assembled = D.box0_map_many([block_map(len(p)) for p in P.pre[tree]])
+    assembled = D.tensor_map(0, [block_map(len(p)) for p in P.pre[tree]])
     fold = D.identity(x)
     for _ in range(P.m[tree] - 1):
         fold = chain(D, D.box0_map(D.identity(x), fold), d.mult0)
@@ -366,14 +368,14 @@ def duoid_to_algebra(D, d, P, bound=3):
     return {tree: duoid_evaluation(D, d, P, tree) for tree in P.enumerate_two_trees(bound)}
 
 
-def algebra_to_duoid(D, P, evaluations, x, name="duoid"):
+def algebra_to_duoid(D, P, evaluations, x):
     return Duoid(
         x,
         mult0=evaluations[P.two_tree(2, 2, [1, 2])],
         unit0=evaluations[Z2U0],
         mult1=evaluations[P.two_tree(2, 1, [1, 1])],
         unit1=evaluations[P.two_tree(0, 1, [])],
-        name=name,
+        name="duoid",
     )
 
 

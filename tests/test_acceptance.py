@@ -243,7 +243,7 @@ def test_criterion_07_endomorphism_two_operad():
         tr1 = truncate(A, 1).over(P)
         for n in range(4):
             assert sorted(tr1.component(P.one_tree(n))) == sorted(
-                inst.hom(inst.box0_many([inst.v] * n), inst.v)
+                inst.hom(inst.tensor(0, [inst.v] * n), inst.v)
             )
         for a in range(3):
             for b in range(3):
@@ -252,7 +252,7 @@ def test_criterion_07_endomorphism_two_operad():
                     for elems in itertools.product(*[tr1.component(t) for t in fibs]):
                         for outer in tr1.component(P.target[f]):
                             got = tr1.m(f, list(elems), outer)
-                            want = inst.compose(inst.box0_map_many(list(elems)), outer)
+                            want = inst.compose(inst.tensor_map(0, list(elems)), outer)
                             assert inst.maps_equal(got, want)
     scope = rep2.items[-1].scope
     assert scope == rep1.items[-1].scope == (

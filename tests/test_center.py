@@ -168,3 +168,6 @@ def test_totalize_rejects_level_zero():
     X = cosimplicial_from_multiplicative(A, 2)
     with pytest.raises(ValueError):
         totalize(D, X, constant_weights(), N=0)
+    X3 = cosimplicial_from_multiplicative(multiplicative_from_k_monoid(M, bound=4), 3)
+    with pytest.raises(ValueError, match="weights only defined to level 3"):
+        totalize(D, X3, constant_weights(N=2), N=3)

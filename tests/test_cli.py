@@ -127,6 +127,11 @@ def test_delta_center_exit_codes():
     out = run_cli("delta-center", "--monoid", str(CORPUS / "t2.json"), "--delta", "const", "--levels", "1")
     # at N = 1 the restriction to the unconstrained level is not bijective
     assert out.returncode == 1
+    # the weights are built to the requested level
+    for delta in ("const", "ordinals", "lax", "colax"):
+        out = run_cli("delta-center", "--monoid", str(CORPUS / "z2.json"), "--delta", delta, "--levels", "8")
+        assert out.returncode == 0, out.stderr
+        assert "stabilized: True (from level 1)" in out.stdout
 
 
 def test_tamarkin_subcommand():
@@ -243,6 +248,7 @@ def test_operad_names_outside_the_instance_exit_2(tmp_path):
         ("additive_z2", {"unit": "nope"}, "operad unit 'nope' is not an arrow"),
         ("additive_z2", {"components": {n: "*" for n in ("0", "1", "3")}}, "operad table missing the component 2"),
         ("cartesian", {}, "names objects and arrows of a table instance"),
+        ("additive_z3", {}, "operad over the instance 'additive_z2', not over the instance 'additive_z3'"),
     ]
     for builtin, patch, message in cases:
         path = tmp_path / "operad.json"
@@ -316,6 +322,12 @@ def _patched(path, name, patch):
             lambda d: d["base"]["arrows"][0].update(tgt=1),
             ("tamarkin", "--globe", "id_*,id_*", "--functor"),
             "category: field 'arrows[0].tgt' is not a JSON string",
+        ),
+        (
+            "pair_bz2_functor.json",
+            lambda d: d.update(nmae=d.pop("name")),
+            ("tamarkin", "--globe", "u,w", "--functor"),
+            "cat_valued_functor: unknown field 'nmae'",
         ),
     ],
 )
@@ -410,6 +422,7 @@ def test_corrupt_instance_tables_exit_2(tmp_path, field, key, value, message):
         (("two-operad", "end"), "two-operad end needs --x"),
         (("two-operad", "end", "--x", "7"), "--x '7' is not a listed object of the instance bool_lattice"),
         (("two-operad", "check", "--builtin", "cartesian", "--x", "a"), "--x 'a' is not a listed object"),
+        (("two-operad", "check", "--cap", "0"), "the element tuple cap must be at least 1, got 0"),
     ],
 )
 def test_actions_without_their_argument_exit_2(argv, message):

@@ -202,4 +202,4 @@ def test_bool_lattice_has_distinct_units():
 
 def test_discrete_instance_interchange_is_identity():
     D = discrete_commutative_instance(cyclic(3))
-    assert D.interchange("1", "2", "0", "1") == D.identity(D.box0_many(["1", "2", "0", "1"]))
+    assert D.interchange("1", "2", "0", "1") == D.identity(D.tensor(0, ["1", "2", "0", "1"]))

@@ -70,7 +70,7 @@ def test_subobject_and_corestriction():
     cor = D.corestrict_map(f, sub, {None: [(0,), (2,)]})
     assert cor.apply(("p",)) == ((0,),)
     g = CartMap(X, Y, table={("p",): (1,), ("q",): (2,)})
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="not in the subobject"):
         D.corestrict_map(g, sub, {None: [(0,), (2,)]})
 
 

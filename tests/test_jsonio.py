@@ -221,6 +221,9 @@ NESTED = [
     _nested("span_object_parallel.json", lambda d: d["fibers"][0].update(elements=[[1]])),
     _nested("span_object_parallel.json", lambda d: d["fibers"][0]["globe"].pop()),
     _nested("span_object_parallel.json", lambda d: d["fibers"][0]["globe"].append("u")),
+    _nested("pair_bz2_functor.json", lambda d: d.update(nmae=d.pop("name"))),
+    _nested("arrow_category.json", lambda d: d["arrows"][0].update(label="a")),
+    _nested("span_object_parallel.json", lambda d: d["fibers"][0].update(globes=[])),
 ]
 
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from duoidal_kit import two_operads
 from duoidal_kit.duoidal import Duoid, check_duoid_axioms, iterated_mu_v, v_as_duoid
 from duoidal_kit.finset import CartMap, CartesianFinSet, atom_letter
 from duoidal_kit.instances import additive_instance, bool_lattice_instance
@@ -33,7 +34,7 @@ def test_tensor_powers():
     assert tensor_power(D, X, P, P.two_tree(2, 2, [1, 2])) == X + X
     assert tensor_power(D, X, P, ZU1) == D.v
     assert tensor_power(D, X, P, Z2U0) == D.e
-    assert tensor_power(D, X, P, P.one_tree(3)) == D.box0_many([D.v] * 3)
+    assert tensor_power(D, X, P, P.one_tree(3)) == D.tensor(0, [D.v] * 3)
 
 
 def test_suspension_interchange_single_step():
@@ -110,20 +111,38 @@ def test_criterion_7_operads_keep_their_reports_at_leaf_bound_2():
         ]
 
 
-def test_a_tuple_cap_of_one_evaluates_one_tuple_per_aligned_pair():
-    # every evaluated element tuple makes one equality test; the identity and
-    # unit rows make the same number of them whatever the cap
+def test_a_tuple_cap_of_one_evaluates_one_tuple_per_aligned_pair(monkeypatch):
+    # every evaluated element tuple makes one equality test inside the
+    # associativity row; the identity and unit rows make the same number of
+    # them whatever the cap
     A = end2(D, X)  # components of functions on {p, q}: many tuples per pair
+    in_assoc = []
+    assoc_holds = two_operads._assoc_holds
+
+    def counted_assoc_holds(*args):
+        in_assoc.append(None)
+        try:
+            return assoc_holds(*args)
+        finally:
+            in_assoc.pop()
+
+    monkeypatch.setattr(two_operads, "_assoc_holds", counted_assoc_holds)
     tested = {}
-    for cap in (0, 1, 16):
-        calls = []
-        counted = TwoOperad(
-            A.name, A.component_fn, A.unit_fn, A.m_fn, lambda x, y: calls.append(None) or A.equal_fn(x, y)
-        )
+    for cap in (1, 16):
+        calls = {"assoc": 0, "other": 0}
+
+        def eq(x, y):
+            calls["assoc" if in_assoc else "other"] += 1
+            return A.equal_fn(x, y)
+
+        counted = TwoOperad(A.name, A.component_fn, A.unit_fn, A.m_fn, eq)
         assert check_two_operad(counted, max_leaves=2, tuple_cap=cap).all_passed
-        tested[cap] = len(calls)
-    assert tested[1] - tested[0] == 968
-    assert tested[16] - tested[0] > 968  # so a cap of 1 does bind
+        tested[cap] = calls
+    assert tested[1]["assoc"] == 968
+    assert tested[16]["assoc"] > 968  # so a cap of 1 does bind
+    assert tested[1]["other"] == tested[16]["other"] > 0
+    with pytest.raises(ValueError, match="at least 1"):
+        check_two_operad(A, max_leaves=2, tuple_cap=0)
 
 
 def test_truncation_is_the_endomorphism_operad_of_v():
@@ -133,7 +152,7 @@ def test_truncation_is_the_endomorphism_operad_of_v():
     tr1 = truncate(A, 1).over(P)
     for n in range(4):
         assert sorted(tr1.component(P.one_tree(n))) == sorted(
-            lattice.hom(lattice.box0_many([lattice.v] * n), lattice.v)
+            lattice.hom(lattice.tensor(0, [lattice.v] * n), lattice.v)
         )
     for a in range(3):
         for b in range(3):
@@ -142,7 +161,7 @@ def test_truncation_is_the_endomorphism_operad_of_v():
                 for elems in itertools.product(*[tr1.component(t) for t in fibs]):
                     for outer in tr1.component(P.target[f]):
                         got = tr1.m(f, list(elems), outer)
-                        want = lattice.compose(lattice.box0_map_many(list(elems)), outer)
+                        want = lattice.compose(lattice.tensor_map(0, list(elems)), outer)
                         assert lattice.maps_equal(got, want)
 
 
