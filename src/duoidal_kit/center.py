@@ -69,15 +69,6 @@ def reversed_ordinal_weights(N: int = 6) -> CosimplicialObject:
     return _weights("ordinals-reversed", N, _ordinal_level, coface, codegeneracy)
 
 
-def lax_center_weights(orientation: str, N: int = 6) -> CosimplicialObject:
-    """The linear-order weight system; 'colax' reverses the orientation."""
-    if orientation == "lax":
-        return ordinal_weights(N)
-    if orientation == "colax":
-        return reversed_ordinal_weights(N)
-    raise ValueError("orientation must be 'lax' or 'colax'")
-
-
 @dataclass
 class TotResult:
     weights: str

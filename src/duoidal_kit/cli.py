@@ -187,8 +187,8 @@ def cmd_delta_center(args):
     from .center import (
         constant_weights,
         duoid_on_center,
-        lax_center_weights,
         ordinal_weights,
+        reversed_ordinal_weights,
         totalize,
     )
     from .operads import cosimplicial_from_multiplicative, multiplicative_from_k_monoid
@@ -199,8 +199,8 @@ def cmd_delta_center(args):
     weights = {
         "const": constant_weights,
         "ordinals": ordinal_weights,
-        "lax": lambda N: lax_center_weights("lax", N),
-        "colax": lambda N: lax_center_weights("colax", N),
+        "lax": ordinal_weights,
+        "colax": reversed_ordinal_weights,
     }[args.delta](args.levels)
     X = cosimplicial_from_multiplicative(A, args.levels)
     tot = totalize(A.D, X, weights, N=args.levels)
@@ -232,8 +232,8 @@ def cmd_tamarkin(args):
     if (fa.src, fa.tgt) != (ga.src, ga.tgt):
         raise ValidationError("globe arrows must be parallel")
     globe = Globe(fa.src, fa.tgt, f_name, g_name)
-    weights = constant_weights() if args.delta == "const" else ordinal_weights()
-    fams, tot = tamarkin_fiber(F, globe, weights=weights, N=args.levels)
+    weights = (constant_weights if args.delta == "const" else ordinal_weights)(args.levels)
+    fams, tot = tamarkin_fiber(F, globe, weights=weights, N=args.levels, bound=max(3, args.levels + 1))
     lines = [
         f"tamarkin fiber of {F.name} over ({fa.src},{fa.tgt},{f_name},{g_name}) with {weights.name} weights",
         f"families: {len(fams)}",

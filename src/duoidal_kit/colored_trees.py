@@ -10,12 +10,16 @@ subtree to a corolla; it is the operad comparison map between the two.
 
 Trees are interned into integer-indexed pools so that the exhaustive
 contraction/grafting checks over millions of trees stay cheap: structural
-equality is integer equality and contractions are computed once, bottom-up.
+equality is integer equality.  Contractions and the enumeration tables are
+`report.Memo`s of the objects that use them, so each is computed once,
+bottom-up, and dropped with its pool.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from .report import Memo
 
 LEAF = 0  # the id of the edgeless tree in every pool
 WHITE, BLACK = "w", "b"
@@ -45,6 +49,21 @@ class TreePool:
         self._intern[key] = idx
         return idx
 
+    def graft(self, t, s, leaf_index) -> int:
+        """Substitute s into the leaf_index-th leaf of t (1-based), rebuilding
+        the path through `node`."""
+        if not 1 <= leaf_index <= self.leaves[t]:
+            raise ValueError(f"leaf index {leaf_index} out of range")
+        if t == LEAF:
+            return s
+        kids = self.kids[t]
+        acc = 0
+        for pos, c in enumerate(kids):
+            if leaf_index <= acc + self.leaves[c]:
+                return self.node(self.color[t], kids[:pos] + (self.graft(c, s, leaf_index - acc),) + kids[pos + 1 :])
+            acc += self.leaves[c]
+        raise AssertionError("unreachable")
+
     def render(self, t) -> str:
         if t == LEAF:
             return "l"
@@ -58,17 +77,6 @@ class BinaryForest(TreePool):
         if color not in COLORS or len(children) not in (0, 2):
             raise ValueError("binary trees need white/black vertices of valence 1 or 3")
         return self.intern(color, tuple(children))
-
-    def graft(self, t, s, leaf_index) -> int:
-        """Substitute s into the leaf_index-th leaf of t (1-based)."""
-        if not 1 <= leaf_index <= self.leaves[t]:
-            raise ValueError(f"leaf index {leaf_index} out of range")
-        if t == LEAF:
-            return s
-        a, b = self.kids[t]
-        if leaf_index <= self.leaves[a]:
-            return self.intern(self.color[t], (self.graft(a, s, leaf_index), b))
-        return self.intern(self.color[t], (a, self.graft(b, s, leaf_index - self.leaves[a])))
 
     def by_vertices(self, max_vertices):
         """All trees grouped by vertex count, in a deterministic order."""
@@ -102,6 +110,10 @@ class AlternatingForest(TreePool):
     has valence one or at least three and no equal-colored edge.
     """
 
+    def __init__(self):
+        super().__init__()
+        self._trees_lv = Memo(self._list_trees)  # (leaves, vertices, excluded root color) -> trees
+
     def node(self, color, children) -> int:
         if color not in COLORS:
             raise ValueError("alternating trees need white/black vertices")
@@ -124,21 +136,6 @@ class AlternatingForest(TreePool):
                 raise ValueError("equal colors across an edge")
         return self.intern(color, tuple(children))
 
-    def graft(self, t, s, leaf_index) -> int:
-        if not 1 <= leaf_index <= self.leaves[t]:
-            raise ValueError(f"leaf index {leaf_index} out of range")
-        if t == LEAF:
-            return s
-        color = self.color[t]
-        kids = self.kids[t]
-        acc = 0
-        for pos, c in enumerate(kids):
-            if leaf_index <= acc + self.leaves[c]:
-                new_child = self.graft(c, s, leaf_index - acc)
-                return self.node(color, kids[:pos] + (new_child,) + kids[pos + 1 :])
-            acc += self.leaves[c]
-        raise AssertionError("unreachable")
-
     def enumerate_exact(self, n_leaves, max_vertices):
         """Normal-form trees with exactly n_leaves leaves and a vertex bound.
 
@@ -147,16 +144,11 @@ class AlternatingForest(TreePool):
         """
         out = []
         for v in range(0, max_vertices + 1):
-            out.extend(self._trees_lv(n_leaves, v, None))
+            out.extend(self._trees_lv[n_leaves, v, None])
         return out
 
-    def _trees_lv(self, leaves, vertices, exclude_color):
-        key = ("lv", leaves, vertices, exclude_color)
-        cached = getattr(self, "_enum_cache", None)
-        if cached is None:
-            cached = self._enum_cache = {}
-        if key in cached:
-            return cached[key]
+    def _list_trees(self, key):
+        leaves, vertices, exclude_color = key
         out = []
         if vertices == 0:
             if leaves == 1:
@@ -170,7 +162,6 @@ class AlternatingForest(TreePool):
                 for kids in self._seqs(leaves, vertices - 1, color):
                     if len(kids) >= 2:
                         out.append(self.raw_node(color, kids))
-        cached[key] = out
         return out
 
     def _seqs(self, leaves, vertices, color):
@@ -182,7 +173,7 @@ class AlternatingForest(TreePool):
             for v1 in range(0, vertices + 1):
                 if (l1, v1) == (0, 0):
                     continue
-                for child in self._trees_lv(l1, v1, color):
+                for child in self._trees_lv[l1, v1, color]:
                     for rest in self._seqs(leaves - l1, vertices - v1, color):
                         out.append((child,) + rest)
         return out
@@ -194,16 +185,14 @@ class ContractionMap:
     def __init__(self, btrees: BinaryForest, atrees: AlternatingForest):
         self.btrees = btrees
         self.atrees = atrees
-        self._table = {LEAF: LEAF}
+        self._table = Memo(self._contract)
+        self._table[LEAF] = LEAF
 
     def contract(self, t) -> int:
-        found = self._table.get(t)
-        if found is not None:
-            return found
-        color = self.btrees.color[t]
-        out = self.atrees.node(color, tuple(self.contract(c) for c in self.btrees.kids[t]))
-        self._table[t] = out
-        return out
+        return self._table[t]
+
+    def _contract(self, t):
+        return self.atrees.node(self.btrees.color[t], tuple(self.contract(c) for c in self.btrees.kids[t]))
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +241,6 @@ def parse_term(pool: TreePool, text: str) -> int:
     return out
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with fn(key)."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def check_contraction_operad_map(max_total_vertices=8):
     """contract(graft(T, S, i)) == graft(contract T, contract S, i) for all
     pairs with a combined vertex bound, every leaf of T.  Returns
@@ -300,7 +277,7 @@ def check_contraction_operad_map(max_total_vertices=8):
     kids, color, leaves, verts, render = btrees.kids, btrees.color, btrees.leaves, btrees.verts, btrees.render
     leaf_sums = [sum(leaves[:end]) for end in ends]
     cont = [contract(t) for t in range(ends[-1])]
-    node = {c: _Memo(lambda pair, c=c: atrees.node(c, pair)) for c in COLORS}
+    node = {c: Memo(lambda pair, c=c: atrees.node(c, pair)) for c in COLORS}
     G = [None] * ends[-1]
     failures = []
     checked = 0
@@ -354,7 +331,7 @@ def check_contraction_operad_map(max_total_vertices=8):
 
     graftees = sorted(range(ends[-1]), key=cont.__getitem__)
     for cs, group in itertools.groupby(graftees, key=cont.__getitem__):
-        grafts = _Memo(lambda ct, cs=cs: tuple(agraft(ct, cs, i) for i in range(1, atrees.leaves[ct] + 1)))
+        grafts = Memo(lambda ct, cs=cs: tuple(agraft(ct, cs, i) for i in range(1, atrees.leaves[ct] + 1)))
         for s in group:
             k = min(V - verts[s], kept)
             checked += leaf_sums[k]

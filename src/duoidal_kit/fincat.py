@@ -18,9 +18,6 @@ class Arrow:
     src: str
     tgt: str
 
-    def sort_key(self):
-        return (self.name, self.src, self.tgt)
-
 
 class FiniteCategory:
     """A finite category: objects, named arrows, a total composition table.

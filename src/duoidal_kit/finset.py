@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .duoidal import Tensors
-from .report import SizeError, skey
+from .report import Memo, SizeError, skey
 
 DEFAULT_CAP = 250_000
 
@@ -37,9 +37,6 @@ class Letter:
 
     def __repr__(self):
         return f"Letter({self.name or self.key[0]})"
-
-    def sort_key(self):
-        return skey(self.key)
 
     def size(self):
         if self._elems is not None:
@@ -186,13 +183,7 @@ class CartMap:
     def apply(self, x):
         if self._table is not None:
             return self._table[x]
-        memo = self._memo
-        if memo is None:
-            return self._fn(x)
-        out = memo.get(x)
-        if out is None:
-            out = memo[x] = self._fn(x)
-        return out
+        return self._fn(x) if self._memo is None else self._memo[x]
 
     def __repr__(self):
         return f"CartMap({len(self.dom)} letters -> {len(self.cod)} letters)"
@@ -244,7 +235,7 @@ class CartesianFinSet(Tensors):
         if f._table is not None or not word_enumerable(f.dom):
             return f
         out = CartMap(f.dom, f.cod, fn=f._fn)
-        out._memo = {}
+        out._memo = Memo(f._fn)
         return out
 
     def hom(self, x, y, cap=DEFAULT_CAP):

@@ -75,9 +75,6 @@ class CartesianSelfEnriched(WordTensor):
         self.D = D
         self.name = "finset_self_enriched"
 
-    def objects(self):
-        return None
-
     def hom_obj(self, x, y):
         return (fn_letter(tuple(x), tuple(y)),)
 

@@ -24,26 +24,22 @@ from .kcat import (
     und_compose,
     und_odot,
 )
-from .report import CheckReport, evaluate
+from .report import CheckReport, Memo, evaluate
 
 
 class OneOperad:
     def __init__(self, D, name, component_fn, gamma_fn, unit_map, has_zero=True, bound=4):
         self.D = D
         self.name = name
-        self._component_fn = component_fn
-        self._gamma_fn = gamma_fn
         self.unit = unit_map
         self.has_zero = has_zero  # False for Forcey-only operads (no v-action)
         self.bound = bound
-        self._components = {}
-        self._gammas = {}
+        self._components = Memo(component_fn)
+        self._gammas = Memo(lambda key: D.memoize(gamma_fn(*key)))
 
     def component(self, n: int):
         if n < 0 or n > self.bound:
             raise ValueError(f"component {n} outside bound {self.bound}")
-        if n not in self._components:
-            self._components[n] = self._component_fn(n)
         return self._components[n]
 
     def gamma(self, n: int, ks: tuple):
@@ -55,10 +51,7 @@ class OneOperad:
             raise ValueError(f"{self.name} is a Forcey operad: no arity-0 composition")
         if sum(ks) > self.bound or n > self.bound:
             raise ValueError(f"shape ({n}; {ks}) outside bound {self.bound}")
-        key = (n, ks)
-        if key not in self._gammas:
-            self._gammas[key] = self.D.memoize(self._gamma_fn(n, ks))
-        return self._gammas[key]
+        return self._gammas[n, ks]
 
 
 def fass(D, bound=4) -> OneOperad:

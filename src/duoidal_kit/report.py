@@ -1,6 +1,6 @@
 """Check reports shared by all axiom checkers and the CLI, the one rule that
-decides a report row from its cases, and the size guard that every
-enumeration raises."""
+decides a report row from its cases, the size guard that every
+enumeration raises, and the one cache type."""
 
 from __future__ import annotations
 
@@ -9,6 +9,21 @@ from dataclasses import dataclass, field
 
 class SizeError(RuntimeError):
     """Raised when an enumeration would exceed its size guard."""
+
+
+class Memo(dict):
+    """A dict that fills a missing key with fn(key): every get-or-compute
+    cache is one, owned by an object that lives for one check or run.  A
+    key whose fn raises is not stored."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def evaluate(cases, eq):
@@ -97,9 +112,7 @@ def skey(x):
         return (3, len(x), tuple(skey(v) for v in x))
     if isinstance(x, frozenset):
         return (4, len(x), tuple(sorted(skey(v) for v in x)))
-    if hasattr(x, "sort_key"):
-        return (5, x.sort_key())
-    return (6, repr(x))
+    return (5, repr(x))
 
 
 def sorted_elements(xs):

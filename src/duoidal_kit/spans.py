@@ -16,7 +16,9 @@ are numbered per (atom, globe) in the order they are first met, so coding
 never lists a fiber, and a node element is the tuple (chain id, child
 code, ...), with chains interned per instance.  Every map (`SpanMor`)
 belongs to the instance that built it and works on that instance's codes,
-storing its value at each code it meets, one dict per globe.  Values
+storing its value at each code it meets, one `report.Memo` per globe.  The
+instance's own caches (tensor nodes, atom pools, fiber codes, horizontal
+composites of globes) are `Memo`s too, and live as long as it.  Values
 appear only at the boundary: `fiber`, `SpanMor.apply`/`apply_at`, and the
 maps given on values (`SpanDuoidal.value_map`), which are decoded, applied
 and re-coded once per element.
@@ -25,11 +27,12 @@ and re-coded once per element.
 from __future__ import annotations
 
 import itertools
+from types import MethodType
 from typing import NamedTuple
 
 from .duoidal import Tensors
 from .fincat import FiniteCategory
-from .report import SizeError, sorted_elements
+from .report import Memo, SizeError, sorted_elements
 
 
 class Globe(NamedTuple):
@@ -144,7 +147,7 @@ class SpanNode:
 class SpanMor:
     """A morphism of globe-indexed families on the codes of the instance
     `owner` that built it, evaluated lazily: `code(globe, code) -> code`.
-    It stores its value at each code it meets (`at`), one dict per globe.
+    It stores its value at each code it meets (`at`), one `Memo` per globe.
     """
 
     __slots__ = ("owner", "dom", "cod", "code", "_rows")
@@ -154,17 +157,11 @@ class SpanMor:
         self.dom = dom
         self.cod = cod
         self.code = code
-        self._rows = {}  # its values by globe and code
+        self._rows = Memo(MethodType(_row, code))  # its values by globe and code
 
     def at(self, globe, code):
         """The code of the image of a code of the domain over `globe`."""
-        row = self._rows.get(globe)
-        if row is None:
-            row = self._rows[globe] = {}
-        out = row.get(code)
-        if out is None:
-            out = row[code] = self.code(globe, code)
-        return out
+        return self._rows[globe][code]
 
     def apply(self, globe, elt):
         """The image of an element value over `globe`."""
@@ -173,6 +170,12 @@ class SpanMor:
 
     def __repr__(self):
         return f"SpanMor({self.owner.name})"
+
+
+def _row(code, globe):
+    """The values of a map over one globe.  `MethodType` binds an argument as
+    `functools.partial` does, in less memory and with no cycle through the map."""
+    return Memo(MethodType(code, globe))
 
 
 def _intern(pool, x):
@@ -208,14 +211,15 @@ class SpanDuoidal(Tensors):
             {f: arrow_globe(cat, f) for f in cat.arrows},
         )
         self._units = tuple(self.atom(f"I{t}", {g: ((),) for g in self._unit_globes[t].values()}) for t in (0, 1))
-        self._compose = (self._hcompose, vcompose)
-        self._hcompose_cache = {}
-        self._nodes = {}
-        self._codes_cache = {}
+        hcomposed = Memo(lambda pair: hcompose(cat, *pair))
+        self._compose = (lambda g1, g2: hcomposed[g1, g2], vcompose)
+        self._nodes = Memo(lambda key: SpanNode(_NODE_KINDS[key[0]], key[1]))  # (t, factors) -> node
+        self._codes = Memo(self._list_codes)  # (object, globe) -> the codes of its fiber
         # per (atom, globe): ids by element, elements by id; () is code 0 over every unit globe
-        self._pools = {
-            (self._units[t], g): ({(): 0}, [()]) for t in (0, 1) for g in self._unit_globes[t].values()
-        }
+        self._pools = Memo(lambda key: ({}, []))
+        self._pools.update(
+            ((self._units[t], g), ({(): 0}, [()])) for t in (0, 1) for g in self._unit_globes[t].values()
+        )
         self._chains = ({}, [])  # ids by chain, chains by id
 
     # -- objects ---------------------------------------------------------
@@ -252,10 +256,7 @@ class SpanDuoidal(Tensors):
             return self._units[t]
         if len(flat) == 1:
             return flat[0]
-        node = self._nodes.get((t, flat))
-        if node is None:
-            node = self._nodes[(t, flat)] = SpanNode(_NODE_KINDS[t], flat)
-        return node
+        return self._nodes[t, flat]
 
     # -- fibers and codes --------------------------------------------------
     def chains(self, t, globe, k):
@@ -267,17 +268,11 @@ class SpanDuoidal(Tensors):
             return [(globe,)]
         return [(g1,) + rest for g1, g2 in _SPLITS[t](self.cat, globe) for rest in self.chains(t, g2, k - 1)]
 
-    def _pool(self, atom, globe):
-        pool = self._pools.get((atom, globe))
-        if pool is None:
-            pool = self._pools[(atom, globe)] = ({}, [])
-        return pool
-
     def encode(self, obj, globe, elt):
         """The code of an element of obj over globe; an atom element met for
         the first time gets the next id of its (atom, globe) pool."""
         if isinstance(obj, SpanAtom):
-            return _intern(self._pool(obj, globe), elt)
+            return _intern(self._pools[obj, globe], elt)
         chain, comps = elt
         codes = tuple(self.encode(c, g, x) for c, g, x in zip(obj.children, chain, comps))
         return (_intern(self._chains, tuple(chain)),) + codes
@@ -285,46 +280,34 @@ class SpanDuoidal(Tensors):
     def decode(self, obj, globe, code):
         """The element of obj over globe with the given code."""
         if isinstance(obj, SpanAtom):
-            return self._pool(obj, globe)[1][code]
+            return self._pools[obj, globe][1][code]
         chain = self._chains[1][code[0]]
         return chain, tuple(self.decode(c, g, x) for c, g, x in zip(obj.children, chain, code[1:]))
 
-    def _codes(self, obj, globe):
-        """The codes of the fiber of obj over globe, listed once."""
-        out = self._codes_cache.get((obj, globe))
-        if out is not None:
-            return out
+    def _list_codes(self, key):
+        """The codes of the fiber of obj over globe, for key = (obj, globe)."""
+        obj, globe = key
         if isinstance(obj, SpanAtom):
-            out = tuple(self.encode(obj, globe, x) for x in obj.fiber_fn(globe))
-        else:
-            out = []
-            for chain in self.chains(_NODE_KINDS.index(obj.kind), globe, len(obj.children)):
-                child_codes = [self._codes(c, g) for c, g in zip(obj.children, chain)]
-                if all(child_codes):
-                    cid = _intern(self._chains, chain)
-                    out.extend((cid,) + comps for comps in itertools.product(*child_codes))
-            out = tuple(out)
-        self._codes_cache[(obj, globe)] = out
-        return out
+            return tuple(self.encode(obj, globe, x) for x in obj.fiber_fn(globe))
+        out = []
+        for chain in self.chains(_NODE_KINDS.index(obj.kind), globe, len(obj.children)):
+            child_codes = [self._codes[c, g] for c, g in zip(obj.children, chain)]
+            if all(child_codes):
+                cid = _intern(self._chains, chain)
+                out.extend((cid,) + comps for comps in itertools.product(*child_codes))
+        return tuple(out)
 
     def fiber(self, obj, globe):
         """The elements of an object over one globe (listed on demand)."""
-        return tuple(self.decode(obj, globe, c) for c in self._codes(obj, globe))
+        return tuple(self.decode(obj, globe, c) for c in self._codes[obj, globe])
 
     def fibers_of(self, obj) -> dict:
         return {g: self.fiber(obj, g) for g in self.support(obj)}
 
     def support(self, obj):
-        return tuple(g for g in self._globes if self._codes(obj, g))
+        return tuple(g for g in self._globes if self._codes[obj, g])
 
     # -- splitting and joining tensor elements ----------------------------
-    def _hcompose(self, g1, g2):
-        """`hcompose` over the base, stored per pair of globes."""
-        out = self._hcompose_cache.get((g1, g2))
-        if out is None:
-            out = self._hcompose_cache[(g1, g2)] = hcompose(self.cat, g1, g2)
-        return out
-
     def split(self, t, arities, globe, code):
         """Decompose the code of an element of a tensor-t product over
         `globe` into one (globe, code) pair per factor, given the factors'
@@ -394,11 +377,11 @@ class SpanDuoidal(Tensors):
     def _table(self, f: SpanMor):
         """The image codes of f over its listed domain, one list per globe
         of the support, checked against the listed codomain."""
-        at = self._coded(f).at
+        rows = self._coded(f)._rows
         out = []
         for g in self.support(f.dom):
-            row = [at(g, c) for c in self._codes(f.dom, g)]
-            if not set(self._codes(f.cod, g)).issuperset(row):
+            row = [rows[g][c] for c in self._codes[f.dom, g]]
+            if not set(self._codes[f.cod, g]).issuperset(row):
                 raise ValueError(f"morphism leaves the codomain fiber at {g.render()}")
             out.append(row)
         return out
@@ -416,8 +399,8 @@ class SpanDuoidal(Tensors):
         """f then g."""
         if f.cod != g.dom:
             raise ValueError("compose: middle objects differ")
-        f_at, g_at = self._coded(f).at, self._coded(g).at
-        return SpanMor(self, f.dom, g.cod, lambda gl, c: g_at(gl, f_at(gl, c)))
+        f_rows, g_rows = self._coded(f)._rows, self._coded(g)._rows
+        return SpanMor(self, f.dom, g.cod, lambda gl, c: g_rows[gl][f_rows[gl][c]])
 
     def maps_equal(self, f, g, cap=None):
         if f.dom != g.dom or f.cod != g.cod:
@@ -434,8 +417,8 @@ class SpanDuoidal(Tensors):
     def hom(self, x, y, cap=100_000):
         """All morphisms x -> y, enumerated per fiber: one code table per
         globe of the support of x."""
-        xc = {g: self._codes(x, g) for g in self.support(x)}
-        yc = {g: self._codes(y, g) for g in xc}
+        xc = {g: self._codes[x, g] for g in self.support(x)}
+        yc = {g: self._codes[y, g] for g in xc}
         total = 1
         for g, codes in xc.items():
             total *= len(yc[g]) ** len(codes)
@@ -460,12 +443,12 @@ class SpanDuoidal(Tensors):
         cods = [f.cod for f in fs]
         dom_arities = self.arities(t, doms)
         cod_arities = self.arities(t, cods)
-        ats = [f.at for f in fs]
+        rows = [f._rows for f in fs]
         split, join = self.split, self.join
 
         def act(globe, code):
             parts = split(t, dom_arities, globe, code)
-            out_globe, out = join(t, cod_arities, [(g, at(g, c)) for at, (g, c) in zip(ats, parts)])
+            out_globe, out = join(t, cod_arities, [(g, r[g][c]) for r, (g, c) in zip(rows, parts)])
             if out_globe != globe:
                 raise AssertionError(f"box{t} tensor moved a globe")
             return out

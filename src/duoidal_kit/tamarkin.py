@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .fincat import Arrow, CatFunctor, FiniteCategory, ValidationError, compose_functors, identity_functor
 from .kcat import KMonoid, WordTensor
-from .report import skey, sorted_elements
+from .report import Memo, skey, sorted_elements
 from .spans import Globe, SpanAtom, SpanDuoidal, SpanMor, arrow_globe, identity_globe
 
 
@@ -103,10 +103,7 @@ class EnrichedGraphCategory(WordTensor):
         self.O = O
         self.cat = O.cat
         self.D = SpanDuoidal(O.cat)
-        self._hom_cache = {}
-
-    def objects(self):
-        return None
+        self._homs = Memo(self._hom_atom)  # (word, word) -> hom family
 
     def word_fiber(self, word, a, a1, a2):
         """Path-tagged elements of a word's fiber at (A, a', a'')."""
@@ -131,12 +128,12 @@ class EnrichedGraphCategory(WordTensor):
     def hom_obj(self, w1, w2):
         """The hom family of two words: one atom per pair of words, whose
         fibers are computed per globe."""
-        w1, w2 = tuple(w1), tuple(w2)
-        key = (w1, w2)
-        if key in self._hom_cache:
-            return self._hom_cache[key]
+        return self._homs[tuple(w1), tuple(w2)]
 
-        def fiber_fn(g, w1=w1, w2=w2):
+    def _hom_atom(self, key):
+        w1, w2 = key
+
+        def fiber_fn(g):
             fmap = self.O.map_of(g.f)
             gmap = self.O.map_of(g.g)
             pairs = [(a1, a2) for a1 in self.O.set_of(g.a) for a2 in self.O.set_of(g.a)]
@@ -149,9 +146,7 @@ class EnrichedGraphCategory(WordTensor):
                 )
             return tuple(tuple(zip(pairs, combo)) for combo in itertools.product(*per_pair))
 
-        out = SpanAtom(f"hom({len(w1)},{len(w2)})", ("hom", w1, w2), fiber_fn)
-        self._hom_cache[key] = out
-        return out
+        return SpanAtom(f"hom({len(w1)},{len(w2)})", ("hom", w1, w2), fiber_fn)
 
     @staticmethod
     def _family_dict(elem):
@@ -438,10 +433,10 @@ def tamarkin_fiber(F: CatValuedFunctor, globe: Globe, weights=None, N: int = 2, 
     from .center import constant_weights, totalize
     from .operads import cosimplicial_from_multiplicative, multiplicative_from_k_monoid
 
-    weights = weights or constant_weights()
+    weights = weights or constant_weights(N)
     J = EnrichedGraphCategory(object_functor_of(F))
     M = monoid_from_factorization(F, J)
     A = multiplicative_from_k_monoid(M, bound=bound)
-    X = cosimplicial_from_multiplicative(A, min(N, bound - 1))
-    tot = totalize(J.D, X, weights, N=min(N, bound - 1), keys=(globe,))
+    X = cosimplicial_from_multiplicative(A, N)
+    tot = totalize(J.D, X, weights, N=N, keys=(globe,))
     return tot.families.get(globe, ()), tot

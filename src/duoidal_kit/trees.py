@@ -32,6 +32,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
+from .report import Memo
+
 # the kind of an id: trees of height 0, 1 and 2, then maps between them
 TREE0, TREE1, TREE2, MAP0, MAP1, MAP2 = range(6)
 # ids every pool makes first: the 0-tree and its unique map, the 1-tree (1),
@@ -114,8 +116,8 @@ class TreePool:
             self.kind, self.n, self.m, self.images, self.pre, self.images2, self.pre2, self.rank2,
             self.source, self.target, self.leaves, self.fibers, self.fiber_trees, self.aligned,
         )
-        self._pruned = {}  # tree -> (pruned tree, inclusion)
-        self._blocks = {}  # 2-tree map -> block decomposition
+        self._pruned = Memo(self._prune)  # tree -> (pruned tree, inclusion)
+        self._blocks = Memo(self._block_decompose)  # 2-tree map -> block decomposition
         self._new((TREE0,))
         zero = self._new((MAP0,))
         self.source[zero] = self.target[zero] = U0
@@ -331,14 +333,13 @@ class TreePool:
         empty 1-tree over its height-1 leaves (the fiber over a height-1 leaf
         is an ordinal by definition, so the leafless 2-tree never appears here).
         """
-        out = self._pruned.get(T)
-        if out is None:
-            image = sorted(set(self.images[T]))
-            rank = {j: k for k, j in enumerate(image, 1)}
-            pruned = self._two_tree(self.n[T], len(image), tuple(rank[j] for j in self.images[T]))
-            incl = self._two_map(pruned, T, tuple(image), tuple(range(1, self.n[T] + 1)))
-            out = self._pruned[T] = (pruned, incl)
-        return out
+        return self._pruned[T]
+
+    def _prune(self, T):
+        image = sorted(set(self.images[T]))
+        rank = {j: k for k, j in enumerate(image, 1)}
+        pruned = self._two_tree(self.n[T], len(image), tuple(rank[j] for j in self.images[T]))
+        return pruned, self._two_map(pruned, T, tuple(image), tuple(range(1, self.n[T] + 1)))
 
     def suspension_decompose(self, S: int):
         """Split a 2-tree into the suspensions over its codomain elements."""
@@ -353,9 +354,9 @@ class TreePool:
         P_i is the i-th suspension summand, T = Q_1 + ... + Q_l and
         sigma = sigma_1 + ... + sigma_l.
         """
-        out = self._blocks.get(sigma)
-        if out is not None:
-            return out
+        return self._blocks[sigma]
+
+    def _block_decompose(self, sigma):
         T, S = self.source[sigma], self.target[sigma]
         if S == Z2U0:
             raise TreeError("no block decomposition over the leafless tree")
@@ -366,8 +367,7 @@ class TreePool:
             Q = self._two_tree(len(dom), len(mid), _shift([t[k - 1] for k in dom], mid))
             P = self.suspension(len(s_dom))
             blocks.append((Q, P, self._two_map(Q, P, (1,) * len(mid), _shift([s2[k - 1] for k in dom], s_dom))))
-        out = self._blocks[sigma] = tuple(blocks)
-        return out
+        return tuple(blocks)
 
     # -- enumeration -------------------------------------------------------------
 

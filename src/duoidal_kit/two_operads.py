@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass
 
 from .duoidal import Duoid, chain, iterated_mu_v, matrix_interchange
-from .report import CheckReport, evaluate
+from .report import CheckReport, Memo, evaluate
 from .trees import MAP0, MAP1, TREE0, TREE1, U0, U1, Z2U0, ZERO_ID, TreeError, TreePool
 
 
@@ -85,17 +85,13 @@ class PoolOperad:
 
     def __init__(self, A: TwoOperad, P: TreePool):
         self.pool = P
-        self._component_fn = A.component_fn
-        self._components = {}  # tree id -> list of elements
+        self._components = Memo(lambda tree: list(A.component_fn(P, tree)))  # tree id -> list of elements
         self.unit = A.unit_fn
         self.m = A.m_fn(P)
         self.eq = A.equal_fn or operator.eq
 
     def component(self, tree):
-        found = self._components.get(tree)
-        if found is None:
-            found = self._components[tree] = list(self._component_fn(self.pool, tree))
-        return found
+        return self._components[tree]
 
 
 def ass2() -> TwoOperad:
@@ -121,7 +117,6 @@ def end2(D, x, name=None) -> TwoOperad:
         return (D.identity(D.e), D.identity(D.v), D.identity(x))[level]
 
     def substitution(P):
-        plans = []  # per map id of P: (rows (start, stop, shuffle or None), fiber count)
         compose, tensor_map = D.compose, D.tensor_map
 
         def compile_plan(sigma):
@@ -132,6 +127,8 @@ def end2(D, x, name=None) -> TwoOperad:
                 rows.append((pos, pos + count, shuffle))
                 pos += count
             return rows, pos
+
+        plans = Memo(compile_plan)  # per map id of P: (rows (start, stop, shuffle or None), fiber count)
 
         def m(sigma, fib, outer):
             kind = P.kind[sigma]
@@ -144,12 +141,7 @@ def end2(D, x, name=None) -> TwoOperad:
                 return compose(tensor_map(0, fib), outer)
             if P.target[sigma] == Z2U0:
                 return outer  # the identity of the leafless tree has no fibers
-            if sigma >= len(plans):
-                plans.extend([None] * (len(P.kind) - len(plans)))
-            plan = plans[sigma]
-            if plan is None:
-                plan = plans[sigma] = compile_plan(sigma)
-            rows, expected = plan
+            rows, expected = plans[sigma]
             if expected != len(fib):
                 raise ValueError("fiber element count does not match the map")
             block_maps = []

@@ -7,9 +7,9 @@ from duoidal_kit.center import (
     duoid_on_center,
     equalizer_center,
     homotopy_center,
-    lax_center_weights,
     mult0_variants,
     ordinal_weights,
+    reversed_ordinal_weights,
     totalize,
 )
 from duoidal_kit.duoidal import check_duoid_axioms
@@ -122,11 +122,9 @@ def test_duoid_on_center_collapses_to_the_multiplication_when_commutative():
 
 
 def test_lax_and_colax_weights():
-    lax = lax_center_weights("lax")
-    colax = lax_center_weights("colax")
+    lax = ordinal_weights()
+    colax = reversed_ordinal_weights()
     assert len(lax.level(0)) == 1  # singleton-based weight at the bottom
-    with pytest.raises(ValueError):
-        lax_center_weights("sideways")
 
     def families(m, weights):
         M = k_monoid_from_monoid(m, K)

@@ -136,7 +136,8 @@ def test_delta_center_exit_codes():
 
 def test_tamarkin_subcommand():
     """The whole output of the four corpus runs: both functor files, with
-    constant and with ordinal weights."""
+    constant and with ordinal weights, at the default level 2 and computed
+    at levels 5 and 9, where nothing changes."""
     runs = {
         ("id_bz2_functor.json", "id_*,id_*", "const"): (
             "tamarkin fiber of id_bz2 over (*,*,id_*,id_*) with constant weights\n"
@@ -160,8 +161,9 @@ def test_tamarkin_subcommand():
         ),
     }
     for (name, globe, delta), expected in runs.items():
-        out = run_cli("tamarkin", "--functor", str(CORPUS / name), "--delta", delta, "--globe", globe)
-        assert (out.returncode, out.stdout, out.stderr) == (0, expected, ""), (name, delta)
+        for levels in ((), ("--levels", "5"), ("--levels", "9")):
+            out = run_cli("tamarkin", "--functor", str(CORPUS / name), "--delta", delta, "--globe", globe, *levels)
+            assert (out.returncode, out.stdout, out.stderr) == (0, expected, ""), (name, delta, levels)
 
 
 def test_a_missing_value_category_names_its_object(tmp_path):

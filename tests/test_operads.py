@@ -268,11 +268,15 @@ def test_graphs_are_built_in_canonical_order():
             assert graph == _canonical(graph), m.name
 
 
-def test_memoized_gamma_agrees_with_a_fresh_one(z2_monoid):
+def test_memoized_gamma_agrees_with_a_fresh_one(z2_monoid, monkeypatch):
+    shapes = ((2, (1, 1)), (1, (2,)))
     A = end_operad(K, z2_monoid.carrier, bound=2)
-    for n, ks in ((2, (1, 1)), (1, (2,))):
-        memo = A.gamma(n, ks)
-        fresh = A._gamma_fn(n, ks)
+    memos = [A.gamma(n, ks) for n, ks in shapes]
+    monkeypatch.setattr(type(K.D), "memoize", lambda self, f: f)  # the same gammas, storing nothing
+    B = end_operad(K, z2_monoid.carrier, bound=2)
+    for memo, (n, ks) in zip(memos, shapes):
+        fresh = B.gamma(n, ks)
+        assert fresh._memo is None
         points = word_elements(memo.dom)
         for x in points:
             assert memo.apply(x) == fresh.apply(x)

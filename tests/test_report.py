@@ -1,6 +1,6 @@
 import pytest
 
-from duoidal_kit.report import CheckReport, SizeError, evaluate
+from duoidal_kit.report import CheckReport, Memo, SizeError, evaluate
 
 
 def _eq(seen):
@@ -61,3 +61,23 @@ def test_add_law_adds_cases_dropped_before_evaluation_to_the_skips():
     rep.add_law("law", [("x", None, 1), ("y", 1, 1)], _eq([]), "k <= 2", skipped=2)
     rep.add_law("law", [], _eq([]), skipped=1)
     assert [(item.passed, item.scope) for item in rep.items] == [(True, "k <= 2; 3 skipped"), (True, "1 skipped")]
+
+
+def test_memo_computes_each_key_once_and_stores_falsy_values():
+    calls = []
+
+    def fn(key):
+        calls.append(key)
+        if key == "bad":
+            raise ValueError(key)
+        return {"zero": 0, "none": None}.get(key, key)
+
+    memo = Memo(fn)
+    for _ in range(2):
+        assert (memo["zero"], memo["none"], memo[3]) == (0, None, 3)
+    assert calls == ["zero", "none", 3]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            memo["bad"]
+    assert "bad" not in memo and calls.count("bad") == 2
+    assert memo == {"zero": 0, "none": None, 3: 3}

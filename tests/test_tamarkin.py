@@ -188,6 +188,16 @@ def test_tamarkin_fiber_matches_natural_transformations():
     assert hits >= 10
 
 
+def test_tamarkin_fiber_computes_at_the_level_asked_for(id_bz2_pair):
+    globe = Globe("0", "1", "u", "w")
+    fams, tot = tamarkin_fiber(id_bz2_pair, globe, weights=ordinal_weights(5), N=5, bound=6)
+    assert tot.N == 5 and tot.stabilized_from == 1
+    assert len(fams) == len(tamarkin_fiber(id_bz2_pair, globe, weights=ordinal_weights(), N=2, bound=3)[0])
+    with pytest.raises(ValueError, match="exceeds operad bound"):
+        tamarkin_fiber(id_bz2_pair, globe, weights=ordinal_weights(5), N=5, bound=3)
+    assert tamarkin_fiber(id_bz2_pair, globe, N=7, bound=8)[1].N == 7  # the default weights reach level 7
+
+
 def test_tamarkin_point_base_is_the_center(id_bz2_pair):
     # cat = 1 picking one category: the fiber over the identity globe is the
     # monoid of natural endotransformations of the identity functor
