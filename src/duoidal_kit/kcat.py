@@ -58,14 +58,8 @@ class WordTensor:
     def odot(self, x, y):
         return tuple(x) + tuple(y)
 
-    def odot_many(self, xs):
-        out = ()
-        for x in xs:
-            out += tuple(x)
-        return out
-
     def odot_power(self, x, n):
-        return self.odot_many([x] * n)
+        return tuple(x) * n
 
 
 class CartesianSelfEnriched(WordTensor):
@@ -77,6 +71,11 @@ class CartesianSelfEnriched(WordTensor):
 
     def hom_obj(self, x, y):
         return (fn_letter(tuple(x), tuple(y)),)
+
+    def ends(self, hom):
+        """The objects (x, y) of a hom object K(x, y)."""
+        (letter,) = hom
+        return letter.dom_word, letter.cod_word
 
     def comp_map(self, x, y, z):
         dom = self.hom_obj(x, y) + self.hom_obj(y, z)
@@ -111,34 +110,36 @@ def odot_hom_many(K, pairs):
 
     Needs at least one factor; callers handle the empty case themselves.
     """
-    pairs = list(pairs)
-    if not pairs:
+    maps = [K.D.identity(K.hom_obj(a, b)) for a, b in pairs]
+    if not maps:
         raise ValueError("odot_hom_many needs at least one hom factor")
-    if len(pairs) == 1:
-        a, b = pairs[0]
-        return K.D.identity(K.hom_obj(a, b))
-    (a, b), rest = pairs[0], pairs[1:]
-    rest_map = odot_hom_many(K, rest)
-    rest_a = K.odot_many([p[0] for p in rest])
-    rest_b = K.odot_many([p[1] for p in rest])
-    step = K.D.box1_map(K.D.identity(K.hom_obj(a, b)), rest_map)
-    return chain(K.D, step, K.odot_hom_map(a, b, rest_a, rest_b))
+    out = maps.pop()
+    for f in reversed(maps):
+        out = hom_tensor(K, f, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# the underlying category
+# the underlying category: its maps phi: e -> K(x, y) name their objects
+# through `K.ends` of their codomains
 
 
-def und_compose(K, phi, psi, x, y, z):
+def und_compose(K, phi, psi):
     """Composition in the underlying category (phi: x->y then psi: y->z)."""
     D = K.D
+    (x, y), (_, z) = K.ends(D.cod(phi)), K.ends(D.cod(psi))
     return chain(D, D.box0_map(phi, psi), K.comp_map(x, y, z))
 
 
-def und_odot(K, phi, psi, x, y, z, w):
-    """The tensor of underlying maps, via the comonoid structure of e."""
+def hom_tensor(K, phi, psi):
+    """box1 of maps into K(x, y) and K(z, w), then lax tensoring into K(x odot z, y odot w)."""
     D = K.D
-    return chain(D, D.delta_e(), D.box1_map(phi, psi), K.odot_hom_map(x, y, z, w))
+    return chain(D, D.box1_map(phi, psi), K.odot_hom_map(*K.ends(D.cod(phi)), *K.ends(D.cod(psi))))
+
+
+def und_odot(K, phi, psi):
+    """The tensor of underlying maps, via the comonoid structure of e."""
+    return chain(K.D, K.D.delta_e(), hom_tensor(K, phi, psi))
 
 
 # ---------------------------------------------------------------------------
@@ -198,70 +199,34 @@ def check_k_category(C: KCategory) -> CheckReport:
 
     def associativity():
         for x, y, z, w in itertools.product(objs, repeat=4):
-            hxy, hyz, hzw = C.hom[(x, y)], C.hom[(y, z)], C.hom[(z, w)]
-            lhs = und_compose(
-                K,
-                und_odot(K, C.comps[(x, y, z)], K.unit_map(hzw), K.odot(hxy, hyz), C.hom[(x, z)], hzw, hzw),
-                C.comps[(x, z, w)],
-                K.odot_many([hxy, hyz, hzw]),
-                K.odot(C.hom[(x, z)], hzw),
-                C.hom[(x, w)],
-            )
-            rhs = und_compose(
-                K,
-                und_odot(K, K.unit_map(hxy), C.comps[(y, z, w)], hxy, hxy, K.odot(hyz, hzw), C.hom[(y, w)]),
-                C.comps[(x, y, w)],
-                K.odot_many([hxy, hyz, hzw]),
-                K.odot(hxy, C.hom[(y, w)]),
-                C.hom[(x, w)],
-            )
+            lhs = und_compose(K, und_odot(K, C.comps[(x, y, z)], K.unit_map(C.hom[(z, w)])), C.comps[(x, z, w)])
+            rhs = und_compose(K, und_odot(K, K.unit_map(C.hom[(x, y)]), C.comps[(y, z, w)]), C.comps[(x, y, w)])
             yield (x, y, z, w), lhs, rhs
 
     rep.add_law("composition associative", associativity(), D.maps_equal, f"{len(objs)}^4 tuples")
 
     def unit_laws():
         for x, y in itertools.product(objs, repeat=2):
-            hxy = C.hom[(x, y)]
-            left = und_compose(
-                K,
-                und_odot(K, C.units[x], K.unit_map(hxy), K.eta, C.hom[(x, x)], hxy, hxy),
-                C.comps[(x, x, y)],
-                hxy,
-                K.odot(C.hom[(x, x)], hxy),
-                hxy,
-            )
-            yield (x, y), left, K.unit_map(hxy)
-            right = und_compose(
-                K,
-                und_odot(K, K.unit_map(hxy), C.units[y], hxy, hxy, K.eta, C.hom[(y, y)]),
-                C.comps[(x, y, y)],
-                hxy,
-                K.odot(hxy, C.hom[(y, y)]),
-                hxy,
-            )
-            yield (x, y), right, K.unit_map(hxy)
+            unit = K.unit_map(C.hom[(x, y)])
+            yield (x, y), und_compose(K, und_odot(K, C.units[x], unit), C.comps[(x, x, y)]), unit
+            yield (x, y), und_compose(K, und_odot(K, unit, C.units[y]), C.comps[(x, y, y)]), unit
 
     rep.add_law("unit laws", unit_laws(), D.maps_equal)
 
     def u_morphisms():
         for x, y in itertools.product(objs, repeat=2):
-            hxy, um = C.hom[(x, y)], C.u[(x, y)]
-            yield (x, y), chain(D, D.box0_map(um, um), K.comp_map(hxy, hxy, hxy)), chain(D, D.mu_v(), um)
-            yield (x, y), chain(D, D.iota(), um), K.unit_map(hxy)
+            um = C.u[(x, y)]
+            yield (x, y), und_compose(K, um, um), chain(D, D.mu_v(), um)
+            yield (x, y), chain(D, D.iota(), um), K.unit_map(C.hom[(x, y)])
 
     rep.add_law("u components are monoid morphisms", u_morphisms(), D.maps_equal)
 
     def compatibility():
         for x, y, z in itertools.product(objs, repeat=3):
-            hxy, hyz, hxz = C.hom[(x, y)], C.hom[(y, z)], C.hom[(x, z)]
-            lhs = chain(D, D.box0_map(C.comps[(x, y, z)], C.u[(x, z)]), K.comp_map(K.odot(hxy, hyz), hxz, hxz))
-            rhs = chain(
-                D,
-                D.box1_map(C.u[(x, y)], C.u[(y, z)]),
-                D.box0_map(K.odot_hom_map(hxy, hxy, hyz, hyz), C.comps[(x, y, z)]),
-                K.comp_map(K.odot(hxy, hyz), K.odot(hxy, hyz), hxz),
-            )
-            yield (x, y, z), lhs, rhs
+            hxy, hyz, comp = C.hom[(x, y)], C.hom[(y, z)], C.comps[(x, y, z)]
+            lhs = und_compose(K, comp, C.u[(x, z)])
+            tensored = und_compose(K, K.odot_hom_map(hxy, hxy, hyz, hyz), comp)
+            yield (x, y, z), lhs, chain(D, D.box1_map(C.u[(x, y)], C.u[(y, z)]), tensored)
 
     rep.add_law("(***) compatibility per triple", compatibility(), D.maps_equal)
     return rep

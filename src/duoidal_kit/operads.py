@@ -19,6 +19,7 @@ from .kcat import (
     CartesianSelfEnriched,
     KMonoid,
     fn_elt_of,
+    hom_tensor,
     k_monoid_from_monoid,
     odot_hom_many,
     und_compose,
@@ -81,21 +82,9 @@ def end_operad(K, x, bound=4, name=None) -> OneOperad:
         return K.hom_obj(K.odot_power(x, n), x)
 
     def gamma(n, ks):
-        if n == 0:
-            return chain(
-                D,
-                D.box0_map(K.v_action_map(), D.identity(component(0))),
-                K.comp_map(K.eta, K.eta, x),
-            )
-        pairs = [(K.odot_power(x, k), x) for k in ks]
-        assemble = odot_hom_many(K, pairs)
-        total = K.odot_power(x, sum(ks))
-        middle = K.odot_power(x, n)
-        return chain(
-            D,
-            D.box0_map(assemble, D.identity(component(n))),
-            K.comp_map(total, middle, x),
-        )
+        """The inner homs tensored (the v-action for n = 0), then composed with A(n)."""
+        inner = odot_hom_many(K, [(K.odot_power(x, k), x) for k in ks]) if n else K.v_action_map()
+        return und_compose(K, inner, D.identity(component(n)))
 
     return OneOperad(
         D, name or f"end({getattr(x, 'name', x)!r})", component, gamma, K.unit_map(x), has_zero=True, bound=bound
@@ -245,14 +234,9 @@ def multiplicative_from_k_monoid(M: KMonoid, bound=4) -> MultOperad:
     """The endomorphism operad of a monoid's carrier, with its canonical
     multiplicative structure (the algebra map nu/u/mu and its iterates)."""
     K = M.K
-    D = K.D
     base = end_operad(K, M.carrier, bound=bound, name=f"end({M.name})")
-    x = M.carrier
-    powers = und_monoid_to_eass_algebra(K, x, M.nu_bar, M.mu_bar, bound=bound)
-    m = {
-        n: chain(D, D.box0_map(powers[n], M.u), K.comp_map(K.odot_power(x, n), x, x))
-        for n in range(bound + 1)
-    }
+    powers = und_monoid_to_eass_algebra(K, M.carrier, M.nu_bar, M.mu_bar, bound=bound)
+    m = {n: und_compose(K, powers[n], M.u) for n in range(bound + 1)}
     return MultOperad(base, m, name=f"end({M.name})")
 
 
@@ -277,40 +261,30 @@ def check_fass_algebra_diagrams(M: KMonoid) -> CheckReport:
     """
     K = M.K
     D = K.D
-    x = M.carrier
     A = multiplicative_from_k_monoid(M, bound=3)
     nu, u, mu = A.m[0], A.m[1], A.m[2]
-    x2, x3 = K.odot(x, x), K.odot_many([x, x, x])
     rep = CheckReport(f"algebra diagrams (d1)-(d5): {M.name}")
 
-    def oplus(f, g, a, b, c, d):
-        """box1 then lax tensoring: v box0 v ~ (v box1 v) box0 v prefixing."""
-        return chain(D, D.box1_map(f, g), K.odot_hom_map(a, b, c, d))
+    def after_mu(f, g):
+        """f and g tensored (box1, then lax tensoring), then composed with mu."""
+        return und_compose(K, hom_tensor(K, f, g), mu)
 
     # (d1): two associativity routes v box0 v -> K(x^3, x)
-    lhs = chain(D, D.box0_map(oplus(u, mu, x, x, x2, x), mu), K.comp_map(x3, x2, x))
-    rhs = chain(D, D.box0_map(oplus(mu, u, x2, x, x, x), mu), K.comp_map(x3, x2, x))
-    rep.add("(d1)", D.maps_equal(lhs, rhs))
+    rep.add("(d1)", D.maps_equal(after_mu(u, mu), after_mu(mu, u)))
 
     # (d2): unit routes agree with u after mu_v
-    lhs = chain(D, D.box0_map(oplus(nu, u, K.eta, x, x, x), mu), K.comp_map(x, x2, x))
-    rhs = chain(D, D.box0_map(oplus(u, nu, x, x, K.eta, x), mu), K.comp_map(x, x2, x))
     mid = chain(D, D.mu_v(), u)
-    rep.add("(d2)", D.maps_equal(lhs, mid) and D.maps_equal(rhs, mid))
+    rep.add("(d2)", D.maps_equal(after_mu(nu, u), mid) and D.maps_equal(after_mu(u, nu), mid))
 
     # (d3): mu is compatible with u
-    lhs = chain(D, D.box0_map(mu, u), K.comp_map(x2, x, x))
     mid = chain(D, D.mu_v(), mu)
-    rhs = chain(D, D.box0_map(oplus(u, u, x, x, x, x), mu), K.comp_map(x2, x2, x))
-    rep.add("(d3)", D.maps_equal(lhs, mid) and D.maps_equal(rhs, mid))
+    rep.add("(d3)", D.maps_equal(und_compose(K, mu, u), mid) and D.maps_equal(after_mu(u, u), mid))
 
     # (d4): nu is compatible with u
-    lhs = chain(D, D.box0_map(nu, u), K.comp_map(K.eta, x, x))
-    rep.add("(d4)", D.maps_equal(lhs, chain(D, D.mu_v(), nu)))
+    rep.add("(d4)", D.maps_equal(und_compose(K, nu, u), chain(D, D.mu_v(), nu)))
 
     # (d5): u is multiplicative
-    lhs = chain(D, D.box0_map(u, u), K.comp_map(x, x, x))
-    rep.add("(d5)", D.maps_equal(lhs, chain(D, D.mu_v(), u)))
+    rep.add("(d5)", D.maps_equal(und_compose(K, u, u), chain(D, D.mu_v(), u)))
     return rep
 
 
@@ -321,14 +295,7 @@ def und_monoid_to_eass_algebra(K, x, nu_bar, mu_bar, bound=3):
     """
     kappa = {0: nu_bar, 1: K.unit_map(x), 2: mu_bar}
     for n in range(3, bound + 1):
-        kappa[n] = und_compose(
-            K,
-            und_odot(K, kappa[n - 1], K.unit_map(x), K.odot_power(x, n - 1), x, x, x),
-            mu_bar,
-            K.odot_power(x, n),
-            K.odot(x, x),
-            x,
-        )
+        kappa[n] = und_compose(K, und_odot(K, kappa[n - 1], kappa[1]), mu_bar)
     return kappa
 
 
@@ -356,30 +323,20 @@ def algebra_hom_elements(K, x, y, kx, ky, bound=3):
     D = K.D
 
     def preserves(phi, n):
-        post = chain(
-            D,
-            kx[n],
-            D.box0_map(D.identity(K.hom_obj(K.odot_power(x, n), x)), phi),
-            K.comp_map(K.odot_power(x, n), x, y),
-        )
-        pre = chain(
-            D,
-            ky[n],
-            D.box0_map(_und_power(K, phi, x, y, n), D.identity(K.hom_obj(K.odot_power(y, n), y))),
-            K.comp_map(K.odot_power(x, n), K.odot_power(y, n), y),
-        )
+        post = chain(D, kx[n], und_compose(K, D.identity(D.cod(kx[n])), phi))
+        pre = chain(D, ky[n], und_compose(K, _und_power(K, phi, n), D.identity(D.cod(ky[n]))))
         return D.maps_equal(post, pre, cap=4096)
 
     return [phi for phi in D.hom(D.e, K.hom_obj(x, y)) if all(preserves(phi, n) for n in range(bound + 1))]
 
 
-def _und_power(K, phi, x, y, n):
+def _und_power(K, phi, n):
     """phi^{odot n} : e -> K(odot^n x, odot^n y), via the comonoid of e."""
     if n == 0:
         return K.unit_map(K.eta)
     out = phi
-    for k in range(1, n):
-        out = und_odot(K, out, phi, K.odot_power(x, k), K.odot_power(y, k), x, y)
+    for _ in range(1, n):
+        out = und_odot(K, out, phi)
     return out
 
 
@@ -392,46 +349,35 @@ def coface(A: MultOperad, n: int, i: int):
     D = A.D
     base = A.base
     an = base.component(n)
-    if i == 0:
+    if i in (0, n + 1):
+        outer = (A.m[1], D.identity(an)) if i == 0 else (D.identity(an), A.m[1])
         return chain(
             D,
             D.box0_map(D.identity(an), D.iota()),
-            D.box0_map(D.box1_map(A.m[1], D.identity(an)), A.m[2]),
-            base.gamma(2, (1, n)),
-        )
-    if i == n + 1:
-        return chain(
-            D,
-            D.box0_map(D.identity(an), D.iota()),
-            D.box0_map(D.box1_map(D.identity(an), A.m[1]), A.m[2]),
-            base.gamma(2, (n, 1)),
+            D.box0_map(D.box1_map(*outer), A.m[2]),
+            base.gamma(2, (1, n) if i == 0 else (n, 1)),
         )
     if not 1 <= i <= n:
         raise ValueError(f"coface index {i} outside 0..{n + 1}")
-    f_i = D.tensor_map(1, [A.m[1]] * (i - 1) + [A.m[2]] + [A.m[1]] * (n - i))
-    ks = (1,) * (i - 1) + (2,) + (1,) * (n - i)
-    return chain(
-        D,
-        D.box0_map(D.iota(), D.identity(an)),
-        D.box0_map(f_i, D.identity(an)),
-        base.gamma(n, ks),
-    )
+    return _substitute(A, (1,) * (i - 1) + (2,) + (1,) * (n - i))
 
 
 def codegeneracy(A: MultOperad, n: int, i: int):
     """s_i : A(n+1) -> A(n), 0 <= i <= n."""
-    D = A.D
-    base = A.base
-    an1 = base.component(n + 1)
     if not 0 <= i <= n:
         raise ValueError(f"codegeneracy index {i} outside 0..{n}")
-    g_i = D.tensor_map(1, [A.m[1]] * i + [A.m[0]] + [A.m[1]] * (n - i))
-    ks = (1,) * i + (0,) + (1,) * (n - i)
+    return _substitute(A, (1,) * i + (0,) + (1,) * (n - i))
+
+
+def _substitute(A: MultOperad, ks):
+    """gamma(n; ks) fed by m(k) in each slot: A(n) -> A(sum ks), n = len(ks)."""
+    D = A.D
+    an = A.base.component(len(ks))
     return chain(
         D,
-        D.box0_map(D.iota(), D.identity(an1)),
-        D.box0_map(g_i, D.identity(an1)),
-        base.gamma(n + 1, ks),
+        D.box0_map(D.iota(), D.identity(an)),
+        D.box0_map(D.tensor_map(1, [A.m[k] for k in ks]), D.identity(an)),
+        A.base.gamma(len(ks), ks),
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .fincat import Arrow, CatFunctor, FiniteCategory, ValidationError, compose_functors, identity_functor
 from .kcat import KMonoid, WordTensor
 from .report import Memo, skey, sorted_elements
-from .spans import Globe, SpanAtom, SpanDuoidal, SpanMor, arrow_globe, identity_globe
+from .spans import Globe, SpanAtom, SpanDuoidal, arrow_globe, identity_globe
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,11 @@ class EnrichedGraphCategory(WordTensor):
         fibers are computed per globe."""
         return self._homs[tuple(w1), tuple(w2)]
 
+    def ends(self, hom):
+        """The words (w1, w2) of a hom family."""
+        _, w1, w2 = hom.key
+        return w1, w2
+
     def _hom_atom(self, key):
         w1, w2 = key
 
@@ -160,25 +165,20 @@ class EnrichedGraphCategory(WordTensor):
 
     def comp_map(self, w1, w2, w3):
         """Composition of hom families along a horizontal globe pairing."""
-        h12 = self.hom_obj(w1, w2)
-        h23 = self.hom_obj(w2, w3)
-        dom = self.D.tensor(0, (h12, h23))
-        out_obj = self.hom_obj(w1, w3)
-        arities = self.D.arities(0, (h12, h23))
 
-        def act(globe, code):
-            (g1, c1), (g2, c2) = self.D.split(0, arities, globe, code)
-            phi = self._family_dict(self.D.decode(h12, g1, c1))
-            psi = self._family_dict(self.D.decode(h23, g2, c2))
+        def act(globe, elt):
+            (g1, _), (phi, psi) = elt
+            phi, psi = self._family_dict(phi), self._family_dict(psi)
             f1map = self.O.map_of(g1.f)
             g1map = self.O.map_of(g1.g)
 
             def graph(a1, a2):
                 return tuple((x, psi[(f1map[a1], g1map[a2])][y]) for x, y in phi.get((a1, a2), {}).items())
 
-            return self.D.encode(out_obj, globe, self.family(globe.a, graph))
+            return self.family(globe.a, graph)
 
-        return SpanMor(self.D, dom, out_obj, act)
+        dom = self.D.tensor(0, (self.hom_obj(w1, w2), self.hom_obj(w2, w3)))
+        return self.D.value_map(dom, self.hom_obj(w1, w3), act)
 
     def unit_map(self, w):
         target = self.hom_obj(w, w)
@@ -189,31 +189,26 @@ class EnrichedGraphCategory(WordTensor):
         return self.D.value_map(self.D.e, target, act)
 
     def odot_hom_map(self, e1, f1, e2, f2):
-        e1, f1, e2, f2 = tuple(e1), tuple(f1), tuple(e2), tuple(f2)
-        h1 = self.hom_obj(e1, f1)
-        h2 = self.hom_obj(e2, f2)
-        dom = self.D.tensor(1, (h1, h2))
-        out_obj = self.hom_obj(self.odot(e1, e2), self.odot(f1, f2))
         k1 = len(e1)
-        arities = self.D.arities(1, (h1, h2))
+        e12 = self.odot(e1, e2)
 
-        def act(globe, code):
-            (g1, c1), (g2, c2) = self.D.split(1, arities, globe, code)
-            phi = self._family_dict(self.D.decode(h1, g1, c1))
-            psi = self._family_dict(self.D.decode(h2, g2, c2))
+        def act(globe, elt):
+            _, (phi, psi) = elt
+            phi, psi = self._family_dict(phi), self._family_dict(psi)
 
             def graph(a1, a2):
                 table = []
-                for path, comps in self.word_fiber(self.odot(e1, e2), globe.a, a1, a2):
+                for path, comps in self.word_fiber(e12, globe.a, a1, a2):
                     mid = path[k1]
                     out_left = phi[(a1, mid)][(path[: k1 + 1], comps[:k1])]
                     out_right = psi[(mid, a2)][(path[k1:], comps[k1:])]
                     table.append(((path, comps), (out_left[0] + out_right[0][1:], out_left[1] + out_right[1])))
                 return tuple(table)
 
-            return self.D.encode(out_obj, globe, self.family(globe.a, graph))
+            return self.family(globe.a, graph)
 
-        return SpanMor(self.D, dom, out_obj, act)
+        dom = self.D.tensor(1, (self.hom_obj(e1, f1), self.hom_obj(e2, f2)))
+        return self.D.value_map(dom, self.hom_obj(e12, self.odot(f1, f2)), act)
 
     def v_action_map(self):
         target = self.hom_obj((), ())

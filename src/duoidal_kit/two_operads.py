@@ -160,7 +160,7 @@ def end2(D, x, name=None) -> TwoOperad:
 _ORDINAL_BOUND = 3  # the largest ordinal of the level-1 checks
 
 
-def check_two_operad(A: TwoOperad, max_leaves=3, tuple_cap=64) -> CheckReport:
+def check_two_operad(A: TwoOperad, max_leaves=3, tuple_cap=16) -> CheckReport:
     if tuple_cap < 1:
         raise ValueError(f"the element tuple cap must be at least 1, got {tuple_cap}")
     rep = CheckReport(f"2-operad axioms: {A.name} (leaf bound {max_leaves})")
@@ -225,7 +225,12 @@ def check_two_operad(A: TwoOperad, max_leaves=3, tuple_cap=64) -> CheckReport:
                             if P.aligned[omega] is not None:
                                 yield (sigma, omega), sigma, omega
 
-    outer = {}  # (omega, positions of the b's, position of c) -> m_omega(b's; c)
+    def outer_substitution(key):
+        omega, b_index, c_index = key
+        b_elems = tuple(B.component(t)[i] for t, i in zip(P.fiber_trees[omega], b_index))
+        return B.m(omega, b_elems, B.component(P.target[omega])[c_index])
+
+    outer = Memo(outer_substitution)  # (omega, positions of the b's, position of c) -> m_omega(b's; c)
     failing, evaluated, skipped = evaluate(
         aligned_pairs(), lambda sigma, omega: _assoc_holds(B, sigma, omega, tuple_cap, outer)
     )
@@ -259,10 +264,7 @@ def _assoc_holds(B: PoolOperad, sigma, omega, tuple_cap, outer):
             m(restr, [a_elems[p] for p in inputs], b)
             for restr, inputs, b in zip(restrictions, positions, b_elems)
         ]
-        key = (omega, b_index, c_index)
-        if key not in outer:
-            outer[key] = m(omega, b_elems, c)
-        if not B.eq(m(comp, inner, c), m(sigma, a_elems, outer[key])):
+        if not B.eq(m(comp, inner, c), m(sigma, a_elems, outer[omega, b_index, c_index])):
             return False
     return True
 
@@ -328,13 +330,8 @@ def is_pruned(A: TwoOperad) -> bool:
 
 
 def duoid_evaluation(D, d, P, tree):
-    """The tree-shaped iterated multiplication X^T -> X of a duoid."""
+    """The tree-shaped iterated multiplication X^T -> X of a duoid, for a 2-tree T."""
     x = d.carrier
-    kind = P.kind[tree]
-    if kind == TREE0:
-        return D.identity(D.e)
-    if kind == TREE1:
-        return iterated_mu_v(D, P.n[tree])
     if tree == Z2U0:
         return d.unit0
 

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from duoidal_kit import center
 from duoidal_kit.center import (
     InternalConsistencyError,
     center_of_monoid,
@@ -17,9 +20,11 @@ from duoidal_kit.finset import CartesianFinSet, atom_letter
 from duoidal_kit.kcat import CartesianSelfEnriched, k_monoid_from_monoid
 from duoidal_kit.monoids import cyclic, full_transformation2, left_zero_plus_unit, monoid_corpus
 from duoidal_kit.operads import (
+    CosimplicialObject,
     cosimplicial_from_multiplicative,
     multiplicative_from_k_monoid,
 )
+from duoidal_kit.report import SizeError
 
 D = CartesianFinSet()
 K = CartesianSelfEnriched(D)
@@ -68,8 +73,6 @@ def test_totalize_constant_weights_is_the_equalizer_and_stabilizes():
 
 def test_totalize_constant_on_a_constant_object_gives_level_zero():
     # constant cosimplicial object: every level the same, all maps identities
-    from duoidal_kit.operads import CosimplicialObject
-
     X0 = (atom_letter("c", ["x", "y", "z"]),)
     ident = D.identity(X0)
     X = CosimplicialObject(
@@ -169,3 +172,62 @@ def test_totalize_rejects_level_zero():
     X3 = cosimplicial_from_multiplicative(multiplicative_from_k_monoid(M, bound=4), 3)
     with pytest.raises(ValueError, match="weights only defined to level 3"):
         totalize(D, X3, constant_weights(N=2), N=3)
+
+
+def _edge_weights(N=1):
+    """The cosimplicial set of monotone maps [1] -> [n], as pairs a <= b:
+    the edge (0, 1) of level 1 is hit by no coface, so it is a free slot."""
+
+    def level(n):
+        return tuple((a, b) for a in range(n + 1) for b in range(a, n + 1))
+
+    def along(f, points):
+        return {p: tuple(map(f, p)) for p in points}
+
+    return CosimplicialObject(
+        None,
+        {n: level(n) for n in range(N + 2)},
+        {(n, i): along(lambda k, i=i: k + (k >= i), level(n)) for n in range(N + 1) for i in range(n + 2)},
+        {(n, i): along(lambda k, i=i: k - (k > i), level(n + 1)) for n in range(N + 1) for i in range(n + 1)},
+        N,
+        "edges",
+    )
+
+
+def _z2_hochschild():
+    A = multiplicative_from_k_monoid(k_monoid_from_monoid(cyclic(2), K), bound=3)
+    return cosimplicial_from_multiplicative(A, 1)
+
+
+def test_free_weight_slots_are_filled_as_brute_force_finds():
+    delta, X = _edge_weights(), _z2_hochschild()
+    pts0, pts1 = delta.level(0), delta.level(1)
+    hit = {delta.d(0, i)[u] for i in range(2) for u in pts0}
+    assert [w for w in pts1 if w not in hit] == [(0, 1)]
+
+    def compatible(x0, x1):
+        at0, at1 = dict(zip(pts0, x0)), dict(zip(pts1, x1))
+        cofaces = all(X.d(0, i).apply(at0[u]) == at1[delta.d(0, i)[u]] for i in range(2) for u in pts0)
+        return cofaces and all(X.s(0, 0).apply(at1[w]) == at0[delta.s(0, 0)[w]] for w in pts1)
+
+    level0, level1 = D.fiber(X.level(0), None), D.fiber(X.level(1), None)
+    brute = {
+        (x0, x1)
+        for x0 in itertools.product(level0, repeat=len(pts0))
+        for x1 in itertools.product(level1, repeat=len(pts1))
+        if compatible(x0, x1)
+    }
+    snapshots = center._families_at(D, X, delta, 1, None)
+    assert set(snapshots[1]) == brute and len(snapshots[1]) == len(brute) > 0
+    # the free slot takes more than one value, so it is enumerated, not forced
+    assert len({x1[pts1.index((0, 1))] for _, x1 in brute}) > 1
+
+
+def test_free_weight_slots_respect_the_enumeration_cap(monkeypatch):
+    delta, X = _edge_weights(), _z2_hochschild()
+    choices = len(D.fiber(X.level(1), None))  # the pool of the one free slot
+    monkeypatch.setattr(center, "_FREE_CAP", choices)
+    assert center._families_at(D, X, delta, 1, None)[1]
+    monkeypatch.setattr(center, "_FREE_CAP", choices - 1)
+    with pytest.raises(SizeError, match="free weight slots"):
+        center._families_at(D, X, delta, 1, None)

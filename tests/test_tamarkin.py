@@ -10,7 +10,8 @@ from duoidal_kit.instances import (
     functor_pair_corpus,
     parallel_pair_cat,
 )
-from duoidal_kit.kcat import check_k_category, sigma
+from duoidal_kit.finset import CartesianFinSet, atom_letter
+from duoidal_kit.kcat import CartesianSelfEnriched, check_k_category, hom_tensor, sigma, und_compose
 from duoidal_kit.spans import Globe, arrow_globe, identity_globe
 from duoidal_kit.tamarkin import (
     CatValuedFunctor,
@@ -78,6 +79,20 @@ def test_eta_unit_law_and_word_fibers(id_bz2_pair):
     fib = J2.word_fiber(J2.odot(E, F), "0", "a", "b")
     # matrix count: E(a,a)F(a,b) + E(a,b)F(b,b)
     assert len(fib) == 2
+
+
+def test_hom_objects_know_their_ends(id_bz2_pair):
+    J = EnrichedGraphCategory(object_functor_of(id_bz2_pair))
+    K = CartesianSelfEnriched(CartesianFinSet())
+    for C, x in ((J, (hom_family_of(id_bz2_pair),)), (K, (atom_letter("x", ["p", "q"]),))):
+        xx = C.odot(x, x)
+        for a, b in ((x, x), (C.eta, x), (x, C.eta), (C.eta, C.eta), (xx, x), (list(x), list(xx))):
+            assert C.ends(C.hom_obj(a, b)) == (tuple(a), tuple(b))
+        # so underlying maps compose and tensor with no objects named
+        unit = C.unit_map(x)
+        assert C.D.cod(und_compose(C, unit, unit)) == C.hom_obj(x, x)
+        assert C.D.cod(hom_tensor(C, unit, C.unit_map(C.eta))) == C.hom_obj(x, x)
+        assert C.D.cod(hom_tensor(C, unit, unit)) == C.hom_obj(xx, xx)
 
 
 def test_monoid_from_factorization_passes_axioms(id_bz2_pair):

@@ -7,7 +7,8 @@ from duoidal_kit.duoidal import Duoid, check_duoid_axioms, iterated_mu_v, v_as_d
 from duoidal_kit.finset import CartMap, CartesianFinSet, atom_letter
 from duoidal_kit.instances import additive_instance, bool_lattice_instance
 from duoidal_kit.monoids import cyclic
-from duoidal_kit.trees import U2, Z2U0, ZU1, TreeError, TreePool
+from duoidal_kit.report import SizeError
+from duoidal_kit.trees import MAP2, U2, Z2U0, ZU1, TreeError, TreePool
 from duoidal_kit.two_operads import (
     TwoOperad,
     algebra_to_duoid,
@@ -178,6 +179,55 @@ def test_corrupted_unit_fails_identity_axiom():
     rep = check_two_operad(bad, max_leaves=2, tuple_cap=4)
     rows = {i.name: i.passed for i in rep.items}
     assert not (rows["(**) identities act trivially"] and rows["(***) units absorb"])
+
+
+def _corrupt_inner_substitutions(base):
+    """base with m_sigma moved to the next element of its component for every
+    2-tree map sigma that is neither an identity nor a terminal map, so the
+    identity and unit rows cannot see the corruption."""
+
+    def m_fn(P):
+        m = base.m_fn(P)
+
+        def corrupted(sigma, fib, outer):
+            out = m(sigma, fib, outer)
+            T = P.source[sigma]
+            if P.kind[sigma] != MAP2 or sigma in (P.two_identity(T), P.terminal_map(T)):
+                return out
+            comp = base.component_fn(P, T)
+            return comp[(comp.index(out) + 1) % len(comp)]
+
+        return corrupted
+
+    return TwoOperad(f"{base.name}_corrupt", base.component_fn, base.unit_fn, m_fn, base.equal_fn)
+
+
+def test_corrupted_substitution_fails_associativity_with_a_composable_witness():
+    rep = check_two_operad(_corrupt_inner_substitutions(end2(additive_instance(cyclic(2)), "*")), max_leaves=2)
+    rows = {i.name: i for i in rep.items}
+    assert rows["(**) identities act trivially"].passed and rows["(***) units absorb"].passed
+    assoc = rows["(*) associativity"]
+    assert not assoc.passed
+    assert assoc.scope.endswith("element tuples capped at 16")  # the default cap, as on the command line
+    # the witness is a pair sigma: T => S ; omega: S => R of rendered 2-tree maps
+    sigma, omega = assoc.witness.split(" ; ")
+    assert sigma.split(" => ")[1].split(" [")[0] == omega.split(" => ")[0]
+
+
+def test_associativity_counts_the_pairs_too_large_to_compare(monkeypatch):
+    assoc_holds = two_operads._assoc_holds
+    calls = []
+
+    def every_other_pair_too_large(*args):
+        calls.append(None)
+        if len(calls) % 2:
+            raise SizeError("element tuples too large")
+        return assoc_holds(*args)
+
+    monkeypatch.setattr(two_operads, "_assoc_holds", every_other_pair_too_large)
+    assoc = check_two_operad(ass2(), max_leaves=2).items[-1]
+    assert assoc.passed
+    assert assoc.scope == "968/1149 composable pairs aligned within bound; element tuples capped at 16; 484 skipped"
 
 
 def test_duoid_algebra_round_trip_small():
