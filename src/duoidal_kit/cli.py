@@ -15,18 +15,10 @@ import sys
 from . import instances, jsonio
 from .fincat import ValidationError
 from .finset import CartesianFinSet, atom_letter
-from .monoids import cyclic
 from .report import CheckReport, SizeError, sorted_elements
 
 # the --builtin choices, each built when chosen
-BUILTIN_INSTANCES = {
-    "bool_lattice": instances.bool_lattice_instance,
-    "bool_cartesian": instances.bool_cartesian_instance,
-    "additive_z2": lambda: instances.additive_instance(cyclic(2)),
-    "additive_z3": lambda: instances.additive_instance(cyclic(3)),
-    "discrete_z3": lambda: instances.discrete_commutative_instance(cyclic(3)),
-    "cartesian": CartesianFinSet,
-}
+BUILTIN_INSTANCES = {**instances.TABLE_INSTANCES, "cartesian": CartesianFinSet}
 
 
 def _load_instance(args):

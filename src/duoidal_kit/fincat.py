@@ -145,27 +145,13 @@ class TableDuoidal(Tensors):
     checking runs.
     """
 
-    def __init__(
-        self,
-        name,
-        base: FiniteCategory,
-        box0_obj,
-        box1_obj,
-        e,
-        v,
-        box0_arr,
-        box1_arr,
-        interchange_table,
-        delta_e,
-        mu_v,
-        iota,
-    ):
+    def __init__(self, name, base: FiniteCategory, objs, arrs, units, interchange_table, delta_e, mu_v, iota):
         self.name = name
         self.base = base
-        # per tensor t: the object table, the arrow table and the unit
-        self._obj = (dict(box0_obj), dict(box1_obj))
-        self._arr = (dict(box0_arr), dict(box1_arr))
-        self._units = (e, v)
+        # per tensor t: the object table objs[t], the arrow table arrs[t] and the unit units[t]
+        self._obj = tuple(dict(table) for table in objs)
+        self._arr = tuple(dict(table) for table in arrs)
+        self._units = tuple(units)
         self._zeta = dict(interchange_table)
         self._delta_e = delta_e
         self._mu_v = mu_v

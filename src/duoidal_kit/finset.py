@@ -165,25 +165,20 @@ def fn_eval(el):
 
 
 class CartMap:
-    """A map of words, evaluated lazily with an optional materialized table.
+    """A map of words; `apply` is its function, `fn` or the lookup in `table`.
 
-    A memoized map (see `CartesianFinSet.memoize`) stores its value at each
-    point it has been applied to.
+    `_memo` holds the values the map stores: its `table`, which for a
+    memoized map (see `CartesianFinSet.memoize`) fills in at each point the
+    map is applied to.
     """
 
-    __slots__ = ("dom", "cod", "_fn", "_table", "_memo")
+    __slots__ = ("dom", "cod", "apply", "_memo")
 
     def __init__(self, dom, cod, fn=None, table=None):
         self.dom = tuple(dom)
         self.cod = tuple(cod)
-        self._fn = fn
-        self._table = table
-        self._memo = None
-
-    def apply(self, x):
-        if self._table is not None:
-            return self._table[x]
-        return self._fn(x) if self._memo is None else self._memo[x]
+        self._memo = table
+        self.apply = fn if table is None else table.__getitem__
 
     def __repr__(self):
         return f"CartMap({len(self.dom)} letters -> {len(self.cod)} letters)"
@@ -230,13 +225,12 @@ class CartesianFinSet(Tensors):
         Only a map whose domain is enumerable is memoized: its points are
         plain values, so the stored table is keyed by value and holds at most
         one entry per element of the domain.  Any other map is returned as
-        it is, since its points may hold `FnElt`s, which hash by identity.
+        it is, since its points may hold `FnElt`s, which hash by identity,
+        and so is a map that stores its values already.
         """
-        if f._table is not None or not word_enumerable(f.dom):
+        if f._memo is not None or not word_enumerable(f.dom):
             return f
-        out = CartMap(f.dom, f.cod, fn=f._fn)
-        out._memo = Memo(f._fn)
-        return out
+        return CartMap(f.dom, f.cod, table=Memo(f.apply))
 
     def hom(self, x, y, cap=DEFAULT_CAP):
         ins = word_elements(x, cap)

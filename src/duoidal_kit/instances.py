@@ -4,19 +4,18 @@ from __future__ import annotations
 
 import itertools
 
-from .fincat import Arrow, CatFunctor, FiniteCategory, ValidationError, finite_category, identity_functor
-from .monoids import Monoid
+from .fincat import Arrow, CatFunctor, FiniteCategory, TableDuoidal, ValidationError, finite_category, identity_functor
+from .monoids import Monoid, cyclic
 
 
-def thin_duoidal(name, objects, leq, box0, box1, e, v):
-    """A duoidal instance whose base is a thin category (a poset).
+def thin_duoidal(name, objects, leq, boxes, units):
+    """A duoidal instance whose base is a thin category (a poset), with the
+    tensor-t product boxes[t] and unit units[t].
 
     All coherence diagrams commute automatically; the point of these
     instances is that the structure arrows exist and typecheck, and that
     e != v is exercised when the two units differ.
     """
-    from .fincat import TableDuoidal
-
     objects = tuple(objects)
     arrows = [Arrow(f"{x}->{y}", x, y) for x in objects for y in objects if leq(x, y)]
     table = {}
@@ -32,14 +31,13 @@ def thin_duoidal(name, objects, leq, box0, box1, e, v):
             raise ValidationError(f"{name}: required structure arrow {x} -> {y} is missing")
         return f"{x}->{y}"
 
-    box0_obj = {(x, y): box0(x, y) for x in objects for y in objects}
-    box1_obj = {(x, y): box1(x, y) for x in objects for y in objects}
-    box0_arr = {}
-    box1_arr = {}
-    for f in arrows:
-        for g in arrows:
-            box0_arr[(f.name, g.name)] = arrow_between(box0(f.src, g.src), box0(f.tgt, g.tgt))
-            box1_arr[(f.name, g.name)] = arrow_between(box1(f.src, g.src), box1(f.tgt, g.tgt))
+    objs = [{(x, y): box(x, y) for x in objects for y in objects} for box in boxes]
+    arrs = [
+        {(f.name, g.name): arrow_between(box(f.src, g.src), box(f.tgt, g.tgt)) for f in arrows for g in arrows}
+        for box in boxes
+    ]
+    box0, box1 = boxes
+    e, v = units
     zeta = {}
     for a, b, c, d in itertools.product(objects, repeat=4):
         src = box0(box1(a, b), box1(c, d))
@@ -48,12 +46,9 @@ def thin_duoidal(name, objects, leq, box0, box1, e, v):
     return TableDuoidal(
         name,
         base,
-        box0_obj,
-        box1_obj,
-        e,
-        v,
-        box0_arr,
-        box1_arr,
+        objs,
+        arrs,
+        units,
         zeta,
         delta_e=arrow_between(e, box1(e, e)),
         mu_v=arrow_between(box0(v, v), v),
@@ -67,29 +62,13 @@ def bool_lattice_instance():
     A genuinely duoidal table instance with distinct units: the interchange
     (a or b) and (c or d) ... is the lattice inequality
     (a and b) or (c and d) <= (a or c) and (b or d)."""
-    return thin_duoidal(
-        "bool_lattice",
-        ("0", "1"),
-        lambda x, y: x <= y,
-        lambda x, y: max(x, y),
-        lambda x, y: min(x, y),
-        e="0",
-        v="1",
-    )
+    return thin_duoidal("bool_lattice", ("0", "1"), lambda x, y: x <= y, (max, min), ("0", "1"))
 
 
 def bool_cartesian_instance():
     """The cartesian fragment on the empty set and the point: both tensors
     are the product, e = v = 1."""
-    return thin_duoidal(
-        "bool_cartesian",
-        ("0", "1"),
-        lambda x, y: x <= y,
-        lambda x, y: min(x, y),
-        lambda x, y: min(x, y),
-        e="1",
-        v="1",
-    )
+    return thin_duoidal("bool_cartesian", ("0", "1"), lambda x, y: x <= y, (min, min), ("1", "1"))
 
 
 def additive_instance(m: Monoid):
@@ -98,8 +77,6 @@ def additive_instance(m: Monoid):
     Interchange and all unit comparison maps are the monoid unit.  The homs
     are genuinely non-thin, so equalities of structure maps carry content.
     """
-    from .fincat import TableDuoidal
-
     if not m.is_commutative():
         raise ValidationError("additive instances need a commutative monoid")
     name = f"additive_{m.name}"
@@ -107,19 +84,14 @@ def additive_instance(m: Monoid):
     arrows = [Arrow(label[x], "*", "*") for x in m.elements]
     table = {(label[x], label[y]): label[m.mult(x, y)] for x in m.elements for y in m.elements}
     base = FiniteCategory(name, ("*",), arrows, table, {"*": label[m.unit]})
-    add_arr = dict(table)
     unit_arrow = label[m.unit]
-    objs = ("*",)
     return TableDuoidal(
         name,
         base,
-        {("*", "*"): "*"},
-        {("*", "*"): "*"},
-        "*",
-        "*",
-        add_arr,
-        dict(add_arr),
-        {(a, b, c, d): unit_arrow for a, b, c, d in itertools.product(objs, repeat=4)},
+        ({("*", "*"): "*"},) * 2,
+        (table,) * 2,
+        ("*",) * 2,
+        {("*",) * 4: unit_arrow},
         delta_e=unit_arrow,
         mu_v=unit_arrow,
         iota=unit_arrow,
@@ -129,8 +101,6 @@ def additive_instance(m: Monoid):
 def discrete_commutative_instance(m: Monoid):
     """Objects = elements of a commutative monoid, only identity arrows,
     both tensors = the monoid operation."""
-    from .fincat import TableDuoidal
-
     if not m.is_commutative():
         raise ValidationError("discrete instances need a commutative monoid")
     name = f"discrete_{m.name}"
@@ -144,12 +114,9 @@ def discrete_commutative_instance(m: Monoid):
     return TableDuoidal(
         name,
         base,
-        op,
-        dict(op),
-        unit,
-        unit,
-        arr_op,
-        dict(arr_op),
+        (op,) * 2,
+        (arr_op,) * 2,
+        (unit,) * 2,
         {(a, b, c, d): ident[op[(op[(a, b)], op[(c, d)])]] for a, b, c, d in itertools.product(objs, repeat=4)},
         delta_e=ident[unit],
         mu_v=ident[unit],
@@ -157,16 +124,18 @@ def discrete_commutative_instance(m: Monoid):
     )
 
 
-def table_instances():
-    from .monoids import cyclic
+# the builtin table instances, each built when called
+TABLE_INSTANCES = {
+    "bool_lattice": bool_lattice_instance,
+    "bool_cartesian": bool_cartesian_instance,
+    "additive_z2": lambda: additive_instance(cyclic(2)),
+    "additive_z3": lambda: additive_instance(cyclic(3)),
+    "discrete_z3": lambda: discrete_commutative_instance(cyclic(3)),
+}
 
-    return [
-        bool_lattice_instance(),
-        bool_cartesian_instance(),
-        additive_instance(cyclic(2)),
-        additive_instance(cyclic(3)),
-        discrete_commutative_instance(cyclic(3)),
-    ]
+
+def table_instances():
+    return [build() for build in TABLE_INSTANCES.values()]
 
 
 # ---------------------------------------------------------------------------

@@ -270,10 +270,8 @@ def table_duoidal_to_doc(D: TableDuoidal) -> dict:
         "base": category_to_doc(D.base),
         "e": D.e,
         "v": D.v,
-        "box0_objects": {f"{x} {y}": D.box0(x, y) for x in objs for y in objs},
-        "box1_objects": {f"{x} {y}": D.box1(x, y) for x in objs for y in objs},
-        "box0_arrows": {f"{f} {g}": D.box0_map(f, g) for f in arrs for g in arrs},
-        "box1_arrows": {f"{f} {g}": D.box1_map(f, g) for f in arrs for g in arrs},
+        **{f"box{t}_objects": {f"{x} {y}": D.tensor(t, (x, y)) for x in objs for y in objs} for t in (0, 1)},
+        **{f"box{t}_arrows": {f"{f} {g}": D.tensor_map(t, (f, g)) for f in arrs for g in arrs} for t in (0, 1)},
         "interchange": {f"{a} {b} {c} {d}": D.interchange(a, b, c, d) for a in objs for b in objs for c in objs for d in objs},
         "delta_e": D.delta_e(),
         "mu_v": D.mu_v(),
@@ -285,19 +283,16 @@ def table_duoidal_from_doc(doc) -> TableDuoidal:
     _expect(doc, "duoidal_table")
     base = category_from_doc(doc["base"])
 
-    def table(field, names, parts, what):
+    def table(field, names, what, parts=2):
         return _keys(doc[field], names, parts, f"{doc['name']}: {field}", what)
 
     return TableDuoidal(
         doc["name"],
         base,
-        table("box0_objects", base.objects, 2, "two objects"),
-        table("box1_objects", base.objects, 2, "two objects"),
-        doc["e"],
-        doc["v"],
-        table("box0_arrows", base.arrows, 2, "two arrows"),
-        table("box1_arrows", base.arrows, 2, "two arrows"),
-        table("interchange", base.objects, 4, "four objects"),
+        [table(f"box{t}_objects", base.objects, "two objects") for t in (0, 1)],
+        [table(f"box{t}_arrows", base.arrows, "two arrows") for t in (0, 1)],
+        (doc["e"], doc["v"]),
+        table("interchange", base.objects, "four objects", 4),
         doc["delta_e"],
         doc["mu_v"],
         doc["iota"],

@@ -211,7 +211,7 @@ def check_k_category(C: KCategory) -> CheckReport:
             yield (x, y), und_compose(K, und_odot(K, C.units[x], unit), C.comps[(x, x, y)]), unit
             yield (x, y), und_compose(K, und_odot(K, unit, C.units[y]), C.comps[(x, y, y)]), unit
 
-    rep.add_law("unit laws", unit_laws(), D.maps_equal)
+    rep.add_law("unit laws", unit_laws(), D.maps_equal, f"{len(objs)}^2 pairs")
 
     def u_morphisms():
         for x, y in itertools.product(objs, repeat=2):
@@ -219,7 +219,7 @@ def check_k_category(C: KCategory) -> CheckReport:
             yield (x, y), und_compose(K, um, um), chain(D, D.mu_v(), um)
             yield (x, y), chain(D, D.iota(), um), K.unit_map(C.hom[(x, y)])
 
-    rep.add_law("u components are monoid morphisms", u_morphisms(), D.maps_equal)
+    rep.add_law("u components are monoid morphisms", u_morphisms(), D.maps_equal, f"{len(objs)}^2 pairs")
 
     def compatibility():
         for x, y, z in itertools.product(objs, repeat=3):
@@ -228,7 +228,7 @@ def check_k_category(C: KCategory) -> CheckReport:
             tensored = und_compose(K, K.odot_hom_map(hxy, hxy, hyz, hyz), comp)
             yield (x, y, z), lhs, chain(D, D.box1_map(C.u[(x, y)], C.u[(y, z)]), tensored)
 
-    rep.add_law("(***) compatibility per triple", compatibility(), D.maps_equal)
+    rep.add_law("(***) compatibility per triple", compatibility(), D.maps_equal, f"{len(objs)}^3 triples")
     return rep
 
 

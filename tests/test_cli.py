@@ -481,3 +481,45 @@ def test_selftest_seeded():
     assert "(seed 3)" in out.stdout
     again = run_cli("selftest", env=env)
     assert out.stdout == again.stdout
+
+
+# The table-instance commands, their stdout in tests/golden/<name>.txt and
+# their exit codes in tests/golden/exit_codes.json.  `python tests/test_cli.py`
+# records them again from the current code.
+GOLDEN = ROOT / "tests" / "golden"
+BOOL_LATTICE = str(CORPUS / "bool_lattice.json")
+GOLDEN_RUNS = {
+    **{
+        f"check_duoidal_{name}": ("check-duoidal", "--builtin", name)
+        for name in ("bool_lattice", "bool_cartesian", "additive_z2", "additive_z3", "discrete_z3")
+    },
+    "check_duoidal_file": ("check-duoidal", "--instance", BOOL_LATTICE),
+    "check_duoid_file": ("check-duoid", "--instance", BOOL_LATTICE),
+    "check_duoid_file_duoid": (
+        "check-duoid", "--instance", BOOL_LATTICE, "--duoid", str(CORPUS / "duoid_v_bool_lattice.json")
+    ),
+    **{
+        f"check_operad_{stem}": (
+            "check-operad", "--builtin", "additive_z2", "--operad", str(CORPUS / f"{stem}.json"), "--bound", "3"
+        )
+        for stem in ("fass_additive_z2", "fass_corrupt_additive_z2")
+    },
+    "two_operad_check_additive_z2": ("two-operad", "check", "--builtin", "additive_z2", "--x", "*", "--leaves", "2"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_table_instance_commands_match_their_golden_output(name):
+    out = run_cli(*GOLDEN_RUNS[name])
+    assert out.returncode == json.loads((GOLDEN / "exit_codes.json").read_text())[name], out.stderr
+    assert out.stdout == (GOLDEN / f"{name}.txt").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for name, argv in GOLDEN_RUNS.items():
+        out = run_cli(*argv)
+        (GOLDEN / f"{name}.txt").write_text(out.stdout)
+        codes[name] = out.returncode
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")

@@ -15,6 +15,7 @@ from duoidal_kit.instances import (
     bool_lattice_instance,
     discrete_commutative_instance,
     table_instances,
+    thin_duoidal,
 )
 from duoidal_kit.instances import bz2_cat
 from duoidal_kit.jsonio import table_duoidal_from_doc, table_duoidal_to_doc
@@ -58,6 +59,13 @@ def test_table_tensors_must_be_strictly_unital_on_arrows():
     doc["box0_arrows"]["a0 a1"] = "a2"
     with pytest.raises(ValidationError, match="box0 not strictly unital on arrows at a1"):
         table_duoidal_from_doc(doc)
+
+
+def test_a_thin_base_must_hold_every_structure_arrow():
+    # the discrete order on 0 < 1 has identities only; the interchange at (0, 1, 1, 0) needs 0 -> 1
+    with pytest.raises(ValidationError) as err:
+        thin_duoidal("bad", ("0", "1"), lambda x, y: x == y, (max, min), ("0", "1"))
+    assert str(err.value) == "bad: required structure arrow 0 -> 1 is missing"
 
 
 def test_additive_instance_requires_commutativity():

@@ -51,6 +51,12 @@ def test_k_monoid_axioms_for_corpus_sample():
     for m in (cyclic(2), cyclic(3), full_transformation2()):
         rep = check_k_category(sigma(k_monoid_from_monoid(m, K)))
         assert rep.all_passed, rep.render()
+        assert {item.name: item.scope for item in rep.items} == {
+            "composition associative": "1^4 tuples",
+            "unit laws": "1^2 pairs",
+            "u components are monoid morphisms": "1^2 pairs",
+            "(***) compatibility per triple": "1^3 triples",
+        }
 
 
 def test_k_category_rejects_a_non_associative_multiplication():
