@@ -281,12 +281,3 @@ def mult0_variants(A: MultOperad, cen: CenterResult):
                 s0,
             )
     return out
-
-
-def homotopy_center(*_args, **_kwargs):
-    """Homotopy centers need fibrant replacement in a model structure; that
-    machinery is deliberately not part of this package."""
-    raise NotImplementedError(
-        "homotopy centers (fibrant replacement over a standard system of "
-        "simplices) are outside the scope of this package"
-    )

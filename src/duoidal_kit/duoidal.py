@@ -17,7 +17,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .report import CheckReport, SizeError
+from .report import CheckReport, Memo, SizeError
 
 
 class Tensors:
@@ -150,6 +150,9 @@ def check_duoidal_axioms(D, objects=None, hom_limit=3) -> CheckReport:
         scope = f"pointwise on {len(sample)} sample objects"
     rep = CheckReport(f"duoidal axioms: {getattr(D, 'name', type(D).__name__)} ({scope})")
     eq = D.maps_equal
+    # every case reads the structure maps built once per check; objects are values
+    interchange = Memo(lambda objs: D.interchange(*objs))  # (a, b, c, d) -> its interchange
+    identity = Memo(D.identity)  # object -> its identity
     capped = f"{scope}; homs capped at {hom_limit}"
     pairs = list(itertools.product(sample, repeat=2))
     # the first hom_limit maps of each hom set of the sample; a hom set too
@@ -195,13 +198,13 @@ def check_duoidal_axioms(D, objects=None, hom_limit=3) -> CheckReport:
         for a, b, c, d, e2, f2 in itertools.product(sample, repeat=6):
             left = chain(
                 D,
-                D.box0_map(D.interchange(a, b, c, d), D.identity(D.box1(e2, f2))),
-                D.interchange(D.box0(a, c), D.box0(b, d), e2, f2),
+                D.box0_map(interchange[a, b, c, d], identity[D.box1(e2, f2)]),
+                interchange[D.box0(a, c), D.box0(b, d), e2, f2],
             )
             right = chain(
                 D,
-                D.box0_map(D.identity(D.box1(a, b)), D.interchange(c, d, e2, f2)),
-                D.interchange(a, b, D.box0(c, e2), D.box0(d, f2)),
+                D.box0_map(identity[D.box1(a, b)], interchange[c, d, e2, f2]),
+                interchange[a, b, D.box0(c, e2), D.box0(d, f2)],
             )
             yield (a, b, c, d, e2, f2), left, right
 
@@ -212,13 +215,13 @@ def check_duoidal_axioms(D, objects=None, hom_limit=3) -> CheckReport:
         for a, b, c, d, e2, f2 in itertools.product(sample, repeat=6):
             left = chain(
                 D,
-                D.interchange(D.box1(a, b), c, D.box1(d, e2), f2),
-                D.box1_map(D.interchange(a, b, d, e2), D.identity(D.box0(c, f2))),
+                interchange[D.box1(a, b), c, D.box1(d, e2), f2],
+                D.box1_map(interchange[a, b, d, e2], identity[D.box0(c, f2)]),
             )
             right = chain(
                 D,
-                D.interchange(a, D.box1(b, c), d, D.box1(e2, f2)),
-                D.box1_map(D.identity(D.box0(a, d)), D.interchange(b, c, e2, f2)),
+                interchange[a, D.box1(b, c), d, D.box1(e2, f2)],
+                D.box1_map(identity[D.box0(a, d)], interchange[b, c, e2, f2]),
             )
             yield (a, b, c, d, e2, f2), left, right
 
@@ -230,33 +233,33 @@ def check_duoidal_axioms(D, objects=None, hom_limit=3) -> CheckReport:
     def unit_squares():
         for a, b in pairs:
             ab0, ab1 = D.box0(a, b), D.box1(a, b)
-            lhs = chain(D, D.box0_map(D.delta_e(), D.identity(ab1)), D.interchange(e, e, a, b))
-            yield ("left e-square", a, b), lhs, D.identity(ab1)
-            lhs = chain(D, D.box0_map(D.identity(ab1), D.delta_e()), D.interchange(a, b, e, e))
-            yield ("right e-square", a, b), lhs, D.identity(ab1)
-            lhs = chain(D, D.interchange(v, a, v, b), D.box1_map(D.mu_v(), D.identity(ab0)))
-            yield ("left v-square", a, b), lhs, D.identity(ab0)
-            lhs = chain(D, D.interchange(a, v, b, v), D.box1_map(D.identity(ab0), D.mu_v()))
-            yield ("right v-square", a, b), lhs, D.identity(ab0)
+            lhs = chain(D, D.box0_map(D.delta_e(), identity[ab1]), interchange[e, e, a, b])
+            yield ("left e-square", a, b), lhs, identity[ab1]
+            lhs = chain(D, D.box0_map(identity[ab1], D.delta_e()), interchange[a, b, e, e])
+            yield ("right e-square", a, b), lhs, identity[ab1]
+            lhs = chain(D, interchange[v, a, v, b], D.box1_map(D.mu_v(), identity[ab0]))
+            yield ("left v-square", a, b), lhs, identity[ab0]
+            lhs = chain(D, interchange[a, v, b, v], D.box1_map(identity[ab0], D.mu_v()))
+            yield ("right v-square", a, b), lhs, identity[ab0]
 
     rep.add_law("unitality squares (4)", unit_squares(), eq, scope)
 
     # v is a box0-monoid with unit iota, and e a box1-comonoid with counit iota
     mu, delta, iota = D.mu_v(), D.delta_e(), D.iota()
     cases = (
-        ("associativity", chain(D, D.box0_map(mu, D.identity(v)), mu), chain(D, D.box0_map(D.identity(v), mu), mu)),
-        ("left unit", chain(D, D.box0_map(iota, D.identity(v)), mu), D.identity(v)),
-        ("right unit", chain(D, D.box0_map(D.identity(v), iota), mu), D.identity(v)),
+        ("associativity", chain(D, D.box0_map(mu, identity[v]), mu), chain(D, D.box0_map(identity[v], mu), mu)),
+        ("left unit", chain(D, D.box0_map(iota, identity[v]), mu), identity[v]),
+        ("right unit", chain(D, D.box0_map(identity[v], iota), mu), identity[v]),
     )
     rep.add_law("v is a monoid in (D, box0, e)", cases, eq, scope, witness=None)
     cases = (
         (
             "coassociativity",
-            chain(D, delta, D.box1_map(delta, D.identity(e))),
-            chain(D, delta, D.box1_map(D.identity(e), delta)),
+            chain(D, delta, D.box1_map(delta, identity[e])),
+            chain(D, delta, D.box1_map(identity[e], delta)),
         ),
-        ("left counit", chain(D, delta, D.box1_map(iota, D.identity(e))), D.identity(e)),
-        ("right counit", chain(D, delta, D.box1_map(D.identity(e), iota)), D.identity(e)),
+        ("left counit", chain(D, delta, D.box1_map(iota, identity[e])), identity[e]),
+        ("right counit", chain(D, delta, D.box1_map(identity[e], iota)), identity[e]),
     )
     rep.add_law("e is a comonoid in (D, box1, v)", cases, eq, scope, witness=None)
 
@@ -273,11 +276,11 @@ def check_duoidal_axioms(D, objects=None, hom_limit=3) -> CheckReport:
                                 lhs = chain(
                                     D,
                                     D.box0_map(D.box1_map(f, g), D.box1_map(h, k)),
-                                    D.interchange(b, d, D.cod(h), D.cod(k)),
+                                    interchange[b, d, D.cod(h), D.cod(k)],
                                 )
                                 rhs = chain(
                                     D,
-                                    D.interchange(a, c, D.dom(h), D.dom(k)),
+                                    interchange[a, c, D.dom(h), D.dom(k)],
                                     D.box1_map(D.box0_map(f, h), D.box0_map(g, k)),
                                 )
                                 yield (a, b, c, d), lhs, rhs

@@ -19,6 +19,9 @@ Whether a pair is aligned depends on omega alone (`TreePool.aligned`).
 Trees and maps are ids of a `trees.TreePool`.  A `TwoOperad` describes the
 operad; `A.over(P)` gives it on the trees and maps of pool P, and every
 check builds one pool and one such view, which live as long as the check.
+Over a table instance the endomorphism example's substitution is a `Memo`
+of that view, keyed by the map id and the arrow names of its arguments, so
+each distinct substitution of a check is computed once.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import operator
 from dataclasses import dataclass
 
 from .duoidal import Duoid, chain, iterated_mu_v, matrix_interchange
+from .fincat import TableDuoidal
 from .report import CheckReport, Memo, evaluate
 from .trees import MAP0, MAP1, TREE0, TREE1, U0, U1, Z2U0, ZERO_ID, TreeError, TreePool
 
@@ -130,7 +134,7 @@ def end2(D, x, name=None) -> TwoOperad:
 
         plans = Memo(compile_plan)  # per map id of P: (rows (start, stop, shuffle or None), fiber count)
 
-        def m(sigma, fib, outer):
+        def substitute(sigma, fib, outer):
             kind = P.kind[sigma]
             if kind == MAP0:
                 (f,) = fib
@@ -148,6 +152,13 @@ def end2(D, x, name=None) -> TwoOperad:
             for start, stop, shuffle in rows:
                 block_maps.append(fib[start] if shuffle is None else compose(shuffle, tensor_map(1, fib[start:stop])))
             return compose(tensor_map(0, block_maps), outer)
+
+        if not isinstance(D, TableDuoidal):
+            return substitute  # maps that hash by identity are never keys
+        values = Memo(lambda key: substitute(*key))  # (sigma, fiber arrow names, outer arrow name) -> m_sigma
+
+        def m(sigma, fib, outer):
+            return values[sigma, tuple(fib), outer]
 
         return m
 
@@ -247,25 +258,32 @@ def _tuples(B, trees):
 
 def _assoc_holds(B: PoolOperad, sigma, omega, tuple_cap, outer):
     """m_{omega sigma}(restrictions of sigma fed by the a's, b's; c) equals
-    m_sigma(a's; m_omega(b's; c)) on the first tuple_cap element tuples.
+    m_sigma(a's; m_omega(b's; c)) on the first tuple_cap element tuples
+    (a's, b's, c), in `itertools.product` order.
 
-    m_omega(b's; c) depends on neither sigma nor the a's, so it is read from
-    `outer`, keyed by omega and the positions of the b's and of c in their
-    components."""
+    The inner list m_restr(a's; b) is built once per (a's, b's), for all the
+    c's after it.  m_omega(b's; c) depends on neither sigma nor the a's, so it
+    is read from `outer`, keyed by omega and the positions of the b's and of
+    c in their components."""
     P, m = B.pool, B.m
     positions = P.aligned[omega]
     comp = P.compose(sigma, omega)
     restrictions = P.restrictions(sigma, omega)
     b_trees = P.fiber_trees[omega]
     b_tuples = zip(itertools.product(*[range(len(B.component(t))) for t in b_trees]), _tuples(B, b_trees))
-    combos = itertools.product(_tuples(B, P.fiber_trees[sigma]), b_tuples, enumerate(B.component(P.target[omega])))
-    for a_elems, (b_index, b_elems), (c_index, c) in itertools.islice(combos, tuple_cap):
+    cs = list(enumerate(B.component(P.target[omega])))
+    left = tuple_cap if cs else 0  # tuples still to evaluate
+    for a_elems, (b_index, b_elems) in itertools.product(_tuples(B, P.fiber_trees[sigma]), b_tuples):
+        if left <= 0:
+            return True
         inner = [
             m(restr, [a_elems[p] for p in inputs], b)
             for restr, inputs, b in zip(restrictions, positions, b_elems)
         ]
-        if not B.eq(m(comp, inner, c), m(sigma, a_elems, outer[omega, b_index, c_index])):
-            return False
+        for c_index, c in cs[:left]:
+            if not B.eq(m(comp, inner, c), m(sigma, a_elems, outer[omega, b_index, c_index])):
+                return False
+        left -= len(cs)
     return True
 
 

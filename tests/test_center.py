@@ -9,7 +9,6 @@ from duoidal_kit.center import (
     constant_weights,
     duoid_on_center,
     equalizer_center,
-    homotopy_center,
     mult0_variants,
     ordinal_weights,
     reversed_ordinal_weights,
@@ -156,11 +155,6 @@ def test_ordinal_weights_give_unconstrained_families():
     X = cosimplicial_from_multiplicative(A, 2)
     tot = totalize(D, X, ordinal_weights(), N=2)
     assert len(tot.families[None]) == len(m.elements)
-
-
-def test_homotopy_center_is_a_documented_stub():
-    with pytest.raises(NotImplementedError):
-        homotopy_center()
 
 
 def test_totalize_rejects_level_zero():

@@ -505,6 +505,16 @@ GOLDEN_RUNS = {
         for stem in ("fass_additive_z2", "fass_corrupt_additive_z2")
     },
     "two_operad_check_additive_z2": ("two-operad", "check", "--builtin", "additive_z2", "--x", "*", "--leaves", "2"),
+    "two_operad_check_bool_lattice": ("two-operad", "check", "--builtin", "bool_lattice", "--x", "1", "--leaves", "2"),
+    **{
+        f"two_operad_check_additive_z2_cap{cap}": (
+            "two-operad", "check", "--builtin", "additive_z2", "--x", "*", "--leaves", "2", "--cap", cap
+        )
+        for cap in ("1", "64")
+    },
+    "two_operad_check_additive_z2_json": (
+        "--format", "json", "two-operad", "check", "--builtin", "additive_z2", "--x", "*", "--leaves", "2"
+    ),
 }
 
 

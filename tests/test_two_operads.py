@@ -1,4 +1,5 @@
 import itertools
+from math import prod
 
 import pytest
 
@@ -144,6 +145,62 @@ def test_a_tuple_cap_of_one_evaluates_one_tuple_per_aligned_pair(monkeypatch):
     assert tested[1]["other"] == tested[16]["other"] > 0
     with pytest.raises(ValueError, match="at least 1"):
         check_two_operad(A, max_leaves=2, tuple_cap=0)
+
+
+def test_associativity_evaluates_exactly_the_first_capped_tuples_of_each_pair(monkeypatch):
+    # each aligned pair evaluates min(cap, |a-tuples| * |b-tuples| * |C|)
+    # element tuples, one equality test each
+    A = end2(additive_instance(cyclic(2)), "*")
+    in_assoc = []
+    assoc_holds = two_operads._assoc_holds
+
+    def counted_assoc_holds(B, sigma, omega, tuple_cap, outer):
+        P = B.pool
+        sizes = [len(B.component(t)) for t in (*P.fiber_trees[sigma], *P.fiber_trees[omega], P.target[omega])]
+        in_assoc.append(None)
+        try:
+            return assoc_holds(B, sigma, omega, tuple_cap, outer)
+        finally:
+            in_assoc.pop()
+            expected.append(min(tuple_cap, prod(sizes)))
+
+    monkeypatch.setattr(two_operads, "_assoc_holds", counted_assoc_holds)
+    tested = {}
+    for cap in (1, 16, 10_000):
+        calls, expected = [0], []
+
+        def eq(x, y):
+            calls[0] += bool(in_assoc)
+            return A.equal_fn(x, y)
+
+        counted = TwoOperad(A.name, A.component_fn, A.unit_fn, A.m_fn, eq)
+        assert check_two_operad(counted, max_leaves=2, tuple_cap=cap).all_passed
+        assert len(expected) == 968
+        assert calls[0] == sum(expected)
+        tested[cap] = calls[0]
+    assert tested[1] == 968 < tested[16] < tested[10_000]  # both smaller caps bind
+
+
+def test_substitution_memo_is_keyed_by_arrow_names_only(monkeypatch):
+    # a table instance's maps are names, so an equal second call is a lookup;
+    # a CartMap hashes by identity, so the cartesian instance computes again
+    P = TreePool()
+    t = P.two_tree(2, 2, [1, 2])
+    for inst, x, computes_again in ((additive_instance(cyclic(2)), "*", False), (D, X, True)):
+        calls = []
+
+        def counted_compose(f, g, compose=inst.compose):
+            calls.append(None)
+            return compose(f, g)
+
+        monkeypatch.setattr(inst, "compose", counted_compose)
+        B = end2(inst, x).over(P)
+        a, sigma, outer = B.component(t)[0], P.terminal_map(t), B.unit(2)
+        first = B.m(sigma, [a], outer)
+        made = len(calls)
+        assert made > 0
+        assert inst.maps_equal(B.m(sigma, [a], outer), first)
+        assert (len(calls) > made) is computes_again
 
 
 def test_truncation_is_the_endomorphism_operad_of_v():
