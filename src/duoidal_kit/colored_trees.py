@@ -10,9 +10,10 @@ subtree to a corolla; it is the operad comparison map between the two.
 
 Trees are interned into integer-indexed pools so that the exhaustive
 contraction/grafting checks over millions of trees stay cheap: structural
-equality is integer equality.  Contractions and the enumeration tables are
-`report.Memo`s of the objects that use them, so each is computed once,
-bottom-up, and dropped with its pool.
+equality is integer equality.  Contractions, the enumeration tables and the
+grafts of the last graftee are `report.Memo`s of the objects that use them,
+so each is computed once, bottom-up, and dropped with its pool (the grafts
+already when the graftee changes).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ class TreePool:
         self.leaves = [1]  # id -> number of leaves
         self.verts = [0]  # id -> number of vertices
         self._intern = {}
+        self._graftee = self._grafts = None  # the last graftee s and its graft table
 
     def intern(self, color, children) -> int:
         key = (color, children)
@@ -50,19 +52,23 @@ class TreePool:
         return idx
 
     def graft(self, t, s, leaf_index) -> int:
-        """Substitute s into the leaf_index-th leaf of t (1-based), rebuilding
-        the path through `node`."""
+        """Substitute s into the leaf_index-th leaf of t (1-based), read from
+        a `Memo` of each tree's grafts of s at every leaf, filled bottom-up by
+        `node`: (s,) at the leaf and, for u = c(k1..kn), c(k1..x..kn) for each
+        j in turn and each x in kj's entry.  So a shared subtree is grafted
+        once per graftee; the table is dropped when s changes."""
         if not 1 <= leaf_index <= self.leaves[t]:
             raise ValueError(f"leaf index {leaf_index} out of range")
         if t == LEAF:
             return s
-        kids = self.kids[t]
-        acc = 0
-        for pos, c in enumerate(kids):
-            if leaf_index <= acc + self.leaves[c]:
-                return self.node(self.color[t], kids[:pos] + (self.graft(c, s, leaf_index - acc),) + kids[pos + 1 :])
-            acc += self.leaves[c]
-        raise AssertionError("unreachable")
+        if s != self._graftee:
+            self._graftee, self._grafts = s, Memo(self._grafts_of)
+            self._grafts[LEAF] = (s,)
+        return self._grafts[t][leaf_index - 1]
+
+    def _grafts_of(self, u):
+        kids, c, table = self.kids[u], self.color[u], self._grafts
+        return tuple(self.node(c, kids[:j] + (x,) + kids[j + 1 :]) for j, k in enumerate(kids) for x in table[k])
 
     def render(self, t) -> str:
         if t == LEAF:
@@ -260,7 +266,9 @@ def check_contraction_operad_map(max_total_vertices=8):
     statement under test nor interns a grafted tree.  Each pair (T, S) is then
     compared at once with (graft(contract T, cs, i) for every leaf i).  Those
     tuples are cached per contract T while the graftees with one contraction
-    are swept, and dropped after.  A tree with exactly the bound's vertices
+    are swept, and dropped after; each graft is read from the pool's table for
+    the graftee cs (`TreePool.graft`), so a subtree shared by many contracted
+    targets is grafted once per cs.  A tree with exactly the bound's vertices
     meets only the leaf, as graftee or as target, so that level is streamed
     from its (c, A, B) and never interned.
     """

@@ -212,3 +212,63 @@ def test_operad_map_sweep_catches_a_mirrored_contraction(bound, monkeypatch):
     assert 0 < len(failures) <= 6
     if bound < 6:
         assert _graft_then_contract(bound)[1]
+
+
+def _path_graft(pool, t, s, i):
+    """graft(t, s, i) by rebuilding the path to the i-th leaf through node."""
+    if t == LEAF:
+        return s
+    kids = pool.kids[t]
+    for pos, c in enumerate(kids):
+        if i <= pool.leaves[c]:
+            return pool.node(pool.color[t], kids[:pos] + (_path_graft(pool, c, s, i),) + kids[pos + 1 :])
+        i -= pool.leaves[c]
+    raise AssertionError("leaf index out of range")
+
+
+@pytest.mark.parametrize("forest", ["binary", "alternating"])
+def test_graft_table_agrees_with_path_rebuilding(forest, pools):
+    bp, ap, _ = pools
+    if forest == "binary":
+        pool, trees = bp, [t for level in bp.by_vertices(4) for t in level]
+    else:  # a corolla has any arity, so the leaves are bounded too
+        pool, trees = ap, [t for n in range(5) for t in ap.enumerate_exact(n, 4)]
+    triples = [
+        (t, s, i)
+        for t in trees
+        for i in range(1, pool.leaves[t] + 1)
+        for s in trees
+        if pool.verts[t] + pool.verts[s] <= 4
+    ]
+    want = {key: _path_graft(pool, *key) for key in triples}
+    # graftee by graftee, then with the graftee changing at every call
+    for t, s, i in sorted(triples, key=lambda key: key[1]) + triples:
+        assert pool.graft(t, s, i) == want[t, s, i]
+    # out-of-range leaves raise, for the graftee of the table and for another
+    t = max(trees, key=pool.leaves.__getitem__)
+    pool.graft(t, trees[-1], 1)
+    for target in (LEAF, t):
+        for s in (trees[-1], trees[-2]):
+            for bad in (0, pool.leaves[target] + 1):
+                with pytest.raises(ValueError):
+                    pool.graft(target, s, bad)
+
+
+def test_graft_table_calls_node_once_per_subtree_leaf(pools, monkeypatch):
+    # every leaf of every contraction within 4 vertices, one graftee: the
+    # table calls node once for each leaf of each distinct non-leaf subtree
+    bp, ap, cm = pools
+    targets = sorted({cm.contract(t) for level in bp.by_vertices(4) for t in level})
+    subtrees, stack = set(), list(targets)
+    while stack:
+        u = stack.pop()
+        if u != LEAF and u not in subtrees:
+            subtrees.add(u)
+            stack.extend(ap.kids[u])
+    calls = []
+    real = AlternatingForest.node
+    monkeypatch.setattr(AlternatingForest, "node", lambda self, c, kids: calls.append(c) or real(self, c, kids))
+    for t in targets:
+        for i in range(1, ap.leaves[t] + 1):
+            ap.graft(t, targets[3], i)
+    assert len(calls) == sum(ap.leaves[u] for u in subtrees) == 882
