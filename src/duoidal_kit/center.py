@@ -13,7 +13,14 @@ import itertools
 from dataclasses import dataclass
 
 from .duoidal import Duoid, chain, check_duoid_axioms
-from .operads import CosimplicialObject, MultOperad, cosimplicial_from_multiplicative
+from .operads import (
+    CosimplicialObject,
+    MultOperad,
+    codegeneracy,
+    coface,
+    cosimplicial_from_multiplicative,
+    multiplicative_from_k_monoid,
+)
 from .report import SizeError, sorted_elements
 
 
@@ -191,8 +198,6 @@ class CenterResult:
 
 def equalizer_center(A: MultOperad, name="center") -> CenterResult:
     """The equalizer of d_0, d_1 : A(0) -> A(1), as a subobject of A(0)."""
-    from .operads import coface
-
     D = A.D
     d0 = coface(A, 0, 0)
     d1 = coface(A, 0, 1)
@@ -214,8 +219,6 @@ def center_of_monoid(M, N: int = 1):
     Returns (CenterResult, TotResult); the totalization at N must match the
     equalizer and stabilize at N = 1.
     """
-    from .operads import multiplicative_from_k_monoid
-
     A = multiplicative_from_k_monoid(M, bound=max(3, N + 2))
     cen = equalizer_center(A, name=f"Z({M.name})")
     X = cosimplicial_from_multiplicative(A, max(2, N))
@@ -231,8 +234,6 @@ def duoid_on_center(A: MultOperad, name=None):
     equalizer; images landing outside it indicate a bug, not bad input.
     """
     D = A.D
-    from .operads import codegeneracy
-
     name = name or f"center({A.name})"
     cen = equalizer_center(A, name=name)
     z, incl = cen.obj, cen.inclusion
@@ -265,8 +266,6 @@ def duoid_on_center(A: MultOperad, name=None):
 
 def mult0_variants(A: MultOperad, cen: CenterResult):
     """The maps built with d_i box0 d_j for i, j in {0, 1}; all must agree."""
-    from .operads import coface, codegeneracy
-
     D = A.D
     incl = cen.inclusion
     s0 = codegeneracy(A, 0, 0)

@@ -427,7 +427,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, SizeError, ValueError, FileNotFoundError) as exc:
+    except (ValidationError, SizeError, ValueError, FileNotFoundError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,10 +10,10 @@ subtree to a corolla; it is the operad comparison map between the two.
 
 Trees are interned into integer-indexed pools so that the exhaustive
 contraction/grafting checks over millions of trees stay cheap: structural
-equality is integer equality.  Contractions, the enumeration tables and the
-grafts of the last graftee are `report.Memo`s of the objects that use them,
-so each is computed once, bottom-up, and dropped with its pool (the grafts
-already when the graftee changes).
+equality is integer equality.  Contractions (a list filled in id order), the
+enumeration tables and the grafts of the last graftee (`report.Memo`s) are
+tables of the objects that use them, so each is computed once, bottom-up, and
+dropped with its pool (the grafts already when the graftee changes).
 """
 
 from __future__ import annotations
@@ -191,14 +191,13 @@ class ContractionMap:
     def __init__(self, btrees: BinaryForest, atrees: AlternatingForest):
         self.btrees = btrees
         self.atrees = atrees
-        self._table = Memo(self._contract)
-        self._table[LEAF] = LEAF
+        self._table = [LEAF]  # tree id -> contraction, filled in id order: a pool interns children first
 
     def contract(self, t) -> int:
-        return self._table[t]
-
-    def _contract(self, t):
-        return self.atrees.node(self.btrees.color[t], tuple(self.contract(c) for c in self.btrees.kids[t]))
+        table, color, kids, node = self._table, self.btrees.color, self.btrees.kids, self.atrees.node
+        for u in range(len(table), t + 1):
+            table.append(node(color[u], tuple(table[c] for c in kids[u])))
+        return table[t]
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,20 @@ class FiniteCategory:
     def __init__(self, name, objects, arrows, compose_table, identities):
         self.name = name
         self.objects = tuple(objects)
+        arrows = tuple(arrows)
         self.arrows = {a.name: a for a in arrows}
+        if len(set(self.objects)) != len(self.objects) or len(self.arrows) != len(arrows):
+            raise ValidationError(f"{name}: an object or arrow name is listed twice")
         self._compose = dict(compose_table)
         self.identities = dict(identities)
         self._validate()
-        self._factorizations = self._compute_factorizations()
+        self._factorizations = {f: [] for f in self.arrows}
+        for f, g, fg in sorted(self.composable):
+            self._factorizations[fg].append((f, g))
 
     def _validate(self):
+        """Check the tables, recording the composable pairs once as
+        `composable`, a list of (f, g, f then g)."""
         objs = set(self.objects)
         for a in self.arrows.values():
             if a.src not in objs or a.tgt not in objs:
@@ -45,6 +52,7 @@ class FiniteCategory:
             ident = self.identities.get(x)
             if ident not in self.arrows or self.arrows[ident].src != x or self.arrows[ident].tgt != x:
                 raise ValidationError(f"{self.name}: bad identity for {x}")
+        self.composable = []
         for f in self.arrows.values():
             for g in self.arrows.values():
                 if f.tgt == g.src:
@@ -54,37 +62,36 @@ class FiniteCategory:
                     ha = self.arrows[h]
                     if ha.src != f.src or ha.tgt != g.tgt:
                         raise ValidationError(f"{self.name}: ill-typed composite at ({f.name}, {g.name})")
+                    self.composable.append((f.name, g.name, h))
         for f in self.arrows.values():
             if self.compose(self.identities[f.src], f.name) != f.name:
                 raise ValidationError(f"{self.name}: left identity fails at {f.name}")
             if self.compose(f.name, self.identities[f.tgt]) != f.name:
                 raise ValidationError(f"{self.name}: right identity fails at {f.name}")
-        for f in self.arrows.values():
-            for g in self.arrows.values():
-                for h in self.arrows.values():
-                    if f.tgt == g.src and g.tgt == h.src:
-                        if self.compose(self.compose(f.name, g.name), h.name) != self.compose(
-                            f.name, self.compose(g.name, h.name)
-                        ):
-                            raise ValidationError(
-                                f"{self.name}: associativity fails at ({f.name}, {g.name}, {h.name})"
-                            )
-
-    def _compute_factorizations(self):
-        """All pairs (f1, f2) with f = f1 then f2, per arrow f."""
-        out = {name: [] for name in self.arrows}
-        for f1 in self.arrows.values():
-            for f2 in self.arrows.values():
-                if f1.tgt == f2.src:
-                    out[self._compose[(f1.name, f2.name)]].append((f1.name, f2.name))
-        return {k: tuple(sorted(v)) for k, v in out.items()}
+        for f, g, fg in self.composable:
+            for h in self.arrows.values():
+                if h.src == self.tgt(g) and self.compose(fg, h.name) != self.compose(f, self.compose(g, h.name)):
+                    raise ValidationError(f"{self.name}: associativity fails at ({f}, {g}, {h.name})")
 
     def compose(self, f: str, g: str) -> str:
         """f then g."""
         return self._compose[(f, g)]
 
     def factorizations(self, f: str):
+        """The pairs (f1, f2) with f = f1 then f2, sorted."""
         return self._factorizations[f]
+
+    def functor_fault(self, image, identity, compose):
+        """The first functor law broken by sending each arrow f to image[f],
+        or None: the identity of x must go to identity(x), and f then g to
+        compose(image[f], image[g])."""
+        for x in self.objects:
+            if image[self.identities[x]] != identity(x):
+                return f"identities not preserved at {x}"
+        for f, g, fg in self.composable:
+            if image[fg] != compose(image[f], image[g]):
+                return f"composition not preserved at ({f}, {g})"
+        return None
 
     def hom(self, x, y):
         return tuple(sorted(a.name for a in self.arrows.values() if a.src == x and a.tgt == y))
@@ -277,28 +284,22 @@ class CatFunctor:
         self.name = name
         self.src = src
         self.tgt = tgt
-        self.obj_map = dict(obj_map)
-        self.arr_map = dict(arr_map)
+        obj_map, arr_map = dict(obj_map), dict(arr_map)
+        self.obj_map = {x: obj_map.get(x) for x in src.objects}
+        self.arr_map = {f: arr_map.get(f) for f in src.arrows}
         for x in src.objects:
-            if self.obj_map.get(x) not in tgt.objects:
+            if self.obj_map[x] not in tgt.objects:
                 raise ValidationError(f"functor {name}: no image for object {x}")
         for f in src.arrows.values():
-            img = self.arr_map.get(f.name)
+            img = self.arr_map[f.name]
             if img not in tgt.arrows:
                 raise ValidationError(f"functor {name}: no image for arrow {f.name}")
             fa = tgt.arrows[img]
             if fa.src != self.obj_map[f.src] or fa.tgt != self.obj_map[f.tgt]:
                 raise ValidationError(f"functor {name}: ill-typed image of {f.name}")
-        for x in src.objects:
-            if self.arr_map[src.identities[x]] != tgt.identities[self.obj_map[x]]:
-                raise ValidationError(f"functor {name}: identities not preserved at {x}")
-        for f in src.arrows.values():
-            for g in src.arrows.values():
-                if f.tgt == g.src:
-                    lhs = self.arr_map[src.compose(f.name, g.name)]
-                    rhs = tgt.compose(self.arr_map[f.name], self.arr_map[g.name])
-                    if lhs != rhs:
-                        raise ValidationError(f"functor {name}: composition not preserved at ({f.name}, {g.name})")
+        fault = src.functor_fault(self.arr_map, lambda x: tgt.identities[self.obj_map[x]], tgt.compose)
+        if fault:
+            raise ValidationError(f"functor {name}: {fault}")
 
     def on_obj(self, x):
         return self.obj_map[x]
@@ -309,17 +310,6 @@ class CatFunctor:
 
 def identity_functor(c: FiniteCategory) -> CatFunctor:
     return CatFunctor(f"id[{c.name}]", c, c, {x: x for x in c.objects}, {a: a for a in c.arrows})
-
-
-def compose_functors(F: CatFunctor, G: CatFunctor) -> CatFunctor:
-    """F then G."""
-    return CatFunctor(
-        f"{F.name};{G.name}",
-        F.src,
-        G.tgt,
-        {x: G.on_obj(F.on_obj(x)) for x in F.src.objects},
-        {a: G.on_arr(F.on_arr(a)) for a in F.src.arrows},
-    )
 
 
 def natural_transformations(F: CatFunctor, G: CatFunctor):

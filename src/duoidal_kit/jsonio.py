@@ -157,7 +157,7 @@ def category_to_doc(c: FiniteCategory) -> dict:
             for a in sorted(c.arrows.values(), key=lambda a: a.name)
         ],
         "identities": dict(sorted(c.identities.items())),
-        "compose": {f"{f} {g}": c.compose(f, g) for f in sorted(c.arrows) for g in sorted(c.arrows) if c.tgt(f) == c.src(g)},
+        "compose": {f"{f} {g}": h for f, g, h in c.composable},
     }
 
 

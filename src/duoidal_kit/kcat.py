@@ -15,8 +15,10 @@ from .duoidal import chain
 from .finset import (
     CartMap,
     FnElt,
+    atom_letter,
     fn_eval,
     fn_letter,
+    virtual_letter,
     word_elements,
     word_enumerable,
 )
@@ -158,8 +160,6 @@ class KMonoid:
 
 def k_monoid_from_monoid(m: Monoid, K, letter=None) -> KMonoid:
     """The one-carrier monoid in cartesian FinSet induced by a plain monoid."""
-    from .finset import atom_letter, virtual_letter
-
     if letter is None:
         if m.elements is None:
             letter = virtual_letter(m.name)

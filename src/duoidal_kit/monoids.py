@@ -17,6 +17,8 @@ class Monoid:
 
     def __post_init__(self):
         elems = set(self.elements)
+        if len(elems) != len(self.elements):
+            raise ValueError(f"{self.name}: an element is listed twice")
         if self.unit not in elems:
             raise ValueError(f"{self.name}: unit not an element")
         for a in self.elements:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .fincat import Arrow, CatFunctor, FiniteCategory, ValidationError, compose_functors, identity_functor
+from .fincat import Arrow, CatFunctor, FiniteCategory, ValidationError, identity_functor
 from .kcat import KMonoid, WordTensor
 from .report import Memo, skey, sorted_elements
 from .spans import Globe, SpanAtom, SpanDuoidal, arrow_globe, identity_globe
@@ -42,6 +42,11 @@ class ObjectFunctor:
         return dict(dict(self.maps)[f])
 
 
+def then(p: dict, q: dict) -> dict:
+    """The map p then q, on the keys of p."""
+    return {x: q[y] for x, y in p.items()}
+
+
 def object_functor(cat: FiniteCategory, sets: dict, maps: dict) -> ObjectFunctor:
     sets = {a: tuple(sorted_elements(v)) for a, v in sets.items()}
     for a in cat.objects:
@@ -52,22 +57,14 @@ def object_functor(cat: FiniteCategory, sets: dict, maps: dict) -> ObjectFunctor
         if f not in maps:
             raise ValidationError(f"object functor: no map for arrow {f}")
         table = dict(maps[f])
-        for x in sets[arrow.src]:
-            if table.get(x) not in sets[arrow.tgt]:
-                raise ValidationError(f"object functor: map for {f} not into O({arrow.tgt})")
-        norm_maps[f] = tuple(sorted(table.items(), key=lambda p: skey(p[0])))
-    for a in cat.objects:
-        ident = cat.identities[a]
-        if dict(norm_maps[ident]) != {x: x for x in sets[a]}:
-            raise ValidationError(f"object functor: identity at {a} not the identity map")
-    for f in cat.arrows:
-        for g in cat.arrows:
-            if cat.tgt(f) == cat.src(g):
-                fg = cat.compose(f, g)
-                lhs = {x: dict(norm_maps[g])[dict(norm_maps[f])[x]] for x in sets[cat.src(f)]}
-                if lhs != dict(norm_maps[fg]):
-                    raise ValidationError(f"object functor: functoriality fails at ({f}, {g})")
-    return ObjectFunctor(cat, cat.name, tuple(sorted(sets.items())), tuple(sorted(norm_maps.items())))
+        if any(table.get(x) not in sets[arrow.tgt] for x in sets[arrow.src]):
+            raise ValidationError(f"object functor: map for {f} not into O({arrow.tgt})")
+        norm_maps[f] = {x: table[x] for x in sets[arrow.src]}
+    fault = cat.functor_fault(norm_maps, lambda a: {x: x for x in sets[a]}, then)
+    if fault:
+        raise ValidationError(f"object functor: {fault}")
+    maps = tuple(sorted((f, tuple(table.items())) for f, table in norm_maps.items()))
+    return ObjectFunctor(cat, cat.name, tuple(sorted(sets.items())), maps)
 
 
 @dataclass(frozen=True)
@@ -244,25 +241,19 @@ def cat_valued_functor(base: FiniteCategory, values: dict, functors: dict, name=
     for a in base.objects:
         if a not in values:
             raise ValidationError(f"{name}: no value category at {a}")
-    table = dict(functors)
-    for a in base.objects:
-        ident = base.identities[a]
-        if ident not in table:
-            table[ident] = identity_functor(values[a])
+    table = {base.identities[a]: identity_functor(values[a]) for a in base.objects} | dict(functors)
     for f, arrow in base.arrows.items():
         F = table.get(f)
         if F is None or F.src is not values[arrow.src] or F.tgt is not values[arrow.tgt]:
             raise ValidationError(f"{name}: bad functor at arrow {f}")
-    for f in base.arrows:
-        for g in base.arrows:
-            if base.tgt(f) == base.src(g):
-                fg = base.compose(f, g)
-                comp = compose_functors(table[f], table[g])
-                if comp.obj_map != table[fg].obj_map or comp.arr_map != table[fg].arr_map:
-                    raise ValidationError(f"{name}: functoriality fails at ({f}, {g})")
-    return CatValuedFunctor(
-        base, tuple(sorted(values.items())), tuple(sorted(table.items())), name
+    fault = base.functor_fault(
+        {f: (table[f].obj_map, table[f].arr_map) for f in base.arrows},
+        lambda a: ({x: x for x in values[a].objects}, {f: f for f in values[a].arrows}),
+        lambda p, q: tuple(map(then, p, q)),
     )
+    if fault:
+        raise ValidationError(f"{name}: {fault}")
+    return CatValuedFunctor(base, tuple(sorted(values.items())), tuple(sorted(table.items())), name)
 
 
 def object_functor_of(F: CatValuedFunctor) -> ObjectFunctor:

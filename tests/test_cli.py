@@ -341,6 +341,59 @@ def test_wrong_json_types_exit_2(tmp_path, name, patch, argv, message):
     assert out.stdout == ""
 
 
+def _deep_term(depth):
+    """w(l,w(l,...w(l,l)...)) with depth white vertices."""
+    return "w(l," * depth + "l" + ")" * depth
+
+
+def _repeat_element(doc):
+    doc["elements"].append("1")
+
+
+@pytest.mark.parametrize(
+    "name, patch, argv, code, message",
+    [
+        (
+            "id_bz2_functor.json",
+            lambda d: d["functors"]["id_*"]["arrows"].update(s="id_*"),
+            ("tamarkin", "--globe", "id_*,id_*", "--functor"),
+            2,
+            "error: id_bz2: identities not preserved at *",
+        ),
+        ("z2.json", _repeat_element, ("center", "--monoid"), 2, "error: z2: an element is listed twice"),
+        ("z2.json", _repeat_element, ("check-operad", "--monoid"), 2, "error: z2: an element is listed twice"),
+        ("z2.json", _repeat_element, ("delta-center", "--monoid"), 2, "error: z2: an element is listed twice"),
+        (
+            "bool_lattice.json",
+            lambda d: d["base"]["objects"].append("1"),
+            ("check-duoidal", "--instance"),
+            2,
+            "error: bool_lattice: an object or arrow name is listed twice",
+        ),
+        (
+            "bool_lattice.json",
+            lambda d: d["base"]["arrows"].append(d["base"]["arrows"][0]),
+            ("check-duoidal", "--instance"),
+            2,
+            "error: bool_lattice: an object or arrow name is listed twice",
+        ),
+        (None, None, ("btree", "contract", "--term", _deep_term(5000)), 2, "error: maximum recursion depth exceeded"),
+        (None, None, ("btree", "contract", "--term", _deep_term(200)), 0, ""),
+    ],
+)
+def test_bad_input_exits_2_with_one_line_and_a_deep_term_contracts(tmp_path, name, patch, argv, code, message):
+    if name is not None:
+        argv = (*argv, _patched(tmp_path, name, patch))
+    out = run_cli(*argv)
+    assert out.returncode == code, out.stderr
+    assert "Traceback" not in out.stderr
+    if code:
+        assert out.stderr.startswith(message) and out.stderr.count("\n") == 1, out.stderr
+        assert out.stdout == ""
+    else:
+        assert out.stderr == "" and out.stdout == "w(" + ",".join(["l"] * 201) + ")\n"
+
+
 def _add_key(table, key):
     """Give table an extra key, valued like its first entry."""
     table[key] = next(iter(table.values()))

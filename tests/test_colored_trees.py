@@ -47,6 +47,15 @@ def test_contract_idempotent_on_alternating_image(pools):
             assert rebuilt == image
 
 
+@pytest.mark.parametrize("depth", [200, 400])
+def test_contract_deep_terms_without_recursion(pools, depth):
+    bp, ap, cm = pools
+    t = LEAF
+    for _ in range(depth):
+        t = bp.node("w", (LEAF, t))
+    assert cm.contract(t) == ap.node("w", (LEAF,) * (depth + 1))
+
+
 def _rebuild(ap, t):
     if t == LEAF:
         return LEAF

@@ -60,6 +60,22 @@ def test_loading_validates_through_the_constructors(tmp_path):
         jsonio.monoid_from_doc(doc)
 
 
+@pytest.mark.parametrize(
+    "name, patch, message",
+    [
+        ("z2.json", lambda d: d["elements"].append("1"), "z2: an element is listed twice"),
+        ("arrow_category.json", lambda d: d["objects"].append("1"), "an object or arrow name is listed twice"),
+        ("arrow_category.json", lambda d: d["arrows"].append(d["arrows"][-1]), "an object or arrow name is listed twice"),
+    ],
+)
+def test_a_repeated_name_is_rejected(name, patch, message):
+    doc = json.loads((CORPUS / name).read_text())
+    patch(doc)
+    load = jsonio.monoid_from_doc if doc["kind"] == "monoid" else jsonio.category_from_doc
+    with pytest.raises(ValueError, match=message):
+        load(doc)
+
+
 def test_schema_documents_exist_for_every_kind():
     kinds = {
         "monoid",

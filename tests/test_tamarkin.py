@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from duoidal_kit.center import constant_weights, ordinal_weights
@@ -45,6 +47,60 @@ def test_object_functor_validation():
     arr = arrow_cat()
     with pytest.raises(ValidationError):
         object_functor(arr, {"0": ["a"], "1": ["b"]}, {"a": {"a": "MISSING"}, "id_0": {"a": "a"}, "id_1": {"b": "b"}})
+
+
+CH3_SETS = {"0": ["a", "b"], "1": ["c"], "2": ["e", "f"]}
+CH3_MAPS = {
+    "id_0": {"a": "a", "b": "b"},
+    "id_1": {"c": "c"},
+    "id_2": {"e": "e", "f": "f"},
+    "f01": {"a": "c", "b": "c"},
+    "f12": {"c": "e"},
+    "f02": {"a": "e", "b": "e"},
+}
+
+
+@pytest.mark.parametrize(
+    "patch, fault",
+    [
+        ({"id_0": {"a": "b", "b": "a"}}, "object functor: identities not preserved at 0"),
+        ({"f02": {"a": "f", "b": "f"}}, "object functor: composition not preserved at (f01, f12)"),
+    ],
+)
+def test_object_functor_rejects_a_broken_functor_law(patch, fault):
+    ch3 = composable_pair_cat()
+    assert object_functor(ch3, CH3_SETS, CH3_MAPS).map_of("f02") == {"a": "e", "b": "e"}
+    with pytest.raises(ValidationError, match=re.escape(fault)):
+        object_functor(ch3, CH3_SETS, {**CH3_MAPS, **patch})
+
+
+@pytest.mark.parametrize(
+    "patch, fault",
+    [
+        ({"id_1": "s"}, "functor F: identities not preserved at 1"),
+        ({"f02": "s"}, "functor F: composition not preserved at (f01, f12)"),
+    ],
+)
+def test_cat_functor_rejects_a_broken_functor_law(patch, fault):
+    ch3, bz2 = composable_pair_cat(), bz2_cat()
+    objects = {x: "*" for x in ch3.objects}
+    good = {"id_0": "id_*", "id_1": "id_*", "id_2": "id_*", "f01": "s", "f12": "s", "f02": "id_*"}
+    assert CatFunctor("F", ch3, bz2, objects, good).on_arr("f02") == "id_*"
+    with pytest.raises(ValidationError, match=re.escape(fault)):
+        CatFunctor("F", ch3, bz2, objects, {**good, **patch})
+
+
+def test_cat_valued_functor_checks_both_functor_laws():
+    bz2, ch3 = bz2_cat(), composable_pair_cat()
+    collapse = CatFunctor("collapse", bz2, bz2, {"*": "*"}, {"id_*": "id_*", "s": "id_*"})
+    # an idempotent endofunctor is not the identity functor
+    with pytest.raises(ValidationError, match=re.escape("pt: identities not preserved at *")):
+        cat_valued_functor(cat_one(), {"*": bz2}, {"id_*": collapse}, name="pt")
+    values = {x: bz2 for x in ch3.objects}
+    ident = identity_functor(bz2)
+    cat_valued_functor(ch3, values, {"f01": collapse, "f12": ident, "f02": collapse}, name="ch")
+    with pytest.raises(ValidationError, match=re.escape("ch: composition not preserved at (f01, f12)")):
+        cat_valued_functor(ch3, values, {"f01": ident, "f12": ident, "f02": collapse}, name="ch")
 
 
 def test_hom_fiber_is_the_function_family_product(id_bz2_pair):
