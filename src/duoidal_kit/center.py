@@ -21,7 +21,7 @@ from .operads import (
     cosimplicial_from_multiplicative,
     multiplicative_from_k_monoid,
 )
-from .report import SizeError, sorted_elements
+from .report import Memo, SizeError, sorted_elements
 
 
 class InternalConsistencyError(RuntimeError):
@@ -93,7 +93,10 @@ _FREE_CAP = 4096  # the most choices enumerated for the free weight slots of one
 
 
 def _families_at(D, X: CosimplicialObject, delta: CosimplicialObject, N: int, key):
-    """Families at every truncation level k <= N over one fiber key."""
+    """Families at every truncation level k <= N over one fiber key.  Each
+    coface and codegeneracy is applied once per point, keyed (n, i, point)."""
+    cofaces = Memo(lambda nip: D.apply_at(X.d(nip[0], nip[1]), key, nip[2]))
+    codegeneracies = Memo(lambda nip: D.apply_at(X.s(nip[0], nip[1]), key, nip[2]))
     level0 = list(D.fiber(X.level(0), key))
     fams = []
     for choice in itertools.product(level0, repeat=len(delta.level(0))):
@@ -111,7 +114,7 @@ def _families_at(D, X: CosimplicialObject, delta: CosimplicialObject, N: int, ke
                 dmap = delta.d(n, i)
                 for u in pts:
                     w = dmap[u]
-                    val = D.apply_at(X.d(n, i), key, xn[u])
+                    val = cofaces[n, i, xn[u]]
                     if w in forced and forced[w] != val:
                         dead = True
                         break
@@ -135,7 +138,7 @@ def _families_at(D, X: CosimplicialObject, delta: CosimplicialObject, N: int, ke
                 for i in range(n + 1):
                     smap = delta.s(n, i)
                     for w in next_pts:
-                        if D.apply_at(X.s(n, i), key, xn1[w]) != xn[smap[w]]:
+                        if codegeneracies[n, i, xn1[w]] != xn[smap[w]]:
                             ok = False
                             break
                     if not ok:

@@ -71,9 +71,21 @@ class TreePool:
         return tuple(self.node(c, kids[:j] + (x,) + kids[j + 1 :]) for j, k in enumerate(kids) for x in table[k])
 
     def render(self, t) -> str:
-        if t == LEAF:
-            return "l"
-        return f"{self.color[t]}({','.join(self.render(c) for c in self.kids[t])})"
+        """The term of a tree, written from an explicit stack of trees and
+        the separators still to write, so depth costs no recursion."""
+        out, stack = [], [t]
+        while stack:
+            u = stack.pop()
+            if isinstance(u, str):
+                out.append(u)
+            elif u == LEAF:
+                out.append("l")
+            else:
+                out.append(self.color[u] + "(")
+                stack.append(")")
+                for i, c in enumerate(reversed(self.kids[u])):
+                    stack.extend((",", c) if i else (c,))
+        return "".join(out)
 
 
 class BinaryForest(TreePool):
@@ -205,45 +217,46 @@ class ContractionMap:
 
 
 def parse_term(pool: TreePool, text: str) -> int:
+    """The tree of a term, parsed with an explicit stack of the open vertices
+    (color, children so far), so depth costs no recursion."""
     text = text.replace(" ", "")
     pos = 0
-
-    def parse():
-        nonlocal pos
+    stack = []
+    while True:
         if pos >= len(text):
             raise ValueError("unexpected end of term")
         ch = text[pos]
+        pos += 1
         if ch == "l":
-            pos += 1
-            return LEAF
-        if ch not in COLORS:
-            raise ValueError(f"unexpected character {ch!r} at {pos}")
-        color = ch
-        pos += 1
-        if pos >= len(text) or text[pos] != "(":
+            tree = LEAF
+        elif ch not in COLORS:
+            raise ValueError(f"unexpected character {ch!r} at {pos - 1}")
+        elif pos >= len(text) or text[pos] != "(":
             raise ValueError(f"expected '(' at {pos}")
-        pos += 1
-        children = []
-        if pos < len(text) and text[pos] == ")":
+        elif pos + 1 < len(text) and text[pos + 1] == ")":
+            pos += 2
+            tree = pool.node(ch, ())
+        else:
             pos += 1
-            return pool.node(color, ())
-        while True:
-            children.append(parse())
+            stack.append((ch, []))
+            continue
+        while stack:  # a finished tree: close each vertex that it ends
+            color, children = stack[-1]
+            children.append(tree)
             if pos >= len(text):
                 raise ValueError("unterminated term")
             if text[pos] == ",":
                 pos += 1
-                continue
-            if text[pos] == ")":
-                pos += 1
                 break
-            raise ValueError(f"unexpected character {text[pos]!r} at {pos}")
-        return pool.node(color, tuple(children))
-
-    out = parse()
-    if pos != len(text):
-        raise ValueError(f"trailing input at {pos}")
-    return out
+            if text[pos] != ")":
+                raise ValueError(f"unexpected character {text[pos]!r} at {pos}")
+            pos += 1
+            stack.pop()
+            tree = pool.node(color, tuple(children))
+        else:
+            if pos != len(text):
+                raise ValueError(f"trailing input at {pos}")
+            return tree
 
 
 def check_contraction_operad_map(max_total_vertices=8):

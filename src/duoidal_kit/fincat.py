@@ -59,7 +59,9 @@ class FiniteCategory:
                     h = self._compose.get((f.name, g.name))
                     if h is None:
                         raise ValidationError(f"{self.name}: composition missing at ({f.name}, {g.name})")
-                    ha = self.arrows[h]
+                    ha = self.arrows.get(h)
+                    if ha is None:
+                        raise ValidationError(f"{self.name}: composite at ({f.name}, {g.name}) is {h!r}, not an arrow")
                     if ha.src != f.src or ha.tgt != g.tgt:
                         raise ValidationError(f"{self.name}: ill-typed composite at ({f.name}, {g.name})")
                     self.composable.append((f.name, g.name, h))

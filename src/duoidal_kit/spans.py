@@ -16,17 +16,20 @@ are numbered per (atom, globe) in the order they are first met, so coding
 never lists a fiber, and a node element is the tuple (chain id, child
 code, ...), with chains interned per instance.  Every map (`SpanMor`)
 belongs to the instance that built it and works on that instance's codes,
-storing its value at each code it meets, one `report.Memo` per globe.  The
-instance's own caches (tensor nodes, atom pools, fiber codes, horizontal
-composites of globes) are `Memo`s too, and live as long as it.  Values
-appear only at the boundary: `fiber`, `SpanMor.apply`/`apply_at`, and the
-maps given on values (`SpanDuoidal.value_map`), which are decoded, applied
-and re-coded once per element.
+storing its value at each code it meets, one `report.Memo` per globe; a
+tensor of maps is planned per chain, so it splits and joins once per chain,
+not once per element.  The instance's own caches (tensor nodes, atom pools,
+fiber codes, horizontal composites of globes) are `Memo`s too, and live as
+long as it.  Values appear only at the boundary: `fiber`,
+`SpanMor.apply`/`apply_at`, and the maps given on values
+(`SpanDuoidal.value_map`), which are decoded, applied and re-coded once per
+element.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from types import MethodType
 from typing import NamedTuple
 
@@ -186,6 +189,17 @@ def _intern(pool, x):
         out = ids[x] = len(values)
         values.append(x)
     return out
+
+
+def _reader(k, sub, chained):
+    """How a tensor of maps reads a factor's code from an element's code, given
+    its arity and what `split` gave it for a template code (see `tensor_map`)."""
+    if k == 0:
+        return lambda code: 0
+    if k == 1:
+        return itemgetter(1 + sub) if chained else lambda code: code
+    head, lo = sub[:1], 1 + sub[1]
+    return lambda code: head + code[lo : lo + k]
 
 
 # per tensor t: the kind of a tensor-t node, the Globe fields where the
@@ -434,8 +448,11 @@ class SpanDuoidal(Tensors):
 
     # -- tensor on morphisms ------------------------------------------------
     def tensor_map(self, t, fs):
-        """The tensor-t product of morphisms, evaluated per element by
-        splitting over the domains and joining over the codomains."""
+        """The tensor-t product of morphisms, planned per chain: on the first
+        element of a (globe, chain id) of the domain (of a globe, when the
+        domain has one factor or none), one `split` of a template code gives
+        each factor's globe, row and place in the code, and checks the globe.
+        Then an element is one row lookup per factor and one code tuple."""
         fs = [self._coded(f) for f in fs]
         if not fs:
             return self.identity(self._units[t])
@@ -443,15 +460,38 @@ class SpanDuoidal(Tensors):
         cods = [f.cod for f in fs]
         dom_arities = self.arities(t, doms)
         cod_arities = self.arities(t, cods)
-        rows = [f._rows for f in fs]
-        split, join = self.split, self.join
+        chained = sum(dom_arities) > 1
+
+        def plan(key):
+            globe, cid = key if chained else (key, None)
+            template = (cid,) + tuple(range(sum(dom_arities))) if chained else 0  # components are their positions
+            parts = self.split(t, dom_arities, globe, template)
+            if self.join(t, dom_arities, parts)[0] != globe:
+                raise AssertionError(f"box{t} tensor moved a globe")
+
+            def out_cid(cids):  # joined once per tuple of image chain ids, from codes carrying only those
+                it = iter(cids)
+                codes = [(g, (next(it),) if k > 1 else 0) for (g, _), k in zip(parts, cod_arities)]
+                return self.join(t, cod_arities, codes)[1][0]
+
+            steps = [(f._rows[g], _reader(k, sub, chained)) for f, k, (g, sub) in zip(fs, dom_arities, parts)]
+            return steps, Memo(out_cid)
+
+        plans = Memo(plan)
 
         def act(globe, code):
-            parts = split(t, dom_arities, globe, code)
-            out_globe, out = join(t, cod_arities, [(g, r[g][c]) for r, (g, c) in zip(rows, parts)])
-            if out_globe != globe:
-                raise AssertionError(f"box{t} tensor moved a globe")
-            return out
+            steps, out_cids = plans[globe, code[0]] if chained else plans[globe]
+            cids, comps = [], []
+            for (row, read), k in zip(steps, cod_arities):
+                img = row[read(code)]
+                if k == 1:
+                    comps.append(img)
+                elif k:
+                    cids.append(img[0])
+                    comps.extend(img[1:])
+            if len(comps) > 1:
+                return (out_cids[tuple(cids)],) + tuple(comps)
+            return comps[0] if comps else 0
 
         return SpanMor(self, self.tensor(t, doms), self.tensor(t, cods), act)
 

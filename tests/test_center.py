@@ -225,3 +225,27 @@ def test_free_weight_slots_respect_the_enumeration_cap(monkeypatch):
     monkeypatch.setattr(center, "_FREE_CAP", choices - 1)
     with pytest.raises(SizeError, match="free weight slots"):
         center._families_at(D, X, delta, 1, None)
+
+
+class _CountingFinSet(CartesianFinSet):
+    """Cartesian finite sets that record every `apply_at` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def apply_at(self, f, key, elt):
+        self.calls.append((id(f), key, elt))
+        return super().apply_at(f, key, elt)
+
+
+@pytest.mark.parametrize("weights", [constant_weights, ordinal_weights, reversed_ordinal_weights])
+def test_totalize_applies_each_coface_and_codegeneracy_once_per_point(weights):
+    """Every (map, point) pair reaches `apply_at` once: the families share the
+    images of their points."""
+    A = multiplicative_from_k_monoid(k_monoid_from_monoid(cyclic(6), K), bound=4)
+    X = cosimplicial_from_multiplicative(A, 3)
+    counting = _CountingFinSet()
+    tot = totalize(counting, X, weights(), N=3)
+    assert tot.families == totalize(D, X, weights(), N=3).families
+    assert len(counting.calls) == len(set(counting.calls)) > 0

@@ -7,7 +7,7 @@ from duoidal_kit.duoidal import (
     derived_unit_comparison,
     v_as_duoid,
 )
-from duoidal_kit.fincat import ValidationError
+from duoidal_kit.fincat import ValidationError, finite_category
 from duoidal_kit.finset import CartMap, CartesianFinSet, atom_letter
 from duoidal_kit.instances import (
     additive_instance,
@@ -66,6 +66,12 @@ def test_a_thin_base_must_hold_every_structure_arrow():
     with pytest.raises(ValidationError) as err:
         thin_duoidal("bad", ("0", "1"), lambda x, y: x == y, (max, min), ("0", "1"))
     assert str(err.value) == "bad: required structure arrow 0 -> 1 is missing"
+
+
+def test_a_composite_must_name_an_arrow():
+    with pytest.raises(ValidationError) as err:
+        finite_category("c", ("0",), [("s", "0", "0")], {("s", "s"): "nope"})
+    assert str(err.value) == "c: composite at (s, s) is 'nope', not an arrow"
 
 
 def test_additive_instance_requires_commutativity():

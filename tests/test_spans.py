@@ -242,6 +242,76 @@ def test_join_inverts_split(base, t):
     assert elements > 100
 
 
+def _swap(g, el):
+    return {"x1": "x2", "x2": "x1"}.get(el, el)
+
+
+@pytest.mark.parametrize("base", [bz2_cat, parallel_pair_cat])
+@pytest.mark.parametrize("t", [0, 1])
+def test_tensor_map_agrees_with_split_then_join(base, t):
+    """The planned tensor of maps against the per-element reference: split
+    the code over the domains, apply each map, join over the codomains."""
+    cat = base()
+    D = SpanDuoidal(cat)
+    X = D.atom("X", {g: ("x1", "x2") for g in all_globes(cat)})
+    Y = D.atom("Y", {g: ("y",) for g in all_globes(cat)})
+    unit = (D.e, D.v)[t]
+    XY = D.tensor(t, (X, Y))
+
+    def to_node(g, x):  # over each globe, x1 and x2 go over different chains
+        chains = D.chains(t, g, 2)
+        return chains[0 if x == "x1" else -1], (x, "y")
+
+    maps = {
+        X: [D.value_map(X, X, _swap), D.value_map(X, XY, to_node)],
+        Y: [D.value_map(Y, X, lambda g, y: "x2")],
+        unit: [D.value_map(unit, unit, lambda g, el: el), D.value_map(unit, X, lambda g, el: "x1")],
+        XY: [
+            D.value_map(XY, XY, lambda g, el: (el[0], (_swap(g, el[1][0]), "y"))),
+            D.value_map(XY, X, lambda g, el: el[1][0]),
+        ],
+    }
+    node_chains = {D.encode(XY, g, to_node(g, x))[0] for g in all_globes(cat) for x in ("x1", "x2")}
+    assert len(node_chains) > len(all_globes(cat))
+    factor_lists = [(X,), (unit,), (X, Y), (unit, X), (X, unit, Y), (unit, unit), (XY, X), (XY, unit, XY)]
+    elements = 0
+    for factors in factor_lists:
+        dom_arities = D.arities(t, factors)
+        for fs in itertools.product(*(maps[x] for x in factors)):
+            cod_arities = D.arities(t, [f.cod for f in fs])
+            F = D.tensor_map(t, fs)
+            assert F.dom == D.tensor(t, factors)
+            for globe in D.support(F.dom):
+                for x in D.fiber(F.dom, globe):
+                    code = D.encode(F.dom, globe, x)
+                    parts = D.split(t, dom_arities, globe, code)
+                    want = D.join(t, cod_arities, [(g, f.at(g, c)) for f, (g, c) in zip(fs, parts)])
+                    assert (globe, F.at(globe, code)) == want
+                    elements += 1
+    assert elements > 1000
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_tensor_map_splits_once_per_chain(t):
+    """Evaluating a tensor of maps over whole fibers calls `split` once per
+    (globe, chain id) of the domain, not once per element."""
+    cat = bz2_cat()
+    D = SpanDuoidal(cat)
+    X = D.atom("X", {g: ("x1", "x2", "x3") for g in all_globes(cat)})
+    XX = D.tensor(t, (X, X))
+    calls = []
+    split = D.split
+    D.split = lambda *args: calls.append(args) or split(*args)
+    F = D.tensor_map(t, (D.value_map(X, X, _swap), D.value_map(XX, XX, lambda g, el: el)))
+    chains = set()
+    for globe in D.support(F.dom):
+        for x in D.fiber(F.dom, globe):
+            code = D.encode(F.dom, globe, x)
+            F.at(globe, code)
+            chains.add((globe, code[0]))
+    assert len(calls) == len(chains) < sum(len(D.fiber(F.dom, g)) for g in D.support(F.dom)) / 10
+
+
 def test_apply_lists_no_intermediate_fiber(par):
     """Applying a composite at one element codes the middle element on first
     use; listing the middle fiber would raise."""
