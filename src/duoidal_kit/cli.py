@@ -35,7 +35,10 @@ def _emit(args, text):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # the reader has gone: the rest of the output goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _report_exit(args, report: CheckReport) -> int:

@@ -5,13 +5,16 @@ elements, and the elements of a word are flat tuples with one slot per
 letter.  Both tensors are word concatenation, so associativity and unitality
 hold on the nose with the empty word as both units.  Function-set letters
 resolve their elements lazily, which keeps endomorphism components such as
-Set(M^n, M) representable without ever enumerating them; maps out of such
-objects stay callable until someone actually asks for a table.
+Set(M^n, M) representable without ever enumerating them.  A map is applied
+point by point; `maps_equal` instead compares two maps' images over the whole
+domain, each computed from how the map was made, so that a tensor of maps
+evaluates each factor once per point of its own domain.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .duoidal import Tensors
 from .report import Memo, SizeError, skey
@@ -109,10 +112,15 @@ def word_elements(word, cap=DEFAULT_CAP):
     element over an enumerable word, the tuple of its (argument, value)
     pairs in this order, is therefore already its canonical graph.
     """
+    return tuple(itertools.product(*_letter_elements(word, cap)))
+
+
+def _letter_elements(word, cap):
+    """The elements of each letter of a word whose size is within the cap."""
     n = word_size(word)
     if n is None or n > cap:
         raise SizeError(f"word of size {n if n is not None else 'unbounded'} exceeds cap {cap}")
-    return tuple(itertools.product(*(letter.elements(cap) for letter in word)))
+    return [letter.elements(cap) for letter in word]
 
 
 def word_enumerable(word):
@@ -169,27 +177,55 @@ class CartMap:
 
     `_memo` holds the values the map stores: its `table`, which for a
     memoized map (see `CartesianFinSet.memoize`) fills in at each point the
-    map is applied to.
+    map is applied to.  `parts` records how an identity ("id",), a composite
+    ("then", f, g) or a tensor ("tensor", f1, ..., fn) was built, so that
+    `_table` lists its images from its parts' images; it is None otherwise.
     """
 
-    __slots__ = ("dom", "cod", "apply", "_memo")
+    __slots__ = ("dom", "cod", "apply", "_memo", "parts")
 
-    def __init__(self, dom, cod, fn=None, table=None):
+    def __init__(self, dom, cod, fn=None, table=None, parts=None):
         self.dom = tuple(dom)
         self.cod = tuple(cod)
         self._memo = table
         self.apply = fn if table is None else table.__getitem__
+        self.parts = parts
 
     def __repr__(self):
         return f"CartMap({len(self.dom)} letters -> {len(self.cod)} letters)"
 
 
-def _splits(words):
-    """Cumulative slot boundaries for a list of factor words."""
-    out, k = [], 0
-    for w in words:
-        out.append((k, k + len(w)))
-        k += len(w)
+def _images(f, xs):
+    """An iterable of f's images at the points xs, in order, each computed as
+    it is read."""
+    kind, *fs = f.parts or (None,)
+    if kind == "id":
+        return xs
+    if kind == "then":
+        return _images(fs[1], _images(fs[0], xs))
+    if kind != "tensor":
+        return map(f.apply, xs)
+    xs, a = list(xs), 0
+    out = [()] * len(xs)
+    for g in fs:
+        b = a + len(g.dom)
+        out, a = map(tuple.__add__, out, _images(g, map(operator.itemgetter(slice(a, b)), xs))), b
+    return out
+
+
+def _table(f, cap):
+    """`_images(f, word_elements(f.dom, cap))`, a tensor's as the product of its
+    factors' tables, each listed once over its own domain: the elements of a
+    word are the lexicographic product of its letters' elements.
+    """
+    kind, *fs = f.parts or (None,)
+    if kind == "then":
+        return _images(fs[1], _table(fs[0], cap))
+    if kind != "tensor":
+        return _images(f, word_elements(f.dom, cap))
+    out = [()]
+    for g in fs:
+        out = itertools.starmap(tuple.__add__, itertools.product(out, _table(g, cap)))
     return out
 
 
@@ -211,13 +247,13 @@ class CartesianFinSet(Tensors):
         return f.cod
 
     def identity(self, x):
-        return CartMap(x, x, fn=lambda t: t)
+        return CartMap(x, x, fn=tuple, parts=("id",))  # tuple(t) is t for a point t
 
     def compose(self, f, g):
         """f then g (diagrammatic order)."""
         if f.cod != g.dom:
             raise ValueError("compose: middle objects differ")
-        return CartMap(f.dom, g.cod, fn=lambda t: g.apply(f.apply(t)))
+        return CartMap(f.dom, g.cod, fn=lambda t, f=f.apply, g=g.apply: g(f(t)), parts=("then", f, g))
 
     def memoize(self, f):
         """f, storing its value at each point it is applied to.
@@ -243,12 +279,11 @@ class CartesianFinSet(Tensors):
         return maps
 
     def maps_equal(self, f, g, cap=DEFAULT_CAP):
+        """Whether f and g agree at every element of their domain, as their
+        image tables (`_table`); a domain with an empty letter builds none."""
         if f.dom != g.dom or f.cod != g.cod:
             return False
-        for t in word_elements(f.dom, cap):
-            if f.apply(t) != g.apply(t):
-                return False
-        return True
+        return not all(_letter_elements(f.dom, cap)) or all(map(operator.eq, _table(f, cap), _table(g, cap)))
 
     # -- tensors -------------------------------------------------------
     def tensor(self, t, xs):
@@ -260,10 +295,10 @@ class CartesianFinSet(Tensors):
 
     def tensor_map(self, t, fs):
         """The product of maps, applied slot range by slot range."""
-        fs = list(fs)
+        fs = tuple(fs)
         dom = self.tensor(t, (f.dom for f in fs))
         cod = self.tensor(t, (f.cod for f in fs))
-        bounds = _splits([f.dom for f in fs])
+        bounds = list(itertools.pairwise(itertools.accumulate((len(f.dom) for f in fs), initial=0)))
 
         def act(x, fs=fs, bounds=bounds):
             out = ()
@@ -271,7 +306,7 @@ class CartesianFinSet(Tensors):
                 out += f.apply(x[a:b])
             return out
 
-        return CartMap(dom, cod, fn=act)
+        return CartMap(dom, cod, fn=act, parts=("tensor", *fs))
 
     # -- duoidal structure ----------------------------------------------
     def interchange(self, a, b, c, d):

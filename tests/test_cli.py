@@ -62,7 +62,17 @@ def test_check_duoid_from_file():
 
 def test_check_operad_monoid_and_corrupted_table():
     out = run_cli("check-operad", "--monoid", str(CORPUS / "z2.json"), "--bound", "3")
-    assert out.returncode == 0
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "== operad axioms: end(z2) (arity bound 3) + multiplicative structure ==",
+        "PASS  unit law (inner)  [k <= 3]",
+        "PASS  unit law (outer)  [k <= 3]",
+        "PASS  associativity  [59 shapes within bound 3; 368 skipped (non-enumerable domains)]",
+        "PASS  v-action bimodule square  [k <= 3]",
+        "PASS  unit compatibility",
+        "PASS  operad morphism from the all-v operad  [shapes within 3]",
+        "-- ALL PASS (6 checks)",
+    ]
     ok = run_cli("check-operad", "--builtin", "additive_z2", "--operad", str(CORPUS / "fass_additive_z2.json"))
     assert ok.returncode == 0
     bad = run_cli(
@@ -507,6 +517,27 @@ def test_byte_identical_reruns():
         assert first.returncode == 0, (argv, first.stderr)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        # about 190 kB, far past a pipe's buffer: the writer is still writing when the pipe closes
+        (("trees", "enumerate", "--leaves", "9"), 1),
+        # one write at the end of the check, after the pipe has closed
+        (("check-operad", "--builtin", "additive_z2", "--named", "fass", "--bound", "3"), 0),
+    ],
+)
+def test_a_closed_pipe_ends_the_output_without_a_traceback(argv, lines_read):
+    cmd = [sys.executable, "-m", "duoidal_kit.cli", *argv]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(os.environ))
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_json_format_and_out_file(tmp_path):

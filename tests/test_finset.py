@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from duoidal_kit.finset import (
@@ -104,3 +106,126 @@ def test_word_enumerable_agrees_with_word_elements():
         assert word_enumerable(word) is listed, word
         el = fn_elt_of(word, lambda t: (0,))
         assert isinstance(el, tuple) is listed, word
+
+
+# -- maps_equal compares image tables built from a map's parts ---------------
+
+A2 = atom_letter("a2", [0, 1])
+B3 = atom_letter("b3", ["r", "s", "t"])
+EMPTY = atom_letter("empty", [])
+
+
+def _pointwise(f, g):
+    return all(f.apply(x) == g.apply(x) for x in word_elements(f.dom))
+
+
+def _tabled(f, flip_last=False):
+    """f as a plain table map; with flip_last, its image at the last point changed."""
+    table = {x: f.apply(x) for x in word_elements(f.dom)}
+    if flip_last:
+        last = word_elements(f.dom)[-1]
+        table[last] = next(y for y in word_elements(f.cod) if y != table[last])
+    return CartMap(f.dom, f.cod, table=table)
+
+
+def _random_word(rng, max_len=2):
+    return tuple(rng.choice((A2, B3)) for _ in range(rng.randint(0, max_len)))
+
+
+def _random_map(rng, dom, cod, depth):
+    """A random map dom -> cod: a table, an identity, a composite or a tensor."""
+    choice = rng.randrange(4) if depth else 0
+    if choice == 1 and dom == cod:
+        return D.identity(dom)
+    if choice == 2:
+        mid = _random_word(rng)
+        return D.compose(_random_map(rng, dom, mid, depth - 1), _random_map(rng, mid, cod, depth - 1))
+    if choice == 3:
+        # cut both words into the same number of (possibly zero-letter) pieces
+        k = rng.randint(1, 3)
+        cuts = [sorted(rng.randint(0, len(w)) for _ in range(k - 1)) for w in (dom, cod)]
+        pieces = [[w[a:b] for a, b in zip([0] + c, c + [len(w)])] for w, c in zip((dom, cod), cuts)]
+        return D.tensor_map(1, [_random_map(rng, x, y, depth - 1) for x, y in zip(*pieces)])
+    outs = word_elements(cod)
+    return CartMap(dom, cod, table={x: rng.choice(outs) for x in word_elements(dom)})
+
+
+def test_maps_equal_agrees_with_the_pointwise_comparison():
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(400):
+        dom, cod = _random_word(rng, 3), _random_word(rng, 3)
+        f = _random_map(rng, dom, cod, depth=3)
+        kinds.add(f.parts[0] if f.parts else None)
+        pairs = [(f, _tabled(f)), (_tabled(f), f), (f, _random_map(rng, dom, cod, depth=3))]
+        if word_size(cod) > 1:
+            pairs += [(f, _tabled(f, flip_last=True)), (_tabled(f, flip_last=True), f)]
+            assert not D.maps_equal(f, _tabled(f, flip_last=True))
+        for lhs, rhs in pairs:
+            assert D.maps_equal(lhs, rhs) is _pointwise(lhs, rhs)
+        assert D.maps_equal(f, _tabled(f))
+    assert kinds == {None, "id", "then", "tensor"}
+
+
+def test_maps_equal_finds_a_change_at_the_last_point_inside_a_tensor():
+    f = CartMap((B3,), (A2,), table={(b,): (0,) for b in "rst"})
+    left = D.tensor_map(0, [D.identity((A2,)), D.identity(()), f])
+    right = D.tensor_map(0, [D.identity((A2,)), D.identity(()), _tabled(f, flip_last=True)])
+    assert not D.maps_equal(left, right) and not _pointwise(left, right)
+    assert not D.maps_equal(D.compose(left, D.identity(left.cod)), right)
+    assert D.maps_equal(left, D.tensor_map(1, [D.identity((A2,)), f]))
+
+
+def test_an_empty_domain_compares_vacuously_and_a_large_one_raises():
+    def never(t):
+        raise AssertionError("a map on an empty domain was applied")
+
+    big = (atom_letter("ten", range(10)),) * 3  # 1000 elements, past the cap of 100
+    empty_last = D.tensor_map(0, [CartMap(big, X, fn=never), CartMap((EMPTY,), Y, fn=never)])
+    other = CartMap(empty_last.dom, empty_last.cod, fn=never)
+    assert D.maps_equal(empty_last, other, cap=100)
+    with pytest.raises(SizeError):
+        D.maps_equal(D.identity(big), CartMap(big, big, fn=never), cap=100)
+    # an empty word whose other letter has more elements than the cap still raises
+    huge = fn_letter((atom_letter("ten", range(10)),) * 2, (atom_letter("ten", range(10)),))
+    with pytest.raises(SizeError):
+        D.maps_equal(D.identity((EMPTY, huge)), CartMap((EMPTY, huge), (EMPTY, huge), fn=never))
+
+
+def test_maps_equal_tabulates_each_tensor_factor_once_over_its_own_domain():
+    calls = {"x": 0, "y": 0}
+
+    def counting(name):
+        def fn(t):
+            calls[name] += 1
+            return t
+
+        return fn
+
+    both = D.tensor_map(0, [CartMap(X, X, fn=counting("x")), CartMap(Y, Y, fn=counting("y"))])
+    assert D.maps_equal(both, D.identity(X + Y))
+    assert calls == {"x": 2, "y": 3}
+
+
+def test_a_corrupted_end_operad_composition_fails_associativity():
+    from duoidal_kit.kcat import CartesianSelfEnriched, k_monoid_from_monoid
+    from duoidal_kit.monoids import cyclic
+    from duoidal_kit.operads import OneOperad, check_one_operad, end_operad
+
+    K = CartesianSelfEnriched(D)
+    good = end_operad(K, k_monoid_from_monoid(cyclic(2), K).carrier, bound=2)
+    const0, const1 = ((((0,), (0,)), ((1,), (0,))), (((0,), (1,)), ((1,), (1,))))
+    first = tuple(((a, b), (a,)) for a in (0, 1) for b in (0, 1))
+    point = (const0, const1, first)  # swapping the inner arguments here changes the value
+
+    def gamma(n, ks):
+        g = good.gamma(n, ks)
+        if (n, ks) != (2, (1, 1)):
+            return g
+        return CartMap(g.dom, g.cod, fn=lambda t: g.apply((t[1], t[0], t[2]) if t == point else t))
+
+    assert good.gamma(2, (1, 1)).apply(point) != gamma(2, (1, 1)).apply(point)
+    bad = OneOperad(D, "end_corrupt", good.component, gamma, good.unit, bound=2)
+    rows = {item.name: item for item in check_one_operad(bad).items}
+    assert check_one_operad(good).all_passed
+    assert not rows["associativity"].passed, rows["associativity"].scope
