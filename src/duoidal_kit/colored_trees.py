@@ -203,12 +203,36 @@ class ContractionMap:
     def __init__(self, btrees: BinaryForest, atrees: AlternatingForest):
         self.btrees = btrees
         self.atrees = atrees
-        self._table = [LEAF]  # tree id -> contraction, filled in id order: a pool interns children first
+        self._table = {LEAF: LEAF}  # tree id -> contraction
 
     def contract(self, t) -> int:
+        """The contraction of t, from an explicit stack of the block roots
+        still to contract, so depth costs no recursion.  A root's corolla
+        takes the contraction of each contracted child, which `node` splices
+        when it has the root's color, and walks the children of a same-colored
+        child not contracted yet in its place.  So only the final corolla of
+        a maximal monocolored block is interned, and a chain of k vertices
+        stores k + 1 child ids, not about k^2 / 2."""
         table, color, kids, node = self._table, self.btrees.color, self.btrees.kids, self.atrees.node
-        for u in range(len(table), t + 1):
-            table.append(node(color[u], tuple(table[c] for c in kids[u])))
+        stack = [t]
+        while stack:
+            u = stack[-1]
+            if u in table:
+                stack.pop()
+                continue
+            children, missing, walk = [], [], list(reversed(kids[u]))
+            while walk:
+                c = walk.pop()
+                if c in table:
+                    children.append(table[c])
+                elif color[c] == color[u]:
+                    walk.extend(reversed(kids[c]))
+                else:
+                    missing.append(c)
+            if missing:
+                stack.extend(missing)
+            else:
+                table[u] = node(color[u], tuple(children))
         return table[t]
 
 

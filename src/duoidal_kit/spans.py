@@ -15,12 +15,22 @@ Inside an instance every element has an integer code: an atom's elements
 are numbered per (atom, globe) in the order they are first met, so coding
 never lists a fiber, and a node element is the tuple (chain id, child
 code, ...), with chains interned per instance.  Every map (`SpanMor`)
-belongs to the instance that built it and works on that instance's codes,
-storing its value at each code it meets, one `report.Memo` per globe; a
-tensor of maps is planned per chain, so it splits and joins once per chain,
-not once per element.  The instance's own caches (tensor nodes, atom pools,
-fiber codes, horizontal composites of globes) are `Memo`s too, and live as
-long as it.  Values appear only at the boundary: `fiber`,
+belongs to the instance that built it and works on that instance's codes.
+Applied at a code (`at`), it stores its value there, one `report.Memo` per
+globe; a tensor of maps and the interchange are planned per chain, so they
+split and join once per chain, not once per element.
+
+`maps_equal` compares two maps' image tables, one globe at a time, each
+listed in the order of the domain's codes and built from how the map was
+made (`SpanMor.parts`), as a finite function is its vector of images
+(Patterson, Lynch & Fairbanks, "Categorical data structures for technical
+computing", 2022): an identity's images are the codes, a composite's are
+its second map's images at its first map's table, and a tensor's table is
+listed chain by chain as the product of its factors' tables, each factor
+read once per code of its own fiber.  Any other map reads its stored
+values.  The instance's own caches (tensor nodes, atom pools, fiber codes
+by globe and by chain, horizontal composites of globes) are `Memo`s too,
+and live as long as it.  Values appear only at the boundary: `fiber`,
 `SpanMor.apply`/`apply_at`, and the maps given on values
 (`SpanDuoidal.value_map`), which are decoded, applied and re-coded once per
 element.
@@ -28,6 +38,7 @@ element.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from operator import itemgetter
 from types import MethodType
@@ -150,17 +161,23 @@ class SpanNode:
 class SpanMor:
     """A morphism of globe-indexed families on the codes of the instance
     `owner` that built it, evaluated lazily: `code(globe, code) -> code`.
-    It stores its value at each code it meets (`at`), one `Memo` per globe.
+
+    It stores its value at each code it is applied to (`at`), one `Memo`
+    per globe.  `parts` records how an identity ("id",), a composite
+    ("then", f, g) or a tensor ("tensor", fs, arities, plans) was built, so
+    that `SpanDuoidal.maps_equal` lists its images from its parts' images
+    (`SpanDuoidal._table`); it is None otherwise.
     """
 
-    __slots__ = ("owner", "dom", "cod", "code", "_rows")
+    __slots__ = ("owner", "dom", "cod", "code", "_rows", "parts")
 
-    def __init__(self, owner, dom, cod, code):
+    def __init__(self, owner, dom, cod, code, parts=None):
         self.owner = owner
         self.dom = dom
         self.cod = cod
         self.code = code
         self._rows = Memo(MethodType(_row, code))  # its values by globe and code
+        self.parts = parts
 
     def at(self, globe, code):
         """The code of the image of a code of the domain over `globe`."""
@@ -202,6 +219,12 @@ def _reader(k, sub, chained):
     return lambda code: head + code[lo : lo + k]
 
 
+def _template(cid, n):
+    """A code over the chain `cid` of n factors whose components are their
+    positions, which `split` turns into each factor's place in the code."""
+    return (cid,) + tuple(range(n)) if n > 1 else 0
+
+
 # per tensor t: the kind of a tensor-t node, the Globe fields where the
 # cursor of `split` starts and where each factor moves it (a -> b for box0,
 # f -> g for box1), and the binary splits of a globe
@@ -229,6 +252,8 @@ class SpanDuoidal(Tensors):
         self._compose = (lambda g1, g2: hcomposed[g1, g2], vcompose)
         self._nodes = Memo(lambda key: SpanNode(_NODE_KINDS[key[0]], key[1]))  # (t, factors) -> node
         self._codes = Memo(self._list_codes)  # (object, globe) -> the codes of its fiber
+        self._cids = Memo(self._list_cids)  # (node, globe) -> the ids of the chains of its fiber
+        self._blocks = Memo(self._list_block)  # (node, chain id) -> the codes of its fiber over the chain
         # per (atom, globe): ids by element, elements by id; () is code 0 over every unit globe
         self._pools = Memo(lambda key: ({}, []))
         self._pools.update(
@@ -299,17 +324,28 @@ class SpanDuoidal(Tensors):
         return chain, tuple(self.decode(c, g, x) for c, g, x in zip(obj.children, chain, code[1:]))
 
     def _list_codes(self, key):
-        """The codes of the fiber of obj over globe, for key = (obj, globe)."""
+        """The codes of the fiber of obj over globe, for key = (obj, globe); a
+        node's chain by chain."""
         obj, globe = key
         if isinstance(obj, SpanAtom):
             return tuple(self.encode(obj, globe, x) for x in obj.fiber_fn(globe))
-        out = []
-        for chain in self.chains(_NODE_KINDS.index(obj.kind), globe, len(obj.children)):
-            child_codes = [self._codes[c, g] for c, g in zip(obj.children, chain)]
-            if all(child_codes):
-                cid = _intern(self._chains, chain)
-                out.extend((cid,) + comps for comps in itertools.product(*child_codes))
-        return tuple(out)
+        return tuple(itertools.chain.from_iterable(self._blocks[obj, cid] for cid in self._cids[key]))
+
+    def _list_cids(self, key):
+        """The ids of the chains over which a node has elements, for key =
+        (node, globe), in the order `chains` lists them."""
+        node, globe = key
+        return tuple(
+            _intern(self._chains, chain)
+            for chain in self.chains(_NODE_KINDS.index(node.kind), globe, len(node.children))
+            if all(self._codes[c, g] for c, g in zip(node.children, chain))
+        )
+
+    def _list_block(self, key):
+        """The codes of a node's elements over one chain, for key = (node, chain id)."""
+        node, cid = key
+        child_codes = [self._codes[c, g] for c, g in zip(node.children, self._chains[1][cid])]
+        return [(cid,) + comps for comps in itertools.product(*child_codes)]
 
     def fiber(self, obj, globe):
         """The elements of an object over one globe (listed on demand)."""
@@ -378,6 +414,37 @@ class SpanDuoidal(Tensors):
             return composite, comps[0]
         return composite, (_intern(self._chains, tuple(chain)),) + tuple(comps)
 
+    def _joiner(self, t, arities, globes):
+        """The composite of fixed factor globes, and how a plan joins one code
+        per factor over them into a code of the tensor-t product: the chain
+        id is joined once per tuple of the factors' own chain ids."""
+        composite = functools.reduce(self._compose[t], globes)
+        n = sum(arities)
+        if n <= 1:
+            return composite, itemgetter(arities.index(1)) if n else lambda codes: 0
+        if max(arities) == 1:
+            head = self.join(t, arities, [(g, 0) for g in globes])[1][:1]
+            get = itemgetter(*(i for i, k in enumerate(arities) if k))
+            return composite, lambda codes: head + get(codes)
+
+        def out_cid(cids):
+            it = iter(cids)
+            return self.join(t, arities, [(g, (next(it),) if k > 1 else 0) for g, k in zip(globes, arities)])[1][0]
+
+        out_cids = Memo(out_cid)
+
+        def joined(codes):
+            cids, comps = [], []
+            for code, k in zip(codes, arities):
+                if k == 1:
+                    comps.append(code)
+                elif k:
+                    cids.append(code[0])
+                    comps.extend(code[1:])
+            return (out_cids[tuple(cids)],) + tuple(comps)
+
+        return composite, joined
+
     # -- morphisms ---------------------------------------------------------
     def value_map(self, dom, cod, fn) -> SpanMor:
         """A morphism given on values, fn(globe, element) -> element: each
@@ -388,16 +455,43 @@ class SpanDuoidal(Tensors):
         """f on the codes of this instance; another instance's map goes through values."""
         return f if f.owner is self else self.value_map(f.dom, f.cod, f.apply)
 
-    def _table(self, f: SpanMor):
-        """The image codes of f over its listed domain, one list per globe
-        of the support, checked against the listed codomain."""
-        rows = self._coded(f)._rows
+    def _images(self, f, globe, codes):
+        """The list of f's images at the given codes over globe: an
+        identity's are the codes, a composite's are its second map's images
+        at its first map's, and any other map reads them from its rows."""
+        kind = f.parts[0] if f.parts else None
+        if kind == "id":
+            return list(codes)
+        if kind == "then":
+            return self._images(f.parts[2], globe, self._images(f.parts[1], globe, codes))
+        return list(map(f._rows[globe].__getitem__, codes))
+
+    def _table(self, f, globe, cid=None):
+        """f's images at the codes of its domain over globe, in `_codes`
+        order, or at those over one chain id of the domain.  A composite
+        reads its second map only at its first map's images; a tensor's are
+        listed chain by chain as the product of its factors' tables."""
+        kind = f.parts[0] if f.parts else None
+        if kind == "then":
+            return self._images(f.parts[2], globe, self._table(f.parts[1], globe, cid))
+        if kind != "tensor":
+            return self._images(f, globe, self._codes[f.dom, globe] if cid is None else self._blocks[f.dom, cid])
+        fs, arities, plans = f.parts[1:]
+        if sum(arities) <= 1:
+            keys, whole = [(globe, None)], cid
+        else:
+            keys, whole = [(globe, c) for c in (self._cids[f.dom, globe] if cid is None else (cid,))], None
         out = []
-        for g in self.support(f.dom):
-            row = [rows[g][c] for c in self._codes[f.dom, g]]
-            if not set(self._codes[f.cod, g]).issuperset(row):
-                raise ValueError(f"morphism leaves the codomain fiber at {g.render()}")
-            out.append(row)
+        for key in keys:
+            parts, _, joined = plans[key]
+            # a factor of arity 1 lists its whole fiber over its globe (or the chain of
+            # an unchained tensor's one factor), one of arity k > 1 the block of its
+            # subchain, one of arity 0 the unit code 0
+            columns = [
+                self._table(h, g, sub[0] if k > 1 else whole) if k else self._images(h, g, (0,))
+                for h, k, (g, sub) in zip(fs, arities, parts)
+            ]
+            out.extend(map(joined, itertools.product(*columns)))
         return out
 
     def dom(self, f):
@@ -407,19 +501,30 @@ class SpanDuoidal(Tensors):
         return f.cod
 
     def identity(self, x):
-        return SpanMor(self, x, x, lambda g, c: c)
+        return SpanMor(self, x, x, lambda g, c: c, ("id",))
 
     def compose(self, f, g):
         """f then g."""
         if f.cod != g.dom:
             raise ValueError("compose: middle objects differ")
-        f_rows, g_rows = self._coded(f)._rows, self._coded(g)._rows
-        return SpanMor(self, f.dom, g.cod, lambda gl, c: g_rows[gl][f_rows[gl][c]])
+        f, g = self._coded(f), self._coded(g)
+        f_rows, g_rows = f._rows, g._rows
+        return SpanMor(self, f.dom, g.cod, lambda gl, c: g_rows[gl][f_rows[gl][c]], ("then", f, g))
 
     def maps_equal(self, f, g, cap=None):
+        """Whether f and g agree at every code of every globe of the support
+        of their domain, compared as image tables (`_table`), each checked
+        against the listed codomain."""
         if f.dom != g.dom or f.cod != g.cod:
             return False
-        return self._table(f) == self._table(g)
+        f, g = self._coded(f), self._coded(g)
+        equal = True
+        for globe in self.support(f.dom):
+            tables = self._table(f, globe), self._table(g, globe)
+            if not set(self._codes[f.cod, globe]).issuperset(itertools.chain(*tables)):
+                raise ValueError(f"morphism leaves the codomain fiber at {globe.render()}")
+            equal = equal and tables[0] == tables[1]
+        return equal
 
     def memoize(self, f):
         """Every `SpanMor` already stores its values."""
@@ -452,7 +557,7 @@ class SpanDuoidal(Tensors):
         element of a (globe, chain id) of the domain (of a globe, when the
         domain has one factor or none), one `split` of a template code gives
         each factor's globe, row and place in the code, and checks the globe.
-        Then an element is one row lookup per factor and one code tuple."""
+        Then an element is one row lookup per factor and one join."""
         fs = [self._coded(f) for f in fs]
         if not fs:
             return self.identity(self._units[t])
@@ -463,62 +568,67 @@ class SpanDuoidal(Tensors):
         chained = sum(dom_arities) > 1
 
         def plan(key):
-            globe, cid = key if chained else (key, None)
-            template = (cid,) + tuple(range(sum(dom_arities))) if chained else 0  # components are their positions
-            parts = self.split(t, dom_arities, globe, template)
-            if self.join(t, dom_arities, parts)[0] != globe:
+            globe, cid = key
+            parts = self.split(t, dom_arities, globe, _template(cid, sum(dom_arities)))
+            composite, joined = self._joiner(t, cod_arities, [g for g, _ in parts])
+            if composite != globe:
                 raise AssertionError(f"box{t} tensor moved a globe")
-
-            def out_cid(cids):  # joined once per tuple of image chain ids, from codes carrying only those
-                it = iter(cids)
-                codes = [(g, (next(it),) if k > 1 else 0) for (g, _), k in zip(parts, cod_arities)]
-                return self.join(t, cod_arities, codes)[1][0]
-
             steps = [(f._rows[g], _reader(k, sub, chained)) for f, k, (g, sub) in zip(fs, dom_arities, parts)]
-            return steps, Memo(out_cid)
+            return parts, steps, joined
 
         plans = Memo(plan)
 
         def act(globe, code):
-            steps, out_cids = plans[globe, code[0]] if chained else plans[globe]
-            cids, comps = [], []
-            for (row, read), k in zip(steps, cod_arities):
-                img = row[read(code)]
-                if k == 1:
-                    comps.append(img)
-                elif k:
-                    cids.append(img[0])
-                    comps.extend(img[1:])
-            if len(comps) > 1:
-                return (out_cids[tuple(cids)],) + tuple(comps)
-            return comps[0] if comps else 0
+            _, steps, joined = plans[globe, code[0] if chained else None]
+            return joined([row[read(code)] for row, read in steps])
 
-        return SpanMor(self, self.tensor(t, doms), self.tensor(t, cods), act)
+        dom, cod = self.tensor(t, doms), self.tensor(t, cods)
+        return SpanMor(self, dom, cod, act, ("tensor", fs, dom_arities, plans))
 
     # -- duoidal structure ----------------------------------------------
     def interchange(self, a, b, c, d):
-        ab = self.tensor(1, (a, b))
-        cd = self.tensor(1, (c, d))
-        ac = self.tensor(0, (a, c))
-        bd = self.tensor(0, (b, d))
-        outer0 = self.arities(0, (ab, cd))
-        ab_arities = self.arities(1, (a, b))
-        cd_arities = self.arities(1, (c, d))
-        ac_arities = self.arities(0, (a, c))
-        bd_arities = self.arities(0, (b, d))
-        outer1 = self.arities(1, (ac, bd))
-        split, join = self.split, self.join
+        """(a box1 b) box0 (c box1 d) -> (a box0 c) box1 (b box0 d), planned as
+        `tensor_map` is, per globe and chain ids of the domain: the box0 chain
+        and, where ab or cd is a box1 node, its box1 chain.  A plan splits a
+        template code twice, so that it reads the codes of a, b, c and d from
+        their places in a code, joins them, and checks the globe once."""
+        ab, cd = self.tensor(1, (a, b)), self.tensor(1, (c, d))
+        ac, bd = self.tensor(0, (a, c)), self.tensor(0, (b, d))
+        outer = self.arities(0, (ab, cd))
+        inner = self.arities(1, (a, b)), self.arities(1, (c, d))
+        ac_arities, bd_arities = self.arities(0, (a, c)), self.arities(0, (b, d))
+        out_arities = self.arities(1, (ac, bd))
+        chained = sum(outer) > 1
+
+        def inner_cid(pos, arities):
+            """How to read the box1 chain id of ab or cd, at pos among the box0
+            factors, from a code of the domain; None where it has none."""
+            if sum(arities) <= 1:
+                return lambda code: None
+            return (lambda code: code[1 + pos][0]) if chained else itemgetter(0)
+
+        def plan(key):
+            globe, cid, *cids = key
+            reads, globes = [], []
+            halves = self.split(0, outer, globe, _template(cid, sum(outer)))
+            for (g, sub), k, arities, icid in zip(halves, outer, inner, cids):
+                half = _reader(k, sub, chained)
+                for (g2, sub2), k2 in zip(self.split(1, arities, g, _template(icid, sum(arities))), arities):
+                    reads.append(lambda code, half=half, read=_reader(k2, sub2, icid is not None): read(half(code)))
+                    globes.append(g2)
+            (ra, rb, rc, rd), (ga, gb, gc, gd) = reads, globes
+            up, join_ac = self._joiner(0, ac_arities, (ga, gc))
+            down, join_bd = self._joiner(0, bd_arities, (gb, gd))
+            composite, join_out = self._joiner(1, out_arities, (up, down))
+            if composite != globe:
+                raise AssertionError("interchange moved a globe")
+            return lambda code: join_out((join_ac((ra(code), rc(code))), join_bd((rb(code), rd(code)))))
+
+        plans = Memo(plan)
+        cid_ab, cid_cd = inner_cid(0, inner[0]), inner_cid(outer[0], inner[1])
 
         def act(globe, code):
-            (g1, c_ab), (g2, c_cd) = split(0, outer0, globe, code)
-            (g1u, ca), (g1d, cb) = split(1, ab_arities, g1, c_ab)
-            (g2u, cc), (g2d, c_d) = split(1, cd_arities, g2, c_cd)
-            gu, c_ac = join(0, ac_arities, [(g1u, ca), (g2u, cc)])
-            gd, c_bd = join(0, bd_arities, [(g1d, cb), (g2d, c_d)])
-            out_globe, out = join(1, outer1, [(gu, c_ac), (gd, c_bd)])
-            if out_globe != globe:
-                raise AssertionError("interchange moved a globe")
-            return out
+            return plans[globe, code[0] if chained else None, cid_ab(code), cid_cd(code)](code)
 
         return SpanMor(self, self.tensor(0, (ab, cd)), self.tensor(1, (ac, bd)), act)
 

@@ -176,6 +176,14 @@ def test_tamarkin_subcommand():
             assert (out.returncode, out.stdout, out.stderr) == (0, expected, ""), (name, delta, levels)
 
 
+def test_a_value_category_breaking_an_identity_law_exits_2(tmp_path):
+    path = _patched(tmp_path, "id_bz2_functor.json", lambda d: d["values"]["*"]["compose"].update({"id_* s": "id_*"}))
+    out = run_cli("tamarkin", "--globe", "id_*,id_*", "--functor", path)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == "error: bz2: left identity fails at s\n"
+    assert out.stdout == ""
+
+
 def test_a_missing_value_category_names_its_object(tmp_path):
     path = _patched(tmp_path, "pair_bz2_functor.json", lambda d: d["values"].pop("1"))
     out = run_cli("tamarkin", "--globe", "u,w", "--functor", path)

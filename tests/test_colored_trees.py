@@ -56,6 +56,32 @@ def test_contract_deep_terms_without_recursion(pools, depth):
     assert cm.contract(t) == ap.node("w", (LEAF,) * (depth + 1))
 
 
+@pytest.mark.parametrize("depth", [1000, 5000])
+def test_contract_interns_one_corolla_per_monocolored_block(depth):
+    """A chain of depth white vertices is one block: its contraction interns a
+    single corolla of depth + 1 leaves, so the pool stores depth + 1 child
+    ids, not one partial corolla per vertex."""
+    bp, ap = BinaryForest(), AlternatingForest()
+    t = LEAF
+    for _ in range(depth):
+        t = bp.node("w", (LEAF, t))
+    assert ap.render(ContractionMap(bp, ap).contract(t)) == "w(" + ",".join(["l"] * (depth + 1)) + ")"
+    assert len(ap.kids) == 2
+    assert sum(map(len, ap.kids)) == depth + 1
+
+
+def test_contract_of_one_tree_agrees_with_contracting_every_id_in_order():
+    """Contracting a tree first walks its same-colored children's blocks;
+    contracting the ids in order meets every child contracted already."""
+    bp = BinaryForest()
+    trees = [t for level in bp.by_vertices(5) for t in level]
+    ap = AlternatingForest()
+    in_order = ContractionMap(bp, ap)
+    for t in trees:
+        alone = AlternatingForest()
+        assert alone.render(ContractionMap(bp, alone).contract(t)) == ap.render(in_order.contract(t))
+
+
 def _rebuild(ap, t):
     if t == LEAF:
         return LEAF

@@ -7,7 +7,7 @@ from duoidal_kit.duoidal import (
     derived_unit_comparison,
     v_as_duoid,
 )
-from duoidal_kit.fincat import ValidationError, finite_category
+from duoidal_kit.fincat import Arrow, FiniteCategory, ValidationError, finite_category
 from duoidal_kit.finset import CartMap, CartesianFinSet, atom_letter
 from duoidal_kit.instances import (
     additive_instance,
@@ -72,6 +72,42 @@ def test_a_composite_must_name_an_arrow():
     with pytest.raises(ValidationError) as err:
         finite_category("c", ("0",), [("s", "0", "0")], {("s", "s"): "nope"})
     assert str(err.value) == "c: composite at (s, s) is 'nope', not an arrow"
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({("id", "s"): "id"}, "left identity fails at s"),
+        ({("s", "id"): "id"}, "right identity fails at s"),
+        ({("s", "t"): "id"}, "associativity fails at (s, s, t)"),
+    ],
+)
+def test_a_category_table_must_satisfy_the_laws(changes, message):
+    """One object with arrows id, s, t, where every composite of s and t is id
+    except where `changes` says otherwise."""
+    names = ("id", "s", "t")
+    table = {(f, g): "id" for f in names for g in names}
+    table.update({("id", f): f for f in names} | {(f, "id"): f for f in names})
+    table.update(changes)
+    with pytest.raises(ValidationError) as err:
+        FiniteCategory("c", ("0",), [Arrow(n, "0", "0") for n in names], table, {"0": "id"})
+    assert str(err.value) == f"c: {message}"
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda doc: doc["box0_objects"].update({"1 1": "1"}), "box0 not strictly associative"),
+        (lambda doc: doc["box1_arrows"].pop("id_1 id_2"), "box1 arrow table not total"),
+        (lambda doc: doc["interchange"].pop("0 1 2 0"), "interchange table not total"),
+    ],
+)
+def test_a_duoidal_table_must_be_strict_and_total(corrupt, message):
+    doc = table_duoidal_to_doc(discrete_commutative_instance(cyclic(3)))
+    corrupt(doc)
+    with pytest.raises(ValidationError) as err:
+        table_duoidal_from_doc(doc)
+    assert str(err.value) == f"discrete_z3: {message}"
 
 
 def test_additive_instance_requires_commutativity():

@@ -1,4 +1,5 @@
 import itertools
+import random
 from functools import partial, reduce
 
 import pytest
@@ -386,3 +387,155 @@ def test_maps_of_another_instance_are_applied_through_values(par):
     assert other.maps_equal(D.compose(swap, swap), other.identity(X))
     assert D.maps_equal(other.compose(swap, swap), D.identity(X))
     assert not other.maps_equal(D.box0_map(swap, D.identity(D.e)), other.identity(X))
+
+
+def _pointwise_equal(D, f, g):
+    """The reference for `maps_equal`: both maps applied through `at` at
+    every element of every globe of the support of their domain."""
+    for globe in D.support(f.dom):
+        for x in D.fiber(f.dom, globe):
+            code = D.encode(f.dom, globe, x)
+            if f.at(globe, code) != g.at(globe, code):
+                return False
+    return True
+
+
+def _size(D, obj):
+    return sum(len(D.fiber(obj, g)) for g in D.support(obj))
+
+
+def _span_maps(D, t, rng, rounds):
+    """Random nested composites and tensors (of both kinds) of `hom` and
+    `value_map` maps, starting from maps that cover identities, unit
+    factors, a map of domain arity 1 and codomain arity 0, a map into a
+    tensor whose image chains vary per element, and interchanges."""
+    cat = D.cat
+    globes = all_globes(cat)
+    units = (D.e, D.v)[t], (D.e, D.v)[1 - t]
+    unit_globes = D.support(units[0])
+    X = D.atom("X", {g: ("x1", "x2") for g in globes})
+    Y = D.atom("Y", {g: ("y",) for g in globes})
+    X0 = D.atom("X0", {g: ("p", "q") for g in unit_globes})  # lies over the unit globes of tensor t only
+    XY = D.tensor(t, (X, Y))
+
+    def to_node(g, x):  # over each globe, x1 and x2 go over different chains
+        chains = D.chains(t, g, 2)
+        return chains[0 if x == "x1" else -1], (x, "y")
+
+    swap = D.value_map(X, X, _swap)
+    xy_swap = D.value_map(XY, XY, lambda g, el: (el[0], (_swap(g, el[1][0]), "y")))
+    maps = [
+        swap,
+        D.value_map(Y, X, lambda g, y: "x2"),
+        D.value_map(X0, units[0], lambda g, x: ()),
+        D.value_map(units[0], X0, lambda g, el: "q"),
+        D.value_map(X0, X, lambda g, x: "x1" if x == "p" else "x2"),
+        D.value_map(XY, X, lambda g, el: el[1][0]),
+        xy_swap,
+        D.interchange(X, Y, X, Y),
+        D.interchange(X, D.v, D.e, Y),
+        D.interchange(D.box0(X, Y), Y, X, X),
+    ]
+    # factors of domain arity 2: a tensor of the other kind with a unit factor, and a composite
+    inner = D.tensor_map(1 - t, (D.value_map(XY, XY, lambda g, el: el), D.identity(units[1])))
+    maps += [D.tensor_map(t, (inner, swap)), D.tensor_map(t, (D.compose(inner, xy_swap), swap))]
+    maps.append(D.value_map(X, XY, to_node))
+    maps += D.hom(X, X)[1:3] + D.hom(X0, X0)[:2]
+    maps += [D.identity(x) for x in (X, Y, X0, XY, units[0], units[1])]
+    for _ in range(rounds):
+        kind = rng.randrange(3)
+        if kind == 0:
+            f = rng.choice(maps)
+            then = [g for g in maps if g.dom == f.cod]
+            if then:
+                maps.append(D.compose(f, rng.choice(then)))
+            continue
+        F = D.tensor_map(t if kind == 1 else 1 - t, [rng.choice(maps) for _ in range(rng.randint(1, 3))])
+        if 0 < _size(D, F.dom) <= 200 and _size(D, F.cod) <= 400:
+            maps.append(F)
+    return maps
+
+
+@pytest.mark.parametrize("base", [bz2_cat, parallel_pair_cat])
+@pytest.mark.parametrize("t", [0, 1])
+def test_maps_equal_agrees_with_the_pointwise_comparison(base, t):
+    D = SpanDuoidal(base())
+    maps = [f for f in _span_maps(D, t, random.Random(t), rounds=60) if D.support(f.dom)]
+    flipped = compared = 0
+    for f in maps:
+        copy = D.value_map(f.dom, f.cod, f.apply)
+        assert D.maps_equal(f, copy) and D.maps_equal(copy, f)
+        globe = D.support(f.dom)[-1]
+        last = D.fiber(f.dom, globe)[-1]
+        others = [y for y in D.fiber(f.cod, globe) if y != f.apply(globe, last)]
+        if others:  # the image differs at the last code of the last globe only
+            at, y = (globe, last), others[0]
+            flip = D.value_map(f.dom, f.cod, lambda g, x, f=f, at=at, y=y: y if (g, x) == at else f.apply(g, x))
+            assert not D.maps_equal(f, flip) and not D.maps_equal(flip, f)
+            flipped += 1
+    for f, g in itertools.combinations(maps, 2):
+        if f.dom == g.dom and f.cod == g.cod:
+            assert D.maps_equal(f, g) == _pointwise_equal(D, f, g)
+            compared += 1
+    assert flipped > 20 and compared > 50
+
+
+def test_an_identity_equals_the_composites_and_tensors_it_is_built_as(par):
+    cat, D = par
+    X = D.atom("X", {g: ("x1", "x2") for g in all_globes(cat)})
+    swap = D.value_map(X, X, _swap)
+    for t in (0, 1):
+        XX = D.tensor(t, (X, X))
+        assert D.maps_equal(D.identity(X), D.compose(swap, swap))
+        assert D.maps_equal(D.identity(XX), D.compose(D.identity(XX), D.identity(XX)))
+        assert D.maps_equal(D.tensor_map(t, (D.identity(X), D.identity(X))), D.identity(XX))
+        assert D.maps_equal(D.identity(XX), D.tensor_map(t, (D.compose(swap, swap), D.identity(X))))
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_maps_equal_reads_each_map_only_where_it_is_needed(t):
+    """The second map of a composite is read only at the first map's images,
+    never over its own whole fiber; a tensor of maps reads each factor once
+    per code of the factor's own fiber over each globe, not once per element
+    of the product."""
+    cat = bz2_cat()
+    D = SpanDuoidal(cat)
+    globes = all_globes(cat)
+    X = D.atom("X", {g: ("x1", "x2", "x3") for g in globes})
+    Y = D.atom("Y", {g: ("y1", "y2") for g in globes})
+    Z = D.atom("Z", {g: tuple(f"z{i}" for i in range(6)) for g in globes})
+    calls = []
+
+    def counting(name):
+        return lambda g, el: calls.append((name, g, el)) or el
+
+    to_z = D.value_map(X, Z, lambda g, x: "z0")
+    assert D.maps_equal(D.compose(to_z, D.value_map(Z, Z, counting("z"))), to_z)
+    assert sorted(calls) == sorted(("z", g, "z0") for g in D.support(X))
+    calls.clear()
+    F = D.tensor_map(t, (D.value_map(X, X, counting("x")), D.value_map(Y, Y, counting("y"))))
+    assert D.maps_equal(F, D.identity(F.dom))
+    elements = [el for g in D.support(F.dom) for el in D.fiber(F.dom, g)]
+    met = {(name, g, x) for chain, comps in elements for name, g, x in zip("xy", chain, comps)}
+    assert sorted(calls) == sorted(met)
+    assert len(calls) < len(elements)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda D, X: D.box0_map(D.identity(X), D.identity(X)), "box0 tensor moved a globe"),
+        (lambda D, X: D.box1_map(D.identity(X), D.identity(X)), "box1 tensor moved a globe"),
+        (lambda D, X: D.interchange(X, X, X, X), "interchange moved a globe"),
+    ],
+)
+def test_a_map_moving_a_globe_is_caught_by_its_plan(build, message):
+    """With the composition of globes corrupted, a plan's one check of its
+    composite globe raises."""
+    cat = parallel_pair_cat()
+    D = SpanDuoidal(cat)
+    F = build(D, D.atom("X", {g: ("x",) for g in all_globes(cat)}))
+    stray = Globe("?", "?", "?", "?")
+    D._compose = (lambda g1, g2: stray,) * 2
+    with pytest.raises(AssertionError, match=message):
+        D.maps_equal(F, F)
