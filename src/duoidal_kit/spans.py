@@ -17,8 +17,8 @@ never lists a fiber, and a node element is the tuple (chain id, child
 code, ...), with chains interned per instance.  Every map (`SpanMor`)
 belongs to the instance that built it and works on that instance's codes.
 Applied at a code (`at`), it stores its value there, one `report.Memo` per
-globe; a tensor of maps and the interchange are planned per chain, so they
-split and join once per chain, not once per element.
+globe; a tensor of maps and the interchange are planned per chain: `_parts`
+splits a chain among the factors once per chain, not once per element.
 
 `maps_equal` compares two maps' image tables, one globe at a time, each
 listed in the order of the domain's codes and built from how the map was
@@ -208,25 +208,8 @@ def _intern(pool, x):
     return out
 
 
-def _reader(k, sub, chained):
-    """How a tensor of maps reads a factor's code from an element's code, given
-    its arity and what `split` gave it for a template code (see `tensor_map`)."""
-    if k == 0:
-        return lambda code: 0
-    if k == 1:
-        return itemgetter(1 + sub) if chained else lambda code: code
-    head, lo = sub[:1], 1 + sub[1]
-    return lambda code: head + code[lo : lo + k]
-
-
-def _template(cid, n):
-    """A code over the chain `cid` of n factors whose components are their
-    positions, which `split` turns into each factor's place in the code."""
-    return (cid,) + tuple(range(n)) if n > 1 else 0
-
-
 # per tensor t: the kind of a tensor-t node, the Globe fields where the
-# cursor of `split` starts and where each factor moves it (a -> b for box0,
+# cursor of `_parts` starts and where each factor moves it (a -> b for box0,
 # f -> g for box1), and the binary splits of a globe
 _NODE_KINDS = ("p0", "p1")
 _CURSOR = ((0, 1), (2, 3))
@@ -357,80 +340,52 @@ class SpanDuoidal(Tensors):
     def support(self, obj):
         return tuple(g for g in self._globes if self._codes[obj, g])
 
-    # -- splitting and joining tensor elements ----------------------------
-    def split(self, t, arities, globe, code):
-        """Decompose the code of an element of a tensor-t product over
-        `globe` into one (globe, code) pair per factor, given the factors'
-        arities.
-
-        A factor of arity 0 gets the unit globe at the cursor (the current
-        object for box0, the current arrow for box1) and the unit code 0.
-        """
-        total = sum(arities)
-        if total == 0:
-            chain, comps = (), ()
-        elif total == 1:
-            chain, comps = (globe,), (code,)
-        else:
-            chain, comps = self._chains[1][code[0]], code[1:]
-        compose = self._compose[t]
-        unit_globes = self._unit_globes[t]
+    # -- planning tensors per chain ----------------------------------------
+    def _parts(self, t, arities, globe, cid):
+        """How a tensor-t product's chain over `globe` (`cid`, or None when the
+        product has one factor or none) splits among factors of the given
+        arities: per factor its globe (the composite of its subchain, or the
+        unit globe at the cursor for arity 0), its subchain id (None unless
+        its arity is above 1), and a getter of its code from a code of the
+        product."""
+        chain = (globe,) if cid is None else self._chains[1][cid]
         start, end = _CURSOR[t]
-        cur = globe[start]
-        parts = []
-        pos = 0
+        cur, pos, parts = globe[start], 0, []
         for k in arities:
             if k == 0:
-                parts.append((unit_globes[cur], 0))
+                parts.append((self._unit_globes[t][cur], None, lambda code: 0))
                 continue
-            g = chain[pos]
-            for nxt in chain[pos + 1 : pos + k]:
-                g = compose(g, nxt)
+            sub = chain[pos : pos + k]
+            g = functools.reduce(self._compose[t], sub)
             cur = g[end]
-            sub = comps[pos] if k == 1 else (_intern(self._chains, chain[pos : pos + k]),) + comps[pos : pos + k]
-            parts.append((g, sub))
+            if k == 1:
+                parts.append((g, None, (lambda code: code) if cid is None else itemgetter(1 + pos)))
+            else:
+                head = (_intern(self._chains, sub),)
+                parts.append((g, head[0], lambda code, head=head, lo=1 + pos, hi=1 + pos + k: head + code[lo:hi]))
             pos += k
         return parts
-
-    def join(self, t, arities, parts):
-        """Reassemble per-factor (globe, code) pairs into the composite globe
-        and the code of an element of the tensor-t product; inverse of
-        `split`."""
-        compose = self._compose[t]
-        chain = []
-        comps = []
-        composite = None
-        for k, (g, code) in zip(arities, parts):
-            composite = g if composite is None else compose(composite, g)
-            if k == 1:
-                chain.append(g)
-                comps.append(code)
-            elif k > 1:
-                chain.extend(self._chains[1][code[0]])
-                comps.extend(code[1:])
-        if not chain:
-            return composite, 0
-        if len(chain) == 1:
-            return composite, comps[0]
-        return composite, (_intern(self._chains, tuple(chain)),) + tuple(comps)
 
     def _joiner(self, t, arities, globes):
         """The composite of fixed factor globes, and how a plan joins one code
         per factor over them into a code of the tensor-t product: the chain
-        id is joined once per tuple of the factors' own chain ids."""
+        id is found once per tuple of the factors' own chain ids."""
         composite = functools.reduce(self._compose[t], globes)
         n = sum(arities)
         if n <= 1:
             return composite, itemgetter(arities.index(1)) if n else lambda codes: 0
-        if max(arities) == 1:
-            head = self.join(t, arities, [(g, 0) for g in globes])[1][:1]
-            get = itemgetter(*(i for i, k in enumerate(arities) if k))
-            return composite, lambda codes: head + get(codes)
 
         def out_cid(cids):
             it = iter(cids)
-            return self.join(t, arities, [(g, (next(it),) if k > 1 else 0) for g, k in zip(globes, arities)])[1][0]
+            chain = ()
+            for g, k in zip(globes, arities):
+                chain += (g,) if k == 1 else self._chains[1][next(it)] if k else ()
+            return _intern(self._chains, chain)
 
+        if max(arities) == 1:
+            head = (out_cid(()),)
+            get = itemgetter(*(i for i, k in enumerate(arities) if k))
+            return composite, lambda codes: head + get(codes)
         out_cids = Memo(out_cid)
 
         def joined(codes):
@@ -488,8 +443,8 @@ class SpanDuoidal(Tensors):
             # an unchained tensor's one factor), one of arity k > 1 the block of its
             # subchain, one of arity 0 the unit code 0
             columns = [
-                self._table(h, g, sub[0] if k > 1 else whole) if k else self._images(h, g, (0,))
-                for h, k, (g, sub) in zip(fs, arities, parts)
+                self._table(h, g, sub if k > 1 else whole) if k else self._images(h, g, (0,))
+                for h, k, (g, sub, _) in zip(fs, arities, parts)
             ]
             out.extend(map(joined, itertools.product(*columns)))
         return out
@@ -555,9 +510,9 @@ class SpanDuoidal(Tensors):
     def tensor_map(self, t, fs):
         """The tensor-t product of morphisms, planned per chain: on the first
         element of a (globe, chain id) of the domain (of a globe, when the
-        domain has one factor or none), one `split` of a template code gives
-        each factor's globe, row and place in the code, and checks the globe.
-        Then an element is one row lookup per factor and one join."""
+        domain has one factor or none), `_parts` gives each factor's globe,
+        row and getter, and the plan checks the globe once.  Then an element
+        is one row lookup per factor and one join."""
         fs = [self._coded(f) for f in fs]
         if not fs:
             return self.identity(self._units[t])
@@ -568,13 +523,11 @@ class SpanDuoidal(Tensors):
         chained = sum(dom_arities) > 1
 
         def plan(key):
-            globe, cid = key
-            parts = self.split(t, dom_arities, globe, _template(cid, sum(dom_arities)))
-            composite, joined = self._joiner(t, cod_arities, [g for g, _ in parts])
-            if composite != globe:
+            parts = self._parts(t, dom_arities, *key)
+            composite, joined = self._joiner(t, cod_arities, [g for g, _, _ in parts])
+            if composite != key[0]:
                 raise AssertionError(f"box{t} tensor moved a globe")
-            steps = [(f._rows[g], _reader(k, sub, chained)) for f, k, (g, sub) in zip(fs, dom_arities, parts)]
-            return parts, steps, joined
+            return parts, [(f._rows[g], get) for f, (g, _, get) in zip(fs, parts)], joined
 
         plans = Memo(plan)
 
@@ -589,9 +542,10 @@ class SpanDuoidal(Tensors):
     def interchange(self, a, b, c, d):
         """(a box1 b) box0 (c box1 d) -> (a box0 c) box1 (b box0 d), planned as
         `tensor_map` is, per globe and chain ids of the domain: the box0 chain
-        and, where ab or cd is a box1 node, its box1 chain.  A plan splits a
-        template code twice, so that it reads the codes of a, b, c and d from
-        their places in a code, joins them, and checks the globe once."""
+        and, where ab or cd is a box1 node, its box1 chain.  A plan reads
+        `_parts` at both levels, box0 outside and box1 inside, so that it gets
+        the codes of a, b, c and d from a code, joins them, and checks the
+        globe once."""
         ab, cd = self.tensor(1, (a, b)), self.tensor(1, (c, d))
         ac, bd = self.tensor(0, (a, c)), self.tensor(0, (b, d))
         outer = self.arities(0, (ab, cd))
@@ -610,11 +564,9 @@ class SpanDuoidal(Tensors):
         def plan(key):
             globe, cid, *cids = key
             reads, globes = [], []
-            halves = self.split(0, outer, globe, _template(cid, sum(outer)))
-            for (g, sub), k, arities, icid in zip(halves, outer, inner, cids):
-                half = _reader(k, sub, chained)
-                for (g2, sub2), k2 in zip(self.split(1, arities, g, _template(icid, sum(arities))), arities):
-                    reads.append(lambda code, half=half, read=_reader(k2, sub2, icid is not None): read(half(code)))
+            for (g, _, half), arities, icid in zip(self._parts(0, outer, globe, cid), inner, cids):
+                for g2, _, read in self._parts(1, arities, g, icid):
+                    reads.append(lambda code, half=half, read=read: read(half(code)))
                     globes.append(g2)
             (ra, rb, rc, rd), (ga, gb, gc, gd) = reads, globes
             up, join_ac = self._joiner(0, ac_arities, (ga, gc))

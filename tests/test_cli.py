@@ -464,6 +464,34 @@ def test_table_keys_that_name_nothing_exit_2(tmp_path, name, patch, argv, messag
     assert out.stdout == ""
 
 
+def _write(path, name, text):
+    out = path / name
+    out.write_text(text)
+    return str(out)
+
+
+@pytest.mark.parametrize(
+    "make, argv, message",
+    [
+        (lambda p: _write(p, "top.json", "[1]"), MONOID, "the top level is not a JSON object"),
+        (lambda p: _write(p, "kind.json", '{"kind": "nope"}'), MONOID, "unknown kind 'nope'"),
+        (lambda p: str(CORPUS / "arrow_category.json"), ("check-operad", "--monoid"), "expected kind 'monoid', found 'category'"),
+        (lambda p: _patched(p, "z2.json", lambda d: d.update(schema_version=2)), MONOID, "unsupported schema_version 2"),
+        (
+            lambda p: _patched(p, "fass_additive_z2.json", lambda d: d["gamma"].pop("2;1,1")),
+            OPERAD,
+            "operad table missing the shape (2; (1, 1))",
+        ),
+    ],
+)
+def test_loader_rejections_exit_2_with_one_line(tmp_path, make, argv, message):
+    out = run_cli(*argv, make(tmp_path))
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    assert message in out.stderr
+
+
 @pytest.mark.parametrize(
     "field, key, value, message",
     [

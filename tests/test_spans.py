@@ -205,9 +205,54 @@ def test_hom_and_subobject(par):
     assert incl.apply(g, "x1") == "x1"
 
 
+def _compose_globes(D, t):
+    return partial(hcompose, D.cat) if t == 0 else vcompose
+
+
+def _split_value(D, t, arities, globe, x):
+    """The reference split of an element value of a tensor-t product over
+    `globe` into one (globe, element) pair per factor of the given arities:
+    a factor of arity k takes the next k globes and components of the
+    element, with the composite of its globes; one of arity 0 takes the
+    unit globe at the cursor (an object for box0, an arrow for box1) and ()."""
+    n = sum(arities)
+    chain, comps = ((), ()) if n == 0 else ((globe,), (x,)) if n == 1 else x
+    cur = globe.a if t == 0 else globe.f
+    parts, pos = [], 0
+    for k in arities:
+        if k == 0:
+            parts.append(((identity_globe if t == 0 else arrow_globe)(D.cat, cur), ()))
+            continue
+        sub = chain[pos : pos + k]
+        g = reduce(_compose_globes(D, t), sub)
+        parts.append((g, comps[pos] if k == 1 else (sub, comps[pos : pos + k])))
+        cur = g.b if t == 0 else g.g
+        pos += k
+    return parts
+
+
+def _join_values(D, t, arities, parts):
+    """The reference join, inverse of `_split_value`: the composite globe
+    and the element of the tensor-t product with the factors' globes and
+    elements concatenated."""
+    chain, comps = [], []
+    for k, (g, x) in zip(arities, parts):
+        if k == 1:
+            chain.append(g)
+            comps.append(x)
+        elif k:
+            chain.extend(x[0])
+            comps.extend(x[1])
+    x = () if not chain else comps[0] if len(chain) == 1 else (tuple(chain), tuple(comps))
+    return reduce(_compose_globes(D, t), [g for g, _ in parts]), x
+
+
 @pytest.mark.parametrize("base", [bz2_cat, parallel_pair_cat])
 @pytest.mark.parametrize("t", [0, 1])
 def test_join_inverts_split(base, t):
+    """Codes round-trip through `decode`/`encode`, the reference join inverts
+    the reference split, and `_parts` plans each factor's globe, subchain id
+    and code as the reference split finds them."""
     cat = base()
     D = SpanDuoidal(cat)
     X = D.atom("X", {g: ("x1", "x2") for g in all_globes(cat)})
@@ -232,13 +277,14 @@ def test_join_inverts_split(base, t):
             for x in D.fiber(obj, globe):
                 code = D.encode(obj, globe, x)
                 assert D.decode(obj, globe, code) == x
-                parts = D.split(t, arities, globe, code)
-                assert len(parts) == len(factors)
-                for factor, (g, c) in zip(factors, parts):
-                    el = D.decode(factor, g, c)
-                    assert el in D.fiber(factor, g)
-                    assert D.encode(factor, g, el) == c
-                assert D.join(t, arities, parts) == (globe, code)
+                want = _split_value(D, t, arities, globe, x)
+                assert _join_values(D, t, arities, want) == (globe, x)
+                parts = D._parts(t, arities, globe, code[0] if sum(arities) > 1 else None)
+                assert len(parts) == len(want) == len(factors)
+                for factor, k, (g, sub, get), (g_want, el) in zip(factors, arities, parts, want):
+                    assert el in D.fiber(factor, g_want)
+                    assert (g, get(code)) == (g_want, D.encode(factor, g_want, el))
+                    assert sub == (get(code)[0] if k > 1 else None)
                 elements += 1
     assert elements > 100
 
@@ -250,8 +296,8 @@ def _swap(g, el):
 @pytest.mark.parametrize("base", [bz2_cat, parallel_pair_cat])
 @pytest.mark.parametrize("t", [0, 1])
 def test_tensor_map_agrees_with_split_then_join(base, t):
-    """The planned tensor of maps against the per-element reference: split
-    the code over the domains, apply each map, join over the codomains."""
+    """The planned tensor of maps against the reference on element values:
+    split the element among the domains, apply each map, join the images."""
     cat = base()
     D = SpanDuoidal(cat)
     X = D.atom("X", {g: ("x1", "x2") for g in all_globes(cat)})
@@ -284,25 +330,59 @@ def test_tensor_map_agrees_with_split_then_join(base, t):
             assert F.dom == D.tensor(t, factors)
             for globe in D.support(F.dom):
                 for x in D.fiber(F.dom, globe):
-                    code = D.encode(F.dom, globe, x)
-                    parts = D.split(t, dom_arities, globe, code)
-                    want = D.join(t, cod_arities, [(g, f.at(g, c)) for f, (g, c) in zip(fs, parts)])
-                    assert (globe, F.at(globe, code)) == want
+                    parts = _split_value(D, t, dom_arities, globe, x)
+                    want = _join_values(D, t, cod_arities, [(g, f.apply(g, el)) for f, (g, el) in zip(fs, parts)])
+                    assert (globe, F.apply(globe, x)) == want
                     elements += 1
     assert elements > 1000
 
 
+@pytest.mark.parametrize("base", [bz2_cat, parallel_pair_cat])
+def test_interchange_agrees_with_its_definition_on_values(base):
+    """`interchange` against the reference on element values: split an
+    element of (a box1 b) box0 (c box1 d) at box0 and then at box1, and join
+    a with c and b with d at box0 and the two at box1, for every (a, b, c, d)
+    drawn from two atoms, the two units and a node of each tensor."""
+    cat = base()
+    D = SpanDuoidal(cat)
+    globes = all_globes(cat)
+    X = D.atom("X", {g: ("x1", "x2") if g == globes[0] else ("x1",) for g in globes})
+    Y = D.atom("Y", {globes[-1]: ("y",)})
+    objects = (X, Y, D.e, D.v, D.box0(X, Y), D.box1(Y, X))
+    elements = 0
+    for a, b, c, d in itertools.product(objects, repeat=4):
+        z = D.interchange(a, b, c, d)
+        ab, cd = D.box1(a, b), D.box1(c, d)
+        for globe in D.support(z.dom):
+            for x in D.fiber(z.dom, globe):
+                (g_ab, x_ab), (g_cd, x_cd) = _split_value(D, 0, D.arities(0, (ab, cd)), globe, x)
+                pa, pb = _split_value(D, 1, D.arities(1, (a, b)), g_ab, x_ab)
+                pc, pd = _split_value(D, 1, D.arities(1, (c, d)), g_cd, x_cd)
+                ac = _join_values(D, 0, D.arities(0, (a, c)), (pa, pc))
+                bd = _join_values(D, 0, D.arities(0, (b, d)), (pb, pd))
+                want = _join_values(D, 1, D.arities(1, (D.box0(a, c), D.box0(b, d))), (ac, bd))
+                assert (globe, z.apply(globe, x)) == want
+                elements += 1
+    assert elements > 4000
+
+
+def _counting_parts(D):
+    """Record every `_parts` call of D as (t, arities, globe, chain id)."""
+    calls = []
+    parts = D._parts
+    D._parts = lambda *args: calls.append(args) or parts(*args)
+    return calls
+
+
 @pytest.mark.parametrize("t", [0, 1])
 def test_tensor_map_splits_once_per_chain(t):
-    """Evaluating a tensor of maps over whole fibers calls `split` once per
-    (globe, chain id) of the domain, not once per element."""
+    """Evaluating a tensor of maps over whole fibers plans with `_parts` once
+    per (globe, chain id) of the domain, not once per element."""
     cat = bz2_cat()
     D = SpanDuoidal(cat)
     X = D.atom("X", {g: ("x1", "x2", "x3") for g in all_globes(cat)})
     XX = D.tensor(t, (X, X))
-    calls = []
-    split = D.split
-    D.split = lambda *args: calls.append(args) or split(*args)
+    calls = _counting_parts(D)
     F = D.tensor_map(t, (D.value_map(X, X, _swap), D.value_map(XX, XX, lambda g, el: el)))
     chains = set()
     for globe in D.support(F.dom):
@@ -310,7 +390,30 @@ def test_tensor_map_splits_once_per_chain(t):
             code = D.encode(F.dom, globe, x)
             F.at(globe, code)
             chains.add((globe, code[0]))
-    assert len(calls) == len(chains) < sum(len(D.fiber(F.dom, g)) for g in D.support(F.dom)) / 10
+    assert sorted(c[2:] for c in calls) == sorted(chains)
+    assert len(calls) < sum(len(D.fiber(F.dom, g)) for g in D.support(F.dom)) / 10
+
+
+def test_interchange_splits_once_per_plan():
+    """Evaluating an interchange over whole fibers calls the box0 `_parts`
+    once per plan key (globe, box0 chain id and the two box1 chain ids) and
+    the box1 `_parts` twice as often, not once per element."""
+    cat = bz2_cat()
+    D = SpanDuoidal(cat)
+    X = D.atom("X", {g: ("x1", "x2", "x3") for g in all_globes(cat)})
+    z = D.interchange(X, X, X, X)
+    calls = _counting_parts(D)
+    keys = set()
+    elements = 0
+    for globe in D.support(z.dom):
+        for x in D.fiber(z.dom, globe):
+            code = D.encode(z.dom, globe, x)
+            z.at(globe, code)
+            keys.add((globe, code[0], code[1][0], code[2][0]))
+            elements += 1
+    box0 = [c[2:] for c in calls if c[0] == 0]
+    assert sorted(box0) == sorted(k[:2] for k in keys)
+    assert len(calls) == 3 * len(keys) < elements / 10
 
 
 def test_apply_lists_no_intermediate_fiber(par):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from math import prod
 
@@ -9,7 +10,7 @@ from duoidal_kit.finset import CartMap, CartesianFinSet, atom_letter
 from duoidal_kit.instances import additive_instance, bool_lattice_instance
 from duoidal_kit.monoids import cyclic
 from duoidal_kit.report import SizeError
-from duoidal_kit.trees import MAP2, U2, Z2U0, ZU1, TreeError, TreePool
+from duoidal_kit.trees import MAP2, TREE2, U2, Z2U0, ZU1, TreeError, TreePool
 from duoidal_kit.two_operads import (
     TwoOperad,
     algebra_to_duoid,
@@ -88,6 +89,7 @@ def test_end2_over_lattice_una_terminal_but_pruned_condition():
     rep = check_two_operad(A, max_leaves=2, tuple_cap=8)
     assert rep.all_passed, rep.render()
     assert is_one_terminal(A)
+    assert is_pruned(A)
 
 
 def test_end2_z2_additive_small():
@@ -96,6 +98,24 @@ def test_end2_z2_additive_small():
     rep = check_two_operad(A, max_leaves=2, tuple_cap=64)
     assert rep.all_passed, rep.render()
     assert not is_one_terminal(A)
+    assert not is_pruned(A)
+
+
+@pytest.mark.parametrize("unpruned, pruned", [(("*", "#"), ("*",)), (("*", "*"), ("*", "#"))])
+def test_a_two_element_unpruned_component_is_not_pruned(unpruned, pruned):
+    """ass2 with 2-element components on the 2-trees that are not pruned
+    stays 1-terminal, but its pruning comparison, here each element's own
+    value, is not bijective: two distinct elements map into a point, or two
+    equal ones meet in a 2-element component."""
+
+    def component(P, tree):
+        if P.kind[tree] != TREE2:
+            return ["*"]
+        return list(pruned if P.prune(tree)[0] == tree else unpruned)
+
+    A = dataclasses.replace(ass2(), component_fn=component, m_fn=lambda P: lambda sigma, fib, outer: outer)
+    assert is_one_terminal(A)
+    assert not is_pruned(A)
 
 
 def _criterion_7_operads():
