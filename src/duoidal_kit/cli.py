@@ -253,6 +253,15 @@ def _parse_tree(P, text):
     return P.two_tree(int(n), int(m), images)
 
 
+def _integers(args, flag):
+    """The comma-separated integers of a flag; () when it is not given."""
+    text = getattr(args, flag)
+    try:
+        return tuple(int(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        raise ValidationError(f"--{flag} must be comma-separated integers") from None
+
+
 def cmd_trees(args):
     from .trees import TreePool
 
@@ -267,9 +276,7 @@ def cmd_trees(args):
         return 0
     T = _parse_tree(P, _required(args, "source"))
     S = _parse_tree(P, _required(args, "target"))
-    sigma1 = tuple(int(x) for x in args.sigma1.split(",")) if args.sigma1 else ()
-    sigma2 = tuple(int(x) for x in args.sigma2.split(",")) if args.sigma2 else ()
-    sigma = P.two_map(T, S, sigma1, sigma2)
+    sigma = P.two_map(T, S, _integers(args, "sigma1"), _integers(args, "sigma2"))
     lines = []
     for fib in P.fibers[sigma]:
         lines.append(f"position {fib.position} (height-{fib.height} leaf {fib.leaf}): {P.render(fib.tree)}")

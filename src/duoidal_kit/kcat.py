@@ -30,7 +30,10 @@ def fn_elt_of(dom_word, call):
     """A function element: a graph when the domain is enumerable, else lazy.
 
     The graph lists its (argument, value) pairs in `word_elements` order,
-    which is already the canonical order (see `word_elements`).
+    which is already the canonical order (see `word_elements`).  That order
+    is the lexicographic product of the letters' elements, so the graph over
+    a word x + z is also the lexicographic product of graphs over x and z,
+    which is how `CartesianSelfEnriched.odot_hom_map` builds it.
     """
     if word_enumerable(dom_word):
         return tuple((x, call(x)) for x in word_elements(dom_word))
@@ -94,14 +97,31 @@ class CartesianSelfEnriched(WordTensor):
         return CartMap((), target, table={(): (ident,)})
 
     def odot_hom_map(self, x, y, z, w):
+        """(f, g) -> f tensor g, the lax tensoring of K(x, y) and K(z, w).
+
+        Over an enumerable word x + z the graph of f tensor g is the
+        lexicographic product of the graphs of f and g, which is its
+        canonical graph (see `fn_elt_of`).  Otherwise it is built point by
+        point: lazily over a word that is not enumerable, and as the empty
+        graph where an empty letter sits beside a factor past the cap.
+        """
         dom = self.hom_obj(x, y) + self.hom_obj(z, w)
+        xz = self.odot(x, z)
         cut = len(x)
 
-        def act(t):
-            f, g = (fn_eval(el) for el in t)
-            return (fn_elt_of(tuple(x) + tuple(z), lambda arg: f(arg[:cut]) + g(arg[cut:])),)
+        if word_enumerable(x) and word_enumerable(z) and word_enumerable(xz):
 
-        return CartMap(dom, self.hom_obj(self.odot(x, z), self.odot(y, w)), fn=act)
+            def act(t):
+                f_el, g_el = t
+                return (tuple((a + b, fa + gb) for a, fa in f_el for b, gb in g_el),)
+
+        else:
+
+            def act(t):
+                f, g = (fn_eval(el) for el in t)
+                return (fn_elt_of(xz, lambda arg: f(arg[:cut]) + g(arg[cut:])),)
+
+        return CartMap(dom, self.hom_obj(xz, self.odot(y, w)), fn=act)
 
     def v_action_map(self):
         return self.unit_map(())

@@ -232,11 +232,13 @@ def check_multiplicative(A: MultOperad, bound=None) -> CheckReport:
 
 def multiplicative_from_k_monoid(M: KMonoid, bound=4) -> MultOperad:
     """The endomorphism operad of a monoid's carrier, with its canonical
-    multiplicative structure (the algebra map nu/u/mu and its iterates)."""
+    multiplicative structure (the algebra map nu/u/mu and its iterates).
+    Each m(n) goes through `D.memoize`; in finite sets its domain v has one
+    point, so it stores at most one value."""
     K = M.K
     base = end_operad(K, M.carrier, bound=bound, name=f"end({M.name})")
     powers = und_monoid_to_eass_algebra(K, M.carrier, M.nu_bar, M.mu_bar, bound=bound)
-    m = {n: und_compose(K, powers[n], M.u) for n in range(bound + 1)}
+    m = {n: K.D.memoize(und_compose(K, powers[n], M.u)) for n in range(bound + 1)}
     return MultOperad(base, m, name=f"end({M.name})")
 
 

@@ -249,3 +249,11 @@ def test_totalize_applies_each_coface_and_codegeneracy_once_per_point(weights):
     tot = totalize(counting, X, weights(), N=3)
     assert tot.families == totalize(D, X, weights(), N=3).families
     assert len(counting.calls) == len(set(counting.calls)) > 0
+
+
+def test_each_multiplication_stores_its_one_value():
+    A = multiplicative_from_k_monoid(k_monoid_from_monoid(cyclic(3), K), bound=4)
+    totalize(D, cosimplicial_from_multiplicative(A, 3), ordinal_weights(), N=3)
+    # the cofaces and codegeneracies use m(0), m(1) and m(2), each at v's one point
+    assert [len(A.m[n]._memo) for n in range(5)] == [1, 1, 1, 0, 0]
+    assert all(A.m[n].apply(()) is A.m[n].apply(()) for n in range(5))

@@ -534,6 +534,32 @@ def test_actions_without_their_argument_exit_2(argv, message):
     assert message in out.stderr
 
 
+_SQUARE = ("--source", "2>2:1,2", "--target", "2>3:1,3")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_SQUARE + ("--sigma1", "1,3"), "component length mismatch"),
+        (_SQUARE + ("--sigma1", "1,9", "--sigma2", "1,2"), "sigma1 out of range"),
+        (_SQUARE + ("--sigma1", "1,3", "--sigma2", "1,3"), "sigma2 out of range"),
+        (_SQUARE + ("--sigma1", "3,1", "--sigma2", "1,2"), "sigma1 must be order preserving"),
+        (_SQUARE + ("--sigma1", "1,3", "--sigma2", "2,1"), "square does not commute"),
+        (
+            ("--source", "2>1:1,1", "--target", "2>1:1,1", "--sigma1", "1", "--sigma2", "2,1"),
+            "sigma2 must be order preserving on each fiber",
+        ),
+        (_SQUARE + ("--sigma1", "1,x", "--sigma2", "1,2"), "--sigma1 must be comma-separated integers"),
+        (_SQUARE + ("--sigma1", "1,,3", "--sigma2", "1,2"), "--sigma1 must be comma-separated integers"),
+        (_SQUARE + ("--sigma1", "1,3", "--sigma2", "1,y"), "--sigma2 must be comma-separated integers"),
+    ],
+)
+def test_trees_fibers_rejects_a_bad_two_map_with_one_line(argv, message):
+    out = run_cli("trees", "fibers", *argv)
+    assert out.returncode == 2 and out.stdout == "", out.stderr
+    assert out.stderr == f"error: {message}\n"
+
+
 def test_negative_bounds_exit_2():
     for argv in (("trees", "enumerate", "--leaves", "-3"), ("btree", "enumerate", "--leaves", "-1")):
         out = run_cli(*argv)

@@ -1,19 +1,23 @@
+import itertools
 import random
 
 import pytest
 
 from duoidal_kit.finset import (
+    DEFAULT_CAP,
     CartMap,
     CartesianFinSet,
+    FnElt,
     SizeError,
     atom_letter,
+    fn_eval,
     fn_letter,
     virtual_letter,
     word_elements,
     word_enumerable,
     word_size,
 )
-from duoidal_kit.kcat import fn_elt_of
+from duoidal_kit.kcat import CartesianSelfEnriched, fn_elt_of
 
 D = CartesianFinSet()
 X = (atom_letter("x", ["p", "q"]),)
@@ -229,3 +233,45 @@ def test_a_corrupted_end_operad_composition_fails_associativity():
     rows = {item.name: item for item in check_one_operad(bad).items}
     assert check_one_operad(good).all_passed
     assert not rows["associativity"].passed, rows["associativity"].scope
+
+
+# -- odot_hom_map builds a tensor's graph as the product of its factors' graphs
+
+
+def _random_graph(rng, dom, cod):
+    outs = word_elements(cod)
+    return fn_elt_of(dom, lambda a: rng.choice(outs))
+
+
+def test_odot_hom_map_is_the_pointwise_tensor_graph():
+    K = CartesianSelfEnriched(D)
+    rng = random.Random(11)
+    letters = (A2, B3, EMPTY, fn_letter((A2,), (A2,)))
+    words = [()] + [w for n in (1, 2, 3) for w in itertools.product(letters, repeat=n)]
+    for word in words:
+        for cut in range(len(word) + 1):
+            x, z = word[:cut], word[cut:]
+            y, w = _random_word(rng), _random_word(rng)
+            f_el, g_el = _random_graph(rng, x, y), _random_graph(rng, z, w)
+            f, g = fn_eval(f_el), fn_eval(g_el)
+            pointwise = fn_elt_of(word, lambda a: f(a[:cut]) + g(a[cut:]))
+            (product,) = K.odot_hom_map(x, y, z, w).apply((f_el, g_el))
+            assert isinstance(product, tuple) and product == pointwise, (x, z)
+    # an empty letter beside a factor past the cap: the word is enumerable, its graph empty
+    big = (atom_letter("big", range(DEFAULT_CAP + 1)),)
+    f_el, g_el = _random_graph(rng, big, Y), _random_graph(rng, (EMPTY,), X)
+    assert isinstance(f_el, FnElt)
+    assert K.odot_hom_map(big, Y, (EMPTY,), X).apply((f_el, g_el)) == ((),)
+
+
+def test_odot_hom_map_over_a_word_past_the_cap_stays_lazy():
+    K = CartesianSelfEnriched(D)
+    rng = random.Random(5)
+    wide = (atom_letter("wide", range(600)),)  # 600 * 600 points, past DEFAULT_CAP
+    f_el, g_el = _random_graph(rng, wide, Y), _random_graph(rng, wide, X)
+    (product,) = K.odot_hom_map(wide, Y, wide, X).apply((f_el, g_el))
+    assert isinstance(product, FnElt)
+    f, g = fn_eval(f_el), fn_eval(g_el)
+    for _ in range(50):
+        a, b = (rng.randrange(600),), (rng.randrange(600),)
+        assert product.call(a + b) == f(a) + g(b)
