@@ -246,11 +246,15 @@ def _required(args, flag):
     return value
 
 
-def _parse_tree(P, text):
-    head, _, tail = text.partition(":")
-    n, _, m = head.partition(">")
-    images = [int(x) for x in tail.split(",") if x != ""]
-    return P.two_tree(int(n), int(m), images)
+def _parse_tree(P, args, flag):
+    """The 2-tree of a flag written n>m:i1,...,in; n>m: has no images."""
+    head, _, tail = _required(args, flag).partition(":")
+    try:
+        n, m = map(int, head.split(">"))
+        images = tuple(int(x) for x in tail.split(",")) if tail else ()
+    except ValueError:
+        raise ValidationError(f"--{flag} must be n>m:i1,...,in with integer entries") from None
+    return P.two_tree(n, m, images)
 
 
 def _integers(args, flag):
@@ -271,11 +275,11 @@ def cmd_trees(args):
         _emit(args, "\n".join(P.render(t) for t in trees))
         return 0
     if args.action == "prune":
-        pruned, incl = P.prune(_parse_tree(P, _required(args, "tree")))
+        pruned, incl = P.prune(_parse_tree(P, args, "tree"))
         _emit(args, f"pruned: {P.render(pruned)}\ninclusion: {P.render(incl)}")
         return 0
-    T = _parse_tree(P, _required(args, "source"))
-    S = _parse_tree(P, _required(args, "target"))
+    T = _parse_tree(P, args, "source")
+    S = _parse_tree(P, args, "target")
     sigma = P.two_map(T, S, _integers(args, "sigma1"), _integers(args, "sigma2"))
     lines = []
     for fib in P.fibers[sigma]:

@@ -11,9 +11,10 @@ subtree to a corolla; it is the operad comparison map between the two.
 Trees are interned into integer-indexed pools so that the exhaustive
 contraction/grafting checks over millions of trees stay cheap: structural
 equality is integer equality.  Contractions (a list filled in id order), the
-enumeration tables and the grafts of the last graftee (`report.Memo`s) are
+enumeration tables and the graft rows of the last graftee (`report.Memo`s) are
 tables of the objects that use them, so each is computed once, bottom-up, and
-dropped with its pool (the grafts already when the graftee changes).
+dropped with its pool (the graft rows already when the graftee changes).  An
+alternating graft splices only the new child into a node in normal form.
 """
 
 from __future__ import annotations
@@ -52,19 +53,24 @@ class TreePool:
         return idx
 
     def graft(self, t, s, leaf_index) -> int:
-        """Substitute s into the leaf_index-th leaf of t (1-based), read from
-        a `Memo` of each tree's grafts of s at every leaf, filled bottom-up by
-        `node`: (s,) at the leaf and, for u = c(k1..kn), c(k1..x..kn) for each
-        j in turn and each x in kj's entry.  So a shared subtree is grafted
-        once per graftee; the table is dropped when s changes."""
+        """Substitute s into the leaf_index-th leaf of t (1-based): an entry
+        of `grafts(t, s)`, or s itself when t is the leaf."""
         if not 1 <= leaf_index <= self.leaves[t]:
             raise ValueError(f"leaf index {leaf_index} out of range")
         if t == LEAF:
             return s
+        return self.grafts(t, s)[leaf_index - 1]
+
+    def grafts(self, t, s) -> tuple:
+        """The tuple of graft(t, s, i) over every leaf i of t, read from a
+        `Memo` of each tree's row for the graftee s, filled bottom-up by
+        `_grafts_of`: (s,) at the leaf and, for u = c(k1..kn), c(k1..x..kn)
+        for each j in turn and each x in kj's row.  So a shared subtree is
+        grafted once per graftee; the table is dropped when s changes."""
         if s != self._graftee:
             self._graftee, self._grafts = s, Memo(self._grafts_of)
             self._grafts[LEAF] = (s,)
-        return self._grafts[t][leaf_index - 1]
+        return self._grafts[t]
 
     def _grafts_of(self, u):
         kids, c, table = self.kids[u], self.color[u], self._grafts
@@ -144,6 +150,22 @@ class AlternatingForest(TreePool):
         if len(spliced) == 1:
             return spliced[0]
         return self.intern(color, tuple(spliced))
+
+    def _grafts_of(self, u):
+        """u is normal, so only the new child x can share u's color c: x's
+        children are spliced in when it does, and a vertex left with one
+        child (x a nullary c-vertex, u binary) is that child."""
+        kids, c, table, color, intern = self.kids[u], self.color[u], self._grafts, self.color, self.intern
+        out = []
+        for j, k in enumerate(kids):
+            before, after = kids[:j], kids[j + 1 :]
+            for x in table[k]:
+                if x == k:  # kj unchanged, as when s is the leaf: u itself
+                    out.append(u)
+                    continue
+                children = before + self.kids[x] + after if x != LEAF and color[x] == c else before + (x,) + after
+                out.append(children[0] if len(children) == 1 else intern(c, children))
+        return tuple(out)
 
     def raw_node(self, color, children) -> int:
         """Intern an already-normal node (enumeration helper)."""
@@ -300,18 +322,18 @@ def check_contraction_operad_map(max_total_vertices=8):
     graftees since it does not depend on S.  This is ContractionMap.contract's
     own bottom-up definition applied to graft(T, S, i): it neither assumes the
     statement under test nor interns a grafted tree.  Each pair (T, S) is then
-    compared at once with (graft(contract T, cs, i) for every leaf i).  Those
-    tuples are cached per contract T while the graftees with one contraction
-    are swept, and dropped after; each graft is read from the pool's table for
-    the graftee cs (`TreePool.graft`), so a subtree shared by many contracted
-    targets is grafted once per cs.  A tree with exactly the bound's vertices
-    meets only the leaf, as graftee or as target, so that level is streamed
-    from its (c, A, B) and never interned.
+    compared at once with the row (graft(contract T, cs, i) for every leaf i),
+    one read of the pool's graft table for the graftee cs
+    (`TreePool.grafts`).  The graftees are swept grouped by cs, so the table
+    is built once per cs and a subtree shared by many contracted targets is
+    grafted once per cs.  A tree with exactly the bound's vertices meets only
+    the leaf, as graftee or as target, so that level is streamed from its
+    (c, A, B) and never interned.
     """
     btrees = BinaryForest()
     atrees = AlternatingForest()
     contract = ContractionMap(btrees, atrees).contract
-    agraft = atrees.graft
+    agraft, agrafts = atrees.graft, atrees.grafts
     V = max_total_vertices
     kept = V - 1 if V > 1 else V  # the top level is streamed unless it holds nullaries
     levels = btrees.by_vertices(kept)
@@ -335,10 +357,11 @@ def check_contraction_operad_map(max_total_vertices=8):
                     return True
         return False
 
-    def sweep(s, cs, end, grafts):
+    def sweep(s, cs, end):
         """Fill G for the graftee s over the trees below end, checking each."""
         G[LEAF] = got = (cs,)
-        if got != grafts[LEAF] and failed(got, grafts[LEAF], "l", render(s)):
+        want = agrafts(LEAF, cs)
+        if got != want and failed(got, want, "l", render(s)):
             return True
         for t in range(1, end):
             pair = kids[t]
@@ -348,11 +371,12 @@ def check_contraction_operad_map(max_total_vertices=8):
                 G[t] = got = tuple([m[x, cb] for x in G[a]] + [m[ca, y] for y in G[b]])
             else:
                 G[t] = got = ()
-            if got != grafts[cont[t]] and failed(got, grafts[cont[t]], render(t), render(s)):
+            want = agrafts(cont[t], cs)
+            if got != want and failed(got, want, render(t), render(s)):
                 return True
         return False
 
-    def stream(grafts):
+    def stream():
         """With G the leaf's table, check every tree c(a, b) with V vertices
         as a target of the leaf and as a graftee of the leaf."""
         nonlocal checked
@@ -366,19 +390,19 @@ def check_contraction_operad_map(max_total_vertices=8):
                         ct = m[ca, cb]
                         got = tuple([m[x, cb] for x in ga] + [m[ca, y] for y in G[b]])
                         checked += len(got) + 1
-                        if got != grafts[ct] and failed(got, grafts[ct], f"{c}({render(a)},{render(b)})", "l"):
+                        want = agrafts(ct, LEAF)
+                        if got != want and failed(got, want, f"{c}({render(a)},{render(b)})", "l"):
                             return True
                         want = (agraft(LEAF, ct, 1),)
                         if (ct,) != want and failed((ct,), want, "l", f"{c}({render(a)},{render(b)})"):
                             return True
         return False
 
-    graftees = sorted(range(ends[-1]), key=cont.__getitem__)
-    for cs, group in itertools.groupby(graftees, key=cont.__getitem__):
-        grafts = Memo(lambda ct, cs=cs: tuple(agraft(ct, cs, i) for i in range(1, atrees.leaves[ct] + 1)))
-        for s in group:
-            k = min(V - verts[s], kept)
-            checked += leaf_sums[k]
-            if sweep(s, cs, ends[k], grafts) or (s == LEAF and kept < V and stream(grafts)):
-                return checked, failures
+    # the graftees with one contraction cs in a row, so that the pool's graft
+    # table for cs is built once
+    for s in sorted(range(ends[-1]), key=cont.__getitem__):
+        k = min(V - verts[s], kept)
+        checked += leaf_sums[k]
+        if sweep(s, cont[s], ends[k]) or (s == LEAF and kept < V and stream()):
+            return checked, failures
     return checked, failures

@@ -560,6 +560,33 @@ def test_trees_fibers_rejects_a_bad_two_map_with_one_line(argv, message):
     assert out.stderr == f"error: {message}\n"
 
 
+_SIGMA = ("--sigma1", "1,3", "--sigma2", "1,2")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("prune", "--tree", "2>x:1"), "tree"),
+        (("prune", "--tree", "x>2:1,2"), "tree"),
+        (("prune", "--tree", "2:1,2"), "tree"),
+        (("prune", "--tree", "2>2:1,,2"), "tree"),
+        (("prune", "--tree", "2>2:1,2,"), "tree"),
+        (("fibers", "--source", "2>2:1,y", "--target", "2>3:1,3") + _SIGMA, "source"),
+        (("fibers", "--source", "2>2:1,2", "--target", "2>3:,1,3") + _SIGMA, "target"),
+    ],
+)
+def test_a_two_tree_with_a_bad_entry_names_its_flag(argv, flag):
+    out = run_cli("trees", *argv)
+    assert out.returncode == 2 and out.stdout == "", out.stderr
+    assert out.stderr == f"error: --{flag} must be n>m:i1,...,in with integer entries\n"
+
+
+def test_a_two_tree_with_no_images_is_read():
+    out = run_cli("trees", "prune", "--tree", "0>0:")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("pruned: (0->0; t=[])\n")
+
+
 def test_negative_bounds_exit_2():
     for argv in (("trees", "enumerate", "--leaves", "-3"), ("btree", "enumerate", "--leaves", "-1")):
         out = run_cli(*argv)

@@ -118,6 +118,11 @@ def test_atree_graft_merges_or_grafts_by_color(pools):
     assert ap.render(ap.graft(white, white, 1)) == "w(l,l,l)"
     assert ap.render(ap.graft(white, black, 1)) == "w(b(l,l),l)"
     assert ap.render(ap.graft(black, white, 2)) == "b(l,w(l,l))"
+    # b() grafted into b(l, w(l,l)) leaves b(w(l,l)), which is w(l,l), whose
+    # color is the root's, so it is spliced into the root in its turn
+    t, s = parse_term(ap, "w(l,b(l,w(l,l)))"), parse_term(ap, "b()")
+    assert ap.render(ap.graft(t, s, 2)) == "w(l,l,l)"
+    assert ap.graft(t, s, 2) == _path_graft(ap, t, s, 2)
 
 
 def test_enumeration_counts(pools):
@@ -205,20 +210,32 @@ def test_operad_map_sweep_agrees_with_graft_then_contract(bound):
 )
 def test_operad_map_sweep_reports_what_graft_then_contract_finds(bound, wrong, monkeypatch):
     # a right side wrong on the triples that one part of the sweep meets:
-    # the sweep fails, and every failure it reports is one the oracle finds
-    real = AlternatingForest.graft
+    # the sweep fails, and every failure it reports is one the oracle finds.
+    # The sweep reads whole rows from grafts and the streamed graftees of the
+    # leaf from graft; the oracle reads graft, which reads grafts.  So the
+    # outermost call of either gives w() at the first leaf of a wrong (t, s).
     running = []  # the outermost call is the one to corrupt
 
-    def graft(self, t, s, i):
-        if not running and wrong(self, t, s):
-            return self.node("w", ())
-        running.append(None)
-        try:
-            return real(self, t, s, i)
-        finally:
-            running.pop()
+    def outermost(real, corrupt):
+        def call(self, t, s, *i):
+            outer = not running
+            running.append(None)
+            try:
+                got = real(self, t, s, *i)
+            finally:
+                running.pop()
+            return corrupt(self, got, *i) if outer and wrong(self, t, s) else got
 
-    monkeypatch.setattr(AlternatingForest, "graft", graft)
+        return call
+
+    def graft(ap, x, i):
+        return ap.node("w", ()) if i == 1 else x
+
+    def grafts(ap, row):
+        return (ap.node("w", ()),) + row[1:] if row else row
+
+    monkeypatch.setattr(AlternatingForest, "graft", outermost(AlternatingForest.graft, graft))
+    monkeypatch.setattr(AlternatingForest, "grafts", outermost(AlternatingForest.grafts, grafts))
     _, failures = check_contraction_operad_map(bound)
     assert 0 < len(failures) <= 6
     assert set(failures) <= set(_graft_then_contract(bound)[1])
@@ -279,6 +296,10 @@ def test_graft_table_agrees_with_path_rebuilding(forest, pools):
     # graftee by graftee, then with the graftee changing at every call
     for t, s, i in sorted(triples, key=lambda key: key[1]) + triples:
         assert pool.graft(t, s, i) == want[t, s, i]
+    # whole rows, the same two ways: grafts(t, s) is graft(t, s, i) at every leaf
+    pairs = [(t, s) for t in trees for s in trees if pool.verts[t] + pool.verts[s] <= 4]
+    for t, s in sorted(pairs, key=lambda pair: pair[1]) + pairs:
+        assert pool.grafts(t, s) == tuple(want[t, s, i] for i in range(1, pool.leaves[t] + 1))
     # out-of-range leaves raise, for the graftee of the table and for another
     t = max(trees, key=pool.leaves.__getitem__)
     pool.graft(t, trees[-1], 1)
@@ -290,8 +311,8 @@ def test_graft_table_agrees_with_path_rebuilding(forest, pools):
 
 
 def test_graft_table_calls_node_once_per_subtree_leaf(pools, monkeypatch):
-    # every leaf of every contraction within 4 vertices, one graftee: the
-    # table calls node once for each leaf of each distinct non-leaf subtree
+    # every contraction within 4 vertices, one graftee: the table builds one
+    # row for each distinct non-leaf subtree, with one entry per leaf of it
     bp, ap, cm = pools
     targets = sorted({cm.contract(t) for level in bp.by_vertices(4) for t in level})
     subtrees, stack = set(), list(targets)
@@ -300,10 +321,10 @@ def test_graft_table_calls_node_once_per_subtree_leaf(pools, monkeypatch):
         if u != LEAF and u not in subtrees:
             subtrees.add(u)
             stack.extend(ap.kids[u])
-    calls = []
-    real = AlternatingForest.node
-    monkeypatch.setattr(AlternatingForest, "node", lambda self, c, kids: calls.append(c) or real(self, c, kids))
+    rows = []
+    real = AlternatingForest._grafts_of
+    monkeypatch.setattr(AlternatingForest, "_grafts_of", lambda self, u: rows.append(u) or real(self, u))
     for t in targets:
-        for i in range(1, ap.leaves[t] + 1):
-            ap.graft(t, targets[3], i)
-    assert len(calls) == sum(ap.leaves[u] for u in subtrees) == 882
+        assert len(ap.grafts(t, targets[3])) == ap.leaves[t]
+    assert sorted(rows) == sorted(subtrees)
+    assert sum(len(ap.grafts(u, targets[3])) for u in rows) == sum(ap.leaves[u] for u in subtrees) == 882
