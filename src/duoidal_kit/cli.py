@@ -91,6 +91,8 @@ def cmd_check_duoidal(args):
         objects = [D.e, D.v]
         for spec in names:
             name, _, size = spec.partition(":")
+            if not (size or "2").isdecimal():
+                raise ValidationError(f"--sample {spec!r}: the size must be a non-negative integer")
             objects.append((atom_letter(name, list(range(int(size or 2)))),))
     from .duoidal import check_duoidal_axioms, derived_unit_comparison
 

@@ -310,25 +310,26 @@ def check_contraction_operad_map(max_total_vertices=8):
     pairs with a combined vertex bound, every leaf of T.  Returns
     (checked_triples, failures), stopping at the sixth failing triple.
 
-    The left side is evaluated without building graft(T, S, i).  For each
-    graftee S with cs = contract S, a table G over the trees T, filled
-    bottom-up, holds the tuple of contract(graft(T, S, i)) over the leaves i
-    of T: G[leaf] = (cs,), G[nullary] = (), and for T = c(A, B)
+    The left side is evaluated without building graft(T, S, i), and depends
+    on S only through cs = contract S.  For each graftee contraction cs, one
+    sweep fills a table G over the trees T, bottom-up, holding the tuple of
+    contract(graft(T, S, i)) over the leaves i of T: G[leaf] = (cs,),
+    G[nullary] = (), and for T = c(A, B)
 
         G[T] = (node(c, (x, contract B)) for x in G[A])
              + (node(c, (contract A, y)) for y in G[B]),
 
-    with node = AlternatingForest.node, memoized per (c, x, y) across
-    graftees since it does not depend on S.  This is ContractionMap.contract's
-    own bottom-up definition applied to graft(T, S, i): it neither assumes the
-    statement under test nor interns a grafted tree.  Each pair (T, S) is then
-    compared at once with the row (graft(contract T, cs, i) for every leaf i),
-    one read of the pool's graft table for the graftee cs
-    (`TreePool.grafts`).  The graftees are swept grouped by cs, so the table
-    is built once per cs and a subtree shared by many contracted targets is
-    grafted once per cs.  A tree with exactly the bound's vertices meets only
-    the leaf, as graftee or as target, so that level is streamed from its
-    (c, A, B) and never interned.
+    with node = AlternatingForest.node, memoized per (c, x, y) since it does
+    not depend on S.  This is ContractionMap.contract's own bottom-up
+    definition applied to graft(T, S, i): it neither assumes the statement
+    under test nor interns a grafted tree.  Each row G[T] is compared at once
+    with (graft(contract T, cs, i) for every leaf i), one read of the pool's
+    graft table for cs (`TreePool.grafts`), so a subtree shared by many
+    contracted targets is grafted once per cs.  The graftees with one cs
+    share the sweep's rows, and its failing rows are replayed for each below
+    its own bound, in (cs, S, T, i) order.  A tree with exactly the bound's
+    vertices meets only the leaf, as graftee or as target, so that level is
+    streamed from its (c, A, B) and never interned.
     """
     btrees = BinaryForest()
     atrees = AlternatingForest()
@@ -357,12 +358,12 @@ def check_contraction_operad_map(max_total_vertices=8):
                     return True
         return False
 
-    def sweep(s, cs, end):
-        """Fill G for the graftee s over the trees below end, checking each."""
+    def sweep(cs, end):
+        """Fill G for the graftee contraction cs over the trees below end;
+        return the failing rows as (t, got, want)."""
         G[LEAF] = got = (cs,)
         want = agrafts(LEAF, cs)
-        if got != want and failed(got, want, "l", render(s)):
-            return True
+        rows = [] if got == want else [(LEAF, got, want)]
         for t in range(1, end):
             pair = kids[t]
             if pair:
@@ -372,9 +373,9 @@ def check_contraction_operad_map(max_total_vertices=8):
             else:
                 G[t] = got = ()
             want = agrafts(cont[t], cs)
-            if got != want and failed(got, want, render(t), render(s)):
-                return True
-        return False
+            if got != want:
+                rows.append((t, got, want))
+        return rows
 
     def stream():
         """With G the leaf's table, check every tree c(a, b) with V vertices
@@ -398,11 +399,15 @@ def check_contraction_operad_map(max_total_vertices=8):
                             return True
         return False
 
-    # the graftees with one contraction cs in a row, so that the pool's graft
-    # table for cs is built once
-    for s in sorted(range(ends[-1]), key=cont.__getitem__):
-        k = min(V - verts[s], kept)
-        checked += leaf_sums[k]
-        if sweep(s, cont[s], ends[k]) or (s == LEAF and kept < V and stream()):
-            return checked, failures
+    # the graftees with one contraction cs in a row, in id order, so the first
+    # has the fewest vertices and the largest end: its sweep serves the group
+    for cs, group in itertools.groupby(sorted(range(ends[-1]), key=cont.__getitem__), cont.__getitem__):
+        rows = None
+        for s in group:
+            k = min(V - verts[s], kept)
+            checked += leaf_sums[k]
+            rows = sweep(cs, ends[k]) if rows is None else rows
+            failing = (failed(got, want, render(t), render(s)) for t, got, want in rows if t < ends[k])
+            if any(failing) or (s == LEAF and kept < V and stream()):
+                return checked, failures
     return checked, failures

@@ -39,6 +39,16 @@ def test_check_duoidal_builtin_passes():
     assert "ALL PASS" in out.stdout
 
 
+_SAMPLE = ("check-duoidal", "--builtin", "cartesian", "--sample")
+
+
+@pytest.mark.parametrize("spec", ["x", "x:0"])
+def test_a_sample_with_the_default_or_an_empty_size_passes(spec):
+    out = run_cli(*_SAMPLE, spec)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.endswith("-- ALL PASS (11 checks)\n")
+
+
 def test_check_duoidal_file_round_trip(tmp_path):
     out = run_cli("check-duoidal", "--instance", str(CORPUS / "bool_lattice.json"))
     assert out.returncode == 0
@@ -525,6 +535,8 @@ def test_corrupt_instance_tables_exit_2(tmp_path, field, key, value, message):
         (("two-operad", "end", "--x", "7"), "--x '7' is not a listed object of the instance bool_lattice"),
         (("two-operad", "check", "--builtin", "cartesian", "--x", "a"), "--x 'a' is not a listed object"),
         (("two-operad", "check", "--cap", "0"), "the element tuple cap must be at least 1, got 0"),
+        ((*_SAMPLE, "x:-1"), "--sample 'x:-1': the size must be a non-negative integer"),
+        ((*_SAMPLE, "x:abc"), "--sample 'x:abc': the size must be a non-negative integer"),
     ],
 )
 def test_actions_without_their_argument_exit_2(argv, message):

@@ -199,21 +199,11 @@ def test_operad_map_sweep_agrees_with_graft_then_contract(bound):
     assert check_contraction_operad_map(bound) == _graft_then_contract(bound)
 
 
-@pytest.mark.parametrize(
-    "bound, wrong",
-    [
-        (4, lambda ap, t, s: t != LEAF and s != LEAF),  # only graftees other than the leaf
-        (4, lambda ap, t, s: s == LEAF and ap.verts[t] == 4),  # only the streamed targets
-        (4, lambda ap, t, s: t == LEAF and ap.verts[s] == 4),  # only the streamed graftees
-        (1, lambda ap, t, s: t == LEAF and s != LEAF),  # nothing streamed: the tables' leaf rows
-    ],
-)
-def test_operad_map_sweep_reports_what_graft_then_contract_finds(bound, wrong, monkeypatch):
-    # a right side wrong on the triples that one part of the sweep meets:
-    # the sweep fails, and every failure it reports is one the oracle finds.
-    # The sweep reads whole rows from grafts and the streamed graftees of the
-    # leaf from graft; the oracle reads graft, which reads grafts.  So the
-    # outermost call of either gives w() at the first leaf of a wrong (t, s).
+def _corrupt_right_side(monkeypatch, wrong):
+    """Make the outermost AlternatingForest.graft or grafts call give w() at
+    the first leaf of every (t, s) where wrong(pool, t, s) holds.  The sweep
+    reads whole rows from grafts and the streamed graftees of the leaf from
+    graft; the oracle reads graft, which reads grafts."""
     running = []  # the outermost call is the one to corrupt
 
     def outermost(real, corrupt):
@@ -236,9 +226,54 @@ def test_operad_map_sweep_reports_what_graft_then_contract_finds(bound, wrong, m
 
     monkeypatch.setattr(AlternatingForest, "graft", outermost(AlternatingForest.graft, graft))
     monkeypatch.setattr(AlternatingForest, "grafts", outermost(AlternatingForest.grafts, grafts))
+
+
+@pytest.mark.parametrize(
+    "bound, wrong",
+    [
+        (4, lambda ap, t, s: t != LEAF and s != LEAF),  # only graftees other than the leaf
+        (4, lambda ap, t, s: s == LEAF and ap.verts[t] == 4),  # only the streamed targets
+        (4, lambda ap, t, s: t == LEAF and ap.verts[s] == 4),  # only the streamed graftees
+        (1, lambda ap, t, s: t == LEAF and s != LEAF),  # nothing streamed: the tables' leaf rows
+    ],
+)
+def test_operad_map_sweep_reports_what_graft_then_contract_finds(bound, wrong, monkeypatch):
+    # a right side wrong on the triples that one part of the sweep meets:
+    # the sweep fails, and every failure it reports is one the oracle finds
+    _corrupt_right_side(monkeypatch, wrong)
     _, failures = check_contraction_operad_map(bound)
     assert 0 < len(failures) <= 6
     assert set(failures) <= set(_graft_then_contract(bound)[1])
+
+
+@pytest.mark.parametrize(
+    "bound, target, checked",
+    [
+        (4, "b(l,l)", 5353),
+        # the graftees of w(l,l,l) with four vertices end below w(l,b(l,l))
+        (5, "w(l,b(l,l))", 47337),
+    ],
+)
+def test_operad_map_replays_a_shared_sweep_for_every_graftee(bound, target, checked, monkeypatch):
+    # w(l,w(l,l)) and w(w(l,l),l) both contract to w(l,l,l), so they share one
+    # sweep; the failing row is found once and reported for each graftee
+    # whose bound reaches it
+    _corrupt_right_side(monkeypatch, lambda ap, t, s: ap.render(t) == target and ap.render(s) == "w(l,l,l)")
+    assert check_contraction_operad_map(bound) == (
+        checked,
+        [(target, "w(l,w(l,l))", 1), (target, "w(w(l,l),l)", 1)],
+    )
+
+
+def test_operad_map_sweeps_once_per_graftee_contraction(monkeypatch):
+    # one grafts call per row swept: the graftees with one contraction share
+    # their rows, so bound 5 reads 11,425 rows where one sweep per graftee
+    # read 15,481
+    calls = []
+    real = AlternatingForest.grafts
+    monkeypatch.setattr(AlternatingForest, "grafts", lambda self, t, s: calls.append(t) or real(self, t, s))
+    assert check_contraction_operad_map(5) == (47337, [])
+    assert len(calls) == 11425
 
 
 @pytest.mark.parametrize("bound", range(7))
