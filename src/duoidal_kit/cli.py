@@ -84,16 +84,18 @@ def _center_elements(monoid):
 
 
 def cmd_check_duoidal(args):
+    letters = []
+    for spec in args.sample or ["x:2", "y:2"]:
+        name, _, size = spec.partition(":")
+        if not (size or "2").isdecimal():
+            raise ValidationError(f"--sample {spec!r}: the size must be a non-negative integer")
+        letters.append((atom_letter(name, list(range(int(size or 2)))),))
     D = _load_instance(args)
     objects = None
     if D.objects() is None:
-        names = args.sample or ["x:2", "y:2"]
-        objects = [D.e, D.v]
-        for spec in names:
-            name, _, size = spec.partition(":")
-            if not (size or "2").isdecimal():
-                raise ValidationError(f"--sample {spec!r}: the size must be a non-negative integer")
-            objects.append((atom_letter(name, list(range(int(size or 2)))),))
+        objects = [D.e, D.v, *letters]
+    elif args.sample is not None:
+        raise ValidationError(f"--sample: the instance {D.name} lists its objects, so it takes no sample")
     from .duoidal import check_duoidal_axioms, derived_unit_comparison
 
     rep = check_duoidal_axioms(D, objects=objects)

@@ -14,12 +14,16 @@ equality is integer equality.  Contractions (a list filled in id order), the
 enumeration tables and the graft rows of the last graftee (`report.Memo`s) are
 tables of the objects that use them, so each is computed once, bottom-up, and
 dropped with its pool (the graft rows already when the graftee changes).  An
-alternating graft splices only the new child into a node in normal form.
+alternating graft splices only the new child into a node in normal form.  The
+contraction check compares each graftee contraction with each distinct key
+(color, contract A, contract B, contract T) of a target once, not once per
+target, and goes tree by tree only where a key fails.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .report import Memo
 
@@ -305,31 +309,60 @@ def parse_term(pool: TreePool, text: str) -> int:
             return tree
 
 
+def _row(m, ca, cb, ra, rb):
+    """The row of c(A, B) from the rows ra of A and rb of B, with ca, cb their
+    contractions and m the memo of AlternatingForest.node for the color c:
+    node(c, (x, cb)) for x in ra, then node(c, (ca, y)) for y in rb."""
+    return tuple([m[x, cb] for x in ra] + [m[ca, y] for y in rb])
+
+
 def check_contraction_operad_map(max_total_vertices=8):
     """contract(graft(T, S, i)) == graft(contract T, contract S, i) for all
     pairs with a combined vertex bound, every leaf of T.  Returns
     (checked_triples, failures), stopping at the sixth failing triple.
 
     The left side is evaluated without building graft(T, S, i), and depends
-    on S only through cs = contract S.  For each graftee contraction cs, one
-    sweep fills a table G over the trees T, bottom-up, holding the tuple of
-    contract(graft(T, S, i)) over the leaves i of T: G[leaf] = (cs,),
-    G[nullary] = (), and for T = c(A, B)
+    on S only through cs = contract S.  For a graftee contraction cs, a table
+    G over the trees T, bottom-up, holds the tuple of contract(graft(T, S, i))
+    over the leaves i of T: G[leaf] = (cs,), G[nullary] = (), and for
+    T = c(A, B)
 
         G[T] = (node(c, (x, contract B)) for x in G[A])
              + (node(c, (contract A, y)) for y in G[B]),
 
     with node = AlternatingForest.node, memoized per (c, x, y) since it does
-    not depend on S.  This is ContractionMap.contract's own bottom-up
+    not depend on S (`_row`).  This is ContractionMap.contract's own bottom-up
     definition applied to graft(T, S, i): it neither assumes the statement
-    under test nor interns a grafted tree.  Each row G[T] is compared at once
-    with (graft(contract T, cs, i) for every leaf i), one read of the pool's
-    graft table for cs (`TreePool.grafts`), so a subtree shared by many
-    contracted targets is grafted once per cs.  The graftees with one cs
-    share the sweep's rows, and its failing rows are replayed for each below
-    its own bound, in (cs, S, T, i) order.  A tree with exactly the bound's
-    vertices meets only the leaf, as graftee or as target, so that level is
-    streamed from its (c, A, B) and never interned.
+    under test nor interns a grafted tree.  Each row G[T] is compared with
+    (graft(contract T, cs, i) for every leaf i), one read of the pool's graft
+    table for cs (`TreePool.grafts`).
+
+    Each comparison is made once per key (c, contract A, contract B,
+    contract T) of a tree T = c(A, B); a leaf's or nullary's key is its color
+    and contraction.  This is exact.  Suppose the row of every smaller tree
+    passed: then G[A] and G[B] equal the right sides graft(contract A, cs, -)
+    and graft(contract B, cs, -), so G[T] is a function of (c, contract A,
+    contract B), and the right side of T is a function of contract T.  So
+    all trees with one key make the same comparison, and by induction over
+    the ids every tree passes if the first tree of every key passes with its
+    children's rows read from the right side.  contract T is in the key
+    because a wrong `contract` need not be a function of the other three.
+
+    The graftees with one cs, in a row and in id order, share one pass over
+    the first trees of the keys below the group's largest end (its first
+    graftee's, which has the fewest vertices).  Only when a key fails is G
+    filled tree by tree, and the failing rows are replayed for each graftee
+    below its own bound, so the failures, their (cs, S, T, i) order and the
+    stop at the sixth are those of a tree-by-tree check.
+
+    A tree with exactly the bound's vertices meets only the leaf, as graftee
+    or as target, so that level is streamed from its (c, A, B) and never
+    interned.  By the same argument, once the leaf's rows have all passed,
+    the trees of each level are counted by contraction and each (c, |A|,
+    contract A, contract B) is compared once, for n_A * n_B trees.  Nothing
+    is counted until every key has passed; if one fails, or the leaf's rows
+    did not all pass, G is filled for the leaf and the level is streamed
+    tree by tree.
     """
     btrees = BinaryForest()
     atrees = AlternatingForest()
@@ -345,6 +378,15 @@ def check_contraction_operad_map(max_total_vertices=8):
     leaf_sums = [sum(leaves[:end]) for end in ends]
     cont = [contract(t) for t in range(ends[-1])]
     node = {c: Memo(lambda pair, c=c: atrees.node(c, pair)) for c in COLORS}
+    # the keys (c, contract A, contract B, contract T), or (c, contract T) for
+    # the leaf and the nullaries, in the id order of their first trees, and
+    # n_keys[k] of them met below ends[k]
+    keys, n_keys = {}, []
+    for level in levels:
+        for t in level:
+            pair = kids[t]
+            keys[(color[t], cont[pair[0]], cont[pair[1]], cont[t]) if pair else (color[t], cont[t])] = None
+        n_keys.append(len(keys))
     G = [None] * ends[-1]
     failures = []
     checked = 0
@@ -358,29 +400,67 @@ def check_contraction_operad_map(max_total_vertices=8):
                     return True
         return False
 
+    def keys_pass(cs, k):
+        """True when the first tree of every key below ends[k] passes for
+        the graftee contraction cs, its children's rows read from the right
+        side."""
+        for key in itertools.islice(keys, n_keys[k]):
+            if len(key) == 4:
+                c, ca, cb, ct = key
+                got = _row(node[c], ca, cb, agrafts(ca, cs), agrafts(cb, cs))
+            else:
+                c, ct = key
+                got = () if c else (cs,)
+            if got != agrafts(ct, cs):
+                return False
+        return True
+
     def sweep(cs, end):
-        """Fill G for the graftee contraction cs over the trees below end;
-        return the failing rows as (t, got, want)."""
-        G[LEAF] = got = (cs,)
-        want = agrafts(LEAF, cs)
-        rows = [] if got == want else [(LEAF, got, want)]
-        for t in range(1, end):
+        """Fill G for cs over the trees below end, tree by tree; return the
+        failing rows as (t, got, want)."""
+        rows = []
+        for t in range(end):
             pair = kids[t]
             if pair:
                 a, b = pair
-                m, ca, cb = node[color[t]], cont[a], cont[b]
-                G[t] = got = tuple([m[x, cb] for x in G[a]] + [m[ca, y] for y in G[b]])
+                G[t] = got = _row(node[color[t]], cont[a], cont[b], G[a], G[b])
             else:
-                G[t] = got = ()
+                G[t] = got = () if t else (cs,)
             want = agrafts(cont[t], cs)
             if got != want:
                 rows.append((t, got, want))
         return rows
 
-    def stream():
-        """With G the leaf's table, check every tree c(a, b) with V vertices
-        as a target of the leaf and as a graftee of the leaf."""
+    def keyed_stream(cs):
+        """The triples of the streamed level, compared once per (c, |A|,
+        contract A, contract B) with the children's rows read from the right
+        side for cs, the leaf's contraction; None if a comparison fails."""
+        by_cont = [Counter(map(cont.__getitem__, level)) for level in levels]
+        by_cont = [[(x, n, agrafts(x, cs)) for x, n in level.items()] for level in by_cont]
+        total = 0
+        for c in COLORS:
+            m = node[c]
+            for va in range(V):
+                for ca, na, ra in by_cont[va]:
+                    for cb, nb, rb in by_cont[V - 1 - va]:
+                        ct = m[ca, cb]
+                        got = _row(m, ca, cb, ra, rb)
+                        if got != agrafts(ct, LEAF) or agraft(LEAF, ct, 1) != ct:
+                            return None
+                        total += na * nb * (len(got) + 1)
+        return total
+
+    def stream(cs, filled):
+        """Check every tree c(a, b) with V vertices as a target and as a
+        graftee of the leaf: by key unless G was filled tree by tree for the
+        leaf, else, or once a key fails and G is filled, tree by tree."""
         nonlocal checked
+        if not filled:
+            total = keyed_stream(cs)
+            if total is not None:
+                checked += total
+                return False
+            sweep(cs, ends[kept])
         for c in COLORS:
             m = node[c]
             for va in range(V):
@@ -389,7 +469,7 @@ def check_contraction_operad_map(max_total_vertices=8):
                     for b in levels[V - 1 - va]:
                         cb = cont[b]
                         ct = m[ca, cb]
-                        got = tuple([m[x, cb] for x in ga] + [m[ca, y] for y in G[b]])
+                        got = _row(m, ca, cb, ga, G[b])
                         checked += len(got) + 1
                         want = agrafts(ct, LEAF)
                         if got != want and failed(got, want, f"{c}({render(a)},{render(b)})", "l"):
@@ -400,14 +480,15 @@ def check_contraction_operad_map(max_total_vertices=8):
         return False
 
     # the graftees with one contraction cs in a row, in id order, so the first
-    # has the fewest vertices and the largest end: its sweep serves the group
+    # has the fewest vertices and the largest end: its keys serve the group
     for cs, group in itertools.groupby(sorted(range(ends[-1]), key=cont.__getitem__), cont.__getitem__):
         rows = None
         for s in group:
             k = min(V - verts[s], kept)
             checked += leaf_sums[k]
-            rows = sweep(cs, ends[k]) if rows is None else rows
-            failing = (failed(got, want, render(t), render(s)) for t, got, want in rows if t < ends[k])
-            if any(failing) or (s == LEAF and kept < V and stream()):
+            if rows is None:
+                rows = [] if keys_pass(cs, k) else sweep(cs, ends[k])
+            failing = rows and any(failed(got, want, render(t), render(s)) for t, got, want in rows if t < ends[k])
+            if failing or (s == LEAF and kept < V and stream(cs, bool(rows))):
                 return checked, failures
     return checked, failures

@@ -40,6 +40,8 @@ def test_check_duoidal_builtin_passes():
 
 
 _SAMPLE = ("check-duoidal", "--builtin", "cartesian", "--sample")
+_TABLE_SAMPLE = ("check-duoidal", "--builtin", "bool_lattice", "--sample")
+_LISTED = "--sample: the instance bool_lattice lists its objects, so it takes no sample"
 
 
 @pytest.mark.parametrize("spec", ["x", "x:0"])
@@ -378,6 +380,16 @@ def _repeat_element(doc):
     doc["elements"].append("1")
 
 
+def _nonassociative(doc):
+    # (1 * 1) * 1 = 2 * 1 = 1 but 1 * (1 * 1) = 1 * 2 = 2
+    doc.update(name="nonassoc", elements=["0", "1", "2"])
+    doc["table"] = {
+        "0": {"0": "0", "1": "1", "2": "2"},
+        "1": {"0": "1", "1": "2", "2": "2"},
+        "2": {"0": "2", "1": "1", "2": "2"},
+    }
+
+
 @pytest.mark.parametrize(
     "name, patch, argv, code, message",
     [
@@ -407,6 +419,12 @@ def _repeat_element(doc):
         ),
         (None, None, ("btree", "contract", "--term", _deep_term(5000)), 0, ""),
         (None, None, ("btree", "contract", "--term", _deep_term(200)), 0, ""),
+        ("z2.json", _nonassociative, ("center", "--monoid"), 2, "error: nonassoc: associativity fails at ('1', '1', '1')"),
+        (None, None, ("btree", "contract", "--term", "w(x)"), 2, "error: unexpected character 'x' at 2"),
+        (None, None, ("btree", "contract", "--term", "w(l)"), 2, "error: binary trees need white/black vertices of valence 1 or 3"),
+        (None, None, (*_TABLE_SAMPLE, "x:-1"), 2, "error: --sample 'x:-1': the size must be a non-negative integer"),
+        (None, None, (*_TABLE_SAMPLE, "x:2"), 2, f"error: {_LISTED}"),
+        (None, None, _TABLE_SAMPLE, 2, f"error: {_LISTED}"),
     ],
 )
 def test_bad_input_exits_2_with_one_line_and_a_deep_term_contracts(tmp_path, name, patch, argv, code, message):

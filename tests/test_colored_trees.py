@@ -1,5 +1,6 @@
 import pytest
 
+from duoidal_kit import colored_trees
 from duoidal_kit.colored_trees import (
     LEAF,
     AlternatingForest,
@@ -182,14 +183,17 @@ def _graft_then_contract(max_total_vertices):
     return checked, failures
 
 
-def _mirrored(monkeypatch):
-    """Make ContractionMap.contract reverse the children of every node it builds."""
+def _mirrored(monkeypatch, only=None):
+    """Make ContractionMap.contract reverse the children of every node it
+    builds, or only of the contraction of the tree with the term `only`."""
     real = ContractionMap.contract
 
     def mirrored(self, t):
         out = real(self, t)
         kids = self.atrees.kids[out]
-        return self.atrees.intern(self.atrees.color[out], kids[::-1]) if len(kids) > 1 else out
+        if len(kids) < 2 or only is not None and self.btrees.render(t) != only:
+            return out
+        return self.atrees.intern(self.atrees.color[out], kids[::-1])
 
     monkeypatch.setattr(ContractionMap, "contract", mirrored)
 
@@ -266,14 +270,49 @@ def test_operad_map_replays_a_shared_sweep_for_every_graftee(bound, target, chec
 
 
 def test_operad_map_sweeps_once_per_graftee_contraction(monkeypatch):
-    # one grafts call per row swept: the graftees with one contraction share
-    # their rows, so bound 5 reads 11,425 rows where one sweep per graftee
-    # read 15,481
-    calls = []
-    real = AlternatingForest.grafts
-    monkeypatch.setattr(AlternatingForest, "grafts", lambda self, t, s: calls.append(t) or real(self, t, s))
+    # one comparison per (key, graftee contraction): the graftees with one
+    # contraction compare the first tree of each binary key (c, contract A,
+    # contract B, contract T) below their largest bound once, and the streamed
+    # level each (c, |A|, contract A, contract B) once.  Each of those
+    # comparisons builds one row (`_row`), and the right sides read are three
+    # per binary key, one per leaf or nullary key, one per streamed key and
+    # one per contraction of each level
+    rows, reads = [], []
+    real_row, real_grafts = colored_trees._row, AlternatingForest.grafts
+    monkeypatch.setattr(colored_trees, "_row", lambda *args: rows.append(None) or real_row(*args))
+    monkeypatch.setattr(AlternatingForest, "grafts", lambda self, t, s: reads.append(t) or real_grafts(self, t, s))
     assert check_contraction_operad_map(5) == (47337, [])
-    assert len(calls) == 11425
+    bp = BinaryForest()
+    contract = ContractionMap(bp, AlternatingForest()).contract
+    levels = bp.by_vertices(4)
+    reach = {}  # graftee contraction -> the most vertices of a target it meets
+    for s in (s for level in levels for s in level):
+        reach[contract(s)] = max(reach.get(contract(s), 0), min(5 - bp.verts[s], 4))
+    keys, within = set(), []  # within[k]: the binary keys of the trees with at most k vertices
+    for level in levels:
+        keys |= {(bp.color[t], *map(contract, bp.kids[t]), contract(t)) for t in level if bp.kids[t]}
+        within.append(len(keys))
+    splits = [(va, a, b) for va in range(5) for a in levels[va] for b in levels[4 - va]]
+    streamed = {(c, va, contract(a), contract(b)) for c in "wb" for va, a, b in splits}
+    assert len(rows) == sum(within[k] for k in reach.values()) + len(streamed) == 4138 + 1806
+    assert len(reads) == 15248
+
+
+def test_operad_map_keys_a_target_by_its_own_contraction(monkeypatch):
+    # b(w(l,w(l,l)),l) comes first and shares (c, contract A, contract B) with
+    # x; contract is mirrored on x only, so x's rows are compared, and fail,
+    # only because contract T is in the key.  The check reports what the
+    # tree-by-tree check did.
+    # The oracle fails too, but on other triples: it contracts graft(x, l, i)
+    # = x with the same wrong contract, where the check builds that side
+    # from x's children
+    x = "b(w(w(l,l),l),l)"
+    _mirrored(monkeypatch, only=x)
+    assert check_contraction_operad_map(4) == (
+        691,
+        [(x, "l", 1), (x, "l", 2), (x, "l", 3), (x, "l", 4), (f"w(l,{x})", "l", 2), (f"w(l,{x})", "l", 3)],
+    )
+    assert _graft_then_contract(4)[1]
 
 
 @pytest.mark.parametrize("bound", range(7))
