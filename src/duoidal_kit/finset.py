@@ -5,10 +5,16 @@ elements, and the elements of a word are flat tuples with one slot per
 letter.  Both tensors are word concatenation, so associativity and unitality
 hold on the nose with the empty word as both units.  Function-set letters
 resolve their elements lazily, which keeps endomorphism components such as
-Set(M^n, M) representable without ever enumerating them.  A map is applied
-point by point; `maps_equal` instead compares two maps' images over the whole
-domain, each computed from how the map was made, so that a tensor of maps
-evaluates each factor once per point of its own domain.
+Set(M^n, M) representable without ever enumerating them.
+
+`compose` builds every composite in a normal form by four identities of
+maps, so no value changes: (a) identities drop out; (b) composites nest to
+the left, by associativity; (c) tensors whose factors meet compose
+factorwise, since the product is a bifunctor; (d) a map out of the empty
+word, which has one point, stores its one value.  A map is applied point by
+point; `maps_equal` instead compares two maps' images over the whole domain,
+each computed from how the map was made, so that a tensor of maps evaluates
+each factor once per point of its own domain.
 """
 
 from __future__ import annotations
@@ -250,10 +256,26 @@ class CartesianFinSet(Tensors):
         return CartMap(x, x, fn=tuple, parts=("id",))  # tuple(t) is t for a point t
 
     def compose(self, f, g):
-        """f then g (diagrammatic order)."""
+        """f then g (diagrammatic order), in normal form once the middle
+        objects are checked: (a) id;g = g and f;id = f; (b) f;(g1;g2) =
+        (f;g1);g2; (c) (f1 x .. x fk);(g1 x .. x gk) = (f1;g1) x .. x (fk;gk)
+        when each fi ends where gi starts, for either t, both tensors being
+        the product; (d) a result on the empty word other than an identity
+        goes through `memoize`, so its one point stores its one value."""
         if f.cod != g.dom:
             raise ValueError("compose: middle objects differ")
-        return CartMap(f.dom, g.cod, fn=lambda t, f=f.apply, g=g.apply: g(f(t)), parts=("then", f, g))
+        (kf, *fs), (kg, *gs) = f.parts or (None,), g.parts or (None,)
+        if kf == "id":
+            out = g
+        elif kg == "id":
+            out = f
+        elif kg == "then":
+            return self.compose(self.compose(f, gs[0]), gs[1])
+        elif kf == kg == "tensor" and len(fs) == len(gs) and all(a.cod == b.dom for a, b in zip(fs, gs)):
+            out = self.tensor_map(0, map(self.compose, fs, gs))
+        else:
+            out = CartMap(f.dom, g.cod, fn=lambda t, f=f.apply, g=g.apply: g(f(t)), parts=("then", f, g))
+        return out if out.dom or out.parts == ("id",) else self.memoize(out)
 
     def memoize(self, f):
         """f, storing its value at each point it is applied to.

@@ -512,12 +512,23 @@ class CosimplicialObject:
 
 
 def cosimplicial_from_multiplicative(A: MultOperad, N: int) -> CosimplicialObject:
+    """The cosimplicial object of A to level N + 1.  Each coface and
+    codegeneracy is built on first use and kept; a key (n, i) with n > N,
+    or i out of range, raises `KeyError`."""
     if N + 1 > A.base.bound:
         raise ValueError(f"level {N + 1} exceeds operad bound {A.base.bound}")
+
+    def maps(build, top):
+        def build_once(key):
+            n, i = key
+            if not (0 <= n <= N and 0 <= i <= n + top):
+                raise KeyError(key)
+            return build(A, n, i)
+
+        return Memo(build_once)
+
     levels = {n: A.base.component(n) for n in range(N + 2)}
-    ds = {(n, i): coface(A, n, i) for n in range(N + 1) for i in range(n + 2)}
-    ss = {(n, i): codegeneracy(A, n, i) for n in range(N + 1) for i in range(n + 1)}
-    return CosimplicialObject(A.D, levels, ds, ss, N, name=A.name)
+    return CosimplicialObject(A.D, levels, maps(coface, 1), maps(codegeneracy, 0), N, name=A.name)
 
 
 # the rows of the cosimplicial identities, with the text of a label (j, i, n)

@@ -257,3 +257,23 @@ def test_each_multiplication_stores_its_one_value():
     # the cofaces and codegeneracies use m(0), m(1) and m(2), each at v's one point
     assert [len(A.m[n]._memo) for n in range(5)] == [1, 1, 1, 0, 0]
     assert all(A.m[n].apply(()) is A.m[n].apply(()) for n in range(5))
+
+
+def test_cofaces_and_codegeneracies_are_built_on_first_use_within_the_truncation():
+    A = multiplicative_from_k_monoid(k_monoid_from_monoid(cyclic(3), K), bound=4)
+    X = cosimplicial_from_multiplicative(A, 3)
+    assert not X.cofaces and not X.codegeneracies
+    totalize(D, X, ordinal_weights(), N=X.N)
+    # the truncation at N reads only the maps out of the levels below N
+    built = set(X.cofaces) | set(X.codegeneracies)
+    assert built and max(n for n, _ in built) == X.N - 1
+    assert X.d(X.N, X.N + 1).dom == X.level(X.N) and X.s(X.N, X.N).cod == X.level(X.N)
+    d = X.d(0, 1)
+    assert X.d(0, 1) is d
+    for n, i in [(X.N + 1, 0), (-1, 0), (0, 2), (0, -1), (X.N, X.N + 2)]:
+        with pytest.raises(KeyError):
+            X.d(n, i)
+    for n, i in [(X.N + 1, 0), (-1, 0), (0, 1), (0, -1), (X.N, X.N + 1)]:
+        with pytest.raises(KeyError):
+            X.s(n, i)
+    assert max(n for n, _ in X.cofaces) == max(n for n, _ in X.codegeneracies) == X.N

@@ -72,6 +72,41 @@ def test_a_composite_must_name_an_arrow():
     with pytest.raises(ValidationError) as err:
         finite_category("c", ("0",), [("s", "0", "0")], {("s", "s"): "nope"})
     assert str(err.value) == "c: composite at (s, s) is 'nope', not an arrow"
+    with pytest.raises(ValidationError) as err:
+        finite_category("c", ("0",), [("s", "0", "0")])
+    assert str(err.value) == "c: composite of ('s', 's') unspecified"
+
+
+def _two_object_category(arrows=(), table=(), identities=None):
+    """Objects 0 and 1 with identities id_0, id_1 and s: 0 -> 1, whose table
+    is complete and correct unless `arrows`, `table` (a None entry drops the
+    composite) or `identities` say otherwise."""
+    good = {("id_0", "id_0"): "id_0", ("id_1", "id_1"): "id_1", ("id_0", "s"): "s", ("s", "id_1"): "s"}
+    return FiniteCategory(
+        "c",
+        ("0", "1"),
+        [Arrow("id_0", "0", "0"), Arrow("id_1", "1", "1"), Arrow("s", "0", "1"), *arrows],
+        {k: h for k, h in (good | dict(table)).items() if h is not None},
+        {"0": "id_0", "1": "id_1"} if identities is None else identities,
+    )
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"arrows": [Arrow("t", "1", "2")]}, "arrow t has unknown endpoint"),
+        ({"identities": {"0": "id_0"}}, "bad identity for 1"),
+        ({"identities": {"0": "id_0", "1": "nope"}}, "bad identity for 1"),
+        ({"identities": {"0": "s", "1": "id_1"}}, "bad identity for 0"),
+        ({"table": {("id_0", "s"): None}}, "composition missing at (id_0, s)"),
+        ({"table": {("id_0", "s"): "id_0"}}, "ill-typed composite at (id_0, s)"),
+    ],
+)
+def test_a_category_table_must_be_well_typed_and_total(kwargs, message):
+    assert _two_object_category().compose("id_0", "s") == "s"
+    with pytest.raises(ValidationError) as err:
+        _two_object_category(**kwargs)
+    assert str(err.value) == f"c: {message}"
 
 
 @pytest.mark.parametrize(
@@ -100,6 +135,14 @@ def test_a_category_table_must_satisfy_the_laws(changes, message):
         (lambda doc: doc["box0_objects"].update({"1 1": "1"}), "box0 not strictly associative"),
         (lambda doc: doc["box1_arrows"].pop("id_1 id_2"), "box1 arrow table not total"),
         (lambda doc: doc["interchange"].pop("0 1 2 0"), "interchange table not total"),
+        (lambda doc: doc["box0_objects"].pop("1 2"), "box0 object table not total at (1, 2)"),
+        (lambda doc: doc["box1_objects"].update({"0 1": "2"}), "box1 not strictly unital at 1"),
+        (lambda doc: doc["box0_arrows"].update({"id_1 id_1": "id_0"}), "box0 arrow table ill-typed at (id_1, id_1)"),
+        (lambda doc: doc["interchange"].update({"0 1 2 0": "id_1"}), "interchange ill-typed at ('0', '1', '2', '0')"),
+        (lambda doc: doc.update(delta_e="id_1"), "delta_e ill-typed"),
+        (lambda doc: doc.update(e="3"), "unit of box0 is not an object"),
+        (lambda doc: doc.update(v="3"), "unit of box1 is not an object"),
+        (lambda doc: doc["interchange"].update({"0 1 2 0": "id_3"}), "interchange entry ('0', '1', '2', '0') is not an arrow"),
     ],
 )
 def test_a_duoidal_table_must_be_strict_and_total(corrupt, message):

@@ -143,7 +143,11 @@ def _random_map(rng, dom, cod, depth):
         return D.identity(dom)
     if choice == 2:
         mid = _random_word(rng)
-        return D.compose(_random_map(rng, dom, mid, depth - 1), _random_map(rng, mid, cod, depth - 1))
+        f, g = _random_map(rng, dom, mid, depth - 1), _random_map(rng, mid, cod, depth - 1)
+        fg = D.compose(f, g)
+        # whatever normal form compose builds, it is g after f at every point
+        assert _pointwise(fg, CartMap(dom, cod, fn=lambda t: g.apply(f.apply(t))))
+        return fg
     if choice == 3:
         # cut both words into the same number of (possibly zero-letter) pieces
         k = rng.randint(1, 3)
@@ -169,6 +173,59 @@ def test_maps_equal_agrees_with_the_pointwise_comparison():
             assert D.maps_equal(lhs, rhs) is _pointwise(lhs, rhs)
         assert D.maps_equal(f, _tabled(f))
     assert kinds == {None, "id", "then", "tensor"}
+
+
+def test_compose_builds_the_normal_form():
+    f = CartMap(X, Y, table={("p",): (0,), ("q",): (2,)})
+    g = CartMap(Y, X, table={(0,): ("q",), (1,): ("q",), (2,): ("p",)})
+    h = CartMap(X, X, table={("p",): ("q",), ("q",): ("q",)})
+    # (a) an identity on either side gives the other map
+    assert D.compose(D.identity(X), f) is f and D.compose(f, D.identity(Y)) is f
+    # (b) a composite's second part is never a composite
+    fgh = D.compose(f, D.compose(g, h))
+    assert fgh.parts[0] == "then" and fgh.parts[2] is h and fgh.parts[1].parts[1:] == (f, g)
+    # (c) tensors whose factors meet one to one compose factorwise
+    fused = D.compose(D.tensor_map(0, [f, g]), D.tensor_map(1, [g, f]))
+    assert fused.parts[0] == "tensor" and [p.parts[1:] for p in fused.parts[1:]] == [(f, g), (g, f)]
+    assert _pointwise(fused, CartMap(X + Y, X + Y, fn=lambda t: (g.apply(f.apply(t[:1])) + f.apply(g.apply(t[1:])))))
+    # (d) a composite on the empty word stores its one value
+    point = CartMap((), X, fn=lambda t: ("p",))
+    const = D.compose(point, f)
+    assert const._memo is not None and const.apply(()) == (0,) and const._memo == {(): (0,)}
+
+
+def test_compose_fuses_only_tensors_whose_factors_meet():
+    f1 = CartMap((A2,), (A2, B3), fn=lambda t: (t[0], "r"))
+    f2 = CartMap((B3,), (A2,), fn=lambda t: (1,))
+    g1 = CartMap((A2,), (A2,), fn=lambda t: (1 - t[0],))
+    g2 = CartMap((B3, A2), (B3,), fn=lambda t: t[:1])
+    h1 = CartMap((A2, B3), (A2,), fn=lambda t: t[:1])
+    h2 = CartMap((A2,), (B3,), fn=lambda t: ("s",))
+    h3 = CartMap((), (B3,), fn=lambda t: ("t",))
+    cases = [
+        # the first two factors meet, but g has a third
+        (D.tensor_map(0, [f1, f2]), D.tensor_map(1, [h1, h2, h3])),
+        # as many factors, but f1's codomain is not g1's domain
+        (D.tensor_map(0, [f1, f2]), D.tensor_map(1, [g1, g2])),
+    ]
+    for f, g in cases:
+        fg = D.compose(f, g)
+        assert fg.parts == ("then", f, g)
+        assert _pointwise(fg, CartMap(f.dom, g.cod, fn=lambda t: g.apply(f.apply(t))))
+        assert D.maps_equal(fg, _tabled(fg))
+
+
+def test_compose_checks_the_middle_objects_before_any_rule():
+    f = CartMap(X, Y, table={("p",): (0,), ("q",): (2,)})
+    g = CartMap(Y, X, table={(0,): ("q",), (1,): ("q",), (2,): ("p",)})
+    for lhs, rhs in [
+        (D.identity(X), D.identity(Y)),  # (a) would return either side
+        (f, D.compose(f, g)),  # (b) would reassociate
+        (D.tensor_map(0, [f, f]), D.tensor_map(0, [f, f])),  # (c) would fuse factorwise
+        (CartMap((), X, fn=lambda t: ("p",)), D.identity(Y)),  # (d) would memoize
+    ]:
+        with pytest.raises(ValueError, match="middle objects differ"):
+            D.compose(lhs, rhs)
 
 
 def test_maps_equal_finds_a_change_at_the_last_point_inside_a_tensor():

@@ -200,6 +200,23 @@ def test_cofaces_match_oracle_extensionally_small():
                 )
 
 
+def test_a_substituting_coface_computes_its_constant_inner_tensor_once():
+    m = cyclic(3)
+    M = k_monoid_from_monoid(m, K)
+    A = multiplicative_from_k_monoid(M, bound=3)
+    d = coface(A, 1, 1)
+    # the feed of gamma is the tensor of m(2) in the inner slot with A(1)'s identity
+    feed, _ = d.parts[1:]
+    inner, ident = feed.parts[1:]
+    assert feed.parts[0] == "tensor" and ident.parts == ("id",) and not inner.dom
+    oracle = hochschild_oracle_coface(m, K, 1, 1, carrier=M.carrier)
+    points = word_elements(d.dom)[:2]
+    for point in points:
+        assert d.apply(point) == oracle.apply(point)
+    assert d.apply(points[0]) != d.apply(points[1])
+    assert list(inner._memo) == [()]
+
+
 def test_commutative_monoid_has_equal_outer_cofaces():
     M = k_monoid_from_monoid(cyclic(3), K)
     A = multiplicative_from_k_monoid(M, bound=3)

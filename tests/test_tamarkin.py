@@ -90,6 +90,37 @@ def test_cat_functor_rejects_a_broken_functor_law(patch, fault):
         CatFunctor("F", ch3, bz2, objects, {**good, **patch})
 
 
+@pytest.mark.parametrize(
+    "objects, arrows, fault",
+    [
+        ({"0": None}, {}, "no image for object 0"),
+        ({"0": "3"}, {}, "no image for object 0"),
+        ({}, {"f12": None}, "no image for arrow f12"),
+        ({}, {"f02": "f2"}, "no image for arrow f02"),
+        ({}, {"f01": "f12"}, "ill-typed image of f01"),
+        ({"2": "1"}, {"id_2": "id_1"}, "ill-typed image of f12"),
+    ],
+)
+def test_cat_functor_rejects_a_missing_or_ill_typed_image(objects, arrows, fault):
+    """The identity functor of the composable pair 0 -> 1 -> 2 with its
+    tables patched; a patch to None drops the entry."""
+    ch3 = composable_pair_cat()
+
+    def patched(table, patch):
+        return {k: v for k, v in ({k: k for k in table} | patch).items() if v is not None}
+
+    with pytest.raises(ValidationError) as err:
+        CatFunctor("F", ch3, ch3, patched(ch3.objects, objects), patched(ch3.arrows, arrows))
+    assert str(err.value) == f"functor F: {fault}"
+
+
+def test_natural_transformations_need_a_parallel_pair():
+    F, G = identity_functor(composable_pair_cat()), identity_functor(bz2_cat())
+    with pytest.raises(ValidationError) as err:
+        natural_transformations(F, G)
+    assert str(err.value) == "natural transformations need a parallel functor pair"
+
+
 def test_cat_valued_functor_checks_both_functor_laws():
     bz2, ch3 = bz2_cat(), composable_pair_cat()
     collapse = CatFunctor("collapse", bz2, bz2, {"*": "*"}, {"id_*": "id_*", "s": "id_*"})
