@@ -20,6 +20,12 @@ Applied at a code (`at`), it stores its value there, one `report.Memo` per
 globe; a tensor of maps and the interchange are planned per chain: `_parts`
 splits a chain among the factors once per chain, not once per element.
 
+`compose` builds every composite in normal form by identities of maps, so
+no value changes: (a) identities drop out, by the unit laws; (b) composites
+nest to the left, by associativity; (c) two tensor-t maps whose factors meet
+compose factorwise, as tensor t is a bifunctor; t must match, as box0 and
+box1 are different functors.  `maps_equal` lists a fused tensor as a product.
+
 `maps_equal` compares two maps' image tables, one globe at a time, each
 listed in the order of the domain's codes and built from how the map was
 made (`SpanMor.parts`), as a finite function is its vector of images
@@ -164,7 +170,7 @@ class SpanMor:
 
     It stores its value at each code it is applied to (`at`), one `Memo`
     per globe.  `parts` records how an identity ("id",), a composite
-    ("then", f, g) or a tensor ("tensor", fs, arities, plans) was built, so
+    ("then", f, g) or a tensor ("tensor", t, fs, arities, plans) was built, so
     that `SpanDuoidal.maps_equal` lists its images from its parts' images
     (`SpanDuoidal._table`); it is None otherwise.
     """
@@ -265,11 +271,9 @@ class SpanDuoidal(Tensors):
         return tuple(len(self._factors(t, x)) for x in xs)
 
     def _factors(self, t, x):
-        if x == self._units[t]:
-            return ()
-        if isinstance(x, SpanNode) and x.kind == _NODE_KINDS[t]:
-            return x.children
-        return (x,)
+        if isinstance(x, SpanNode):  # the units are atoms, equal by their keys
+            return x.children if x.kind == _NODE_KINDS[t] else (x,)
+        return () if x.key == self._units[t].key else (x,)
 
     def tensor(self, t, xs):
         """The flattened tensor-t product (0 = horizontal, 1 = vertical)."""
@@ -431,7 +435,7 @@ class SpanDuoidal(Tensors):
             return self._images(f.parts[2], globe, self._table(f.parts[1], globe, cid))
         if kind != "tensor":
             return self._images(f, globe, self._codes[f.dom, globe] if cid is None else self._blocks[f.dom, cid])
-        fs, arities, plans = f.parts[1:]
+        fs, arities, plans = f.parts[2:]
         if sum(arities) <= 1:
             keys, whole = [(globe, None)], cid
         else:
@@ -459,10 +463,24 @@ class SpanDuoidal(Tensors):
         return SpanMor(self, x, x, lambda g, c: c, ("id",))
 
     def compose(self, f, g):
-        """f then g."""
+        """f then g, in normal form once the middle objects are checked:
+        (a) id;g = g and f;id = f, the unit laws; (b) f;(g1;g2) = (f;g1);g2,
+        associativity; (c) tensor-t maps whose factors meet compose factorwise,
+        tensor t being a bifunctor (one t: box0 and box1 are different functors)."""
         if f.cod != g.dom:
             raise ValueError("compose: middle objects differ")
-        f, g = self._coded(f), self._coded(g)
+        return self._then(self._coded(f), self._coded(g))
+
+    def _then(self, f, g):
+        """`compose` of this instance's maps, whose middle objects are known to be equal."""
+        (kf, *fs), (kg, *gs) = f.parts or (None,), g.parts or (None,)
+        if kf == "id" or kg == "id":
+            return g if kf == "id" else f
+        if kg == "then":
+            return self._then(self._then(f, gs[0]), gs[1])
+        if kf == kg == "tensor" and fs[0] == gs[0] and len(fs[1]) == len(gs[1]):
+            if all(a.cod == b.dom for a, b in zip(fs[1], gs[1])):
+                return self.tensor_map(fs[0], map(self._then, fs[1], gs[1]))
         f_rows, g_rows = f._rows, g._rows
         return SpanMor(self, f.dom, g.cod, lambda gl, c: g_rows[gl][f_rows[gl][c]], ("then", f, g))
 
@@ -536,7 +554,7 @@ class SpanDuoidal(Tensors):
             return joined([row[read(code)] for row, read in steps])
 
         dom, cod = self.tensor(t, doms), self.tensor(t, cods)
-        return SpanMor(self, dom, cod, act, ("tensor", fs, dom_arities, plans))
+        return SpanMor(self, dom, cod, act, ("tensor", t, fs, dom_arities, plans))
 
     # -- duoidal structure ----------------------------------------------
     def interchange(self, a, b, c, d):

@@ -6,7 +6,7 @@ import pytest
 
 from duoidal_kit.duoidal import check_duoidal_axioms, derived_unit_comparison
 from duoidal_kit.instances import arrow_cat, bz2_cat, cat_one, composable_pair_cat, parallel_pair_cat
-from duoidal_kit.report import sorted_elements
+from duoidal_kit.report import SizeError, sorted_elements
 from duoidal_kit.spans import (
     Globe,
     SpanAtom,
@@ -503,6 +503,11 @@ def _pointwise_equal(D, f, g):
     return True
 
 
+def _then_on_values(D, f, g):
+    """f then g as a map given on values."""
+    return D.value_map(f.dom, g.cod, lambda gl, x: g.apply(gl, f.apply(gl, x)))
+
+
 def _size(D, obj):
     return sum(len(D.fiber(obj, g)) for g in D.support(obj))
 
@@ -511,8 +516,19 @@ def _span_maps(D, t, rng, rounds):
     """Random nested composites and tensors (of both kinds) of `hom` and
     `value_map` maps, starting from maps that cover identities, unit
     factors, a map of domain arity 1 and codomain arity 0, a map into a
-    tensor whose image chains vary per element, and interchanges."""
+    tensor whose image chains vary per element, and interchanges.  Every
+    composite is checked against f then g applied on values, and at least
+    one of them must be a tensor fused factorwise."""
     cat = D.cat
+    fused = 0
+
+    def compose(f, g):
+        nonlocal fused
+        fg = D.compose(f, g)
+        assert _pointwise_equal(D, fg, _then_on_values(D, f, g))
+        fused += fg is not f and fg is not g and (fg.parts or (None,))[0] == "tensor"
+        return fg
+
     globes = all_globes(cat)
     units = (D.e, D.v)[t], (D.e, D.v)[1 - t]
     unit_globes = D.support(units[0])
@@ -541,7 +557,7 @@ def _span_maps(D, t, rng, rounds):
     ]
     # factors of domain arity 2: a tensor of the other kind with a unit factor, and a composite
     inner = D.tensor_map(1 - t, (D.value_map(XY, XY, lambda g, el: el), D.identity(units[1])))
-    maps += [D.tensor_map(t, (inner, swap)), D.tensor_map(t, (D.compose(inner, xy_swap), swap))]
+    maps += [D.tensor_map(t, (inner, swap)), D.tensor_map(t, (compose(inner, xy_swap), swap))]
     maps.append(D.value_map(X, XY, to_node))
     maps += D.hom(X, X)[1:3] + D.hom(X0, X0)[:2]
     maps += [D.identity(x) for x in (X, Y, X0, XY, units[0], units[1])]
@@ -551,11 +567,12 @@ def _span_maps(D, t, rng, rounds):
             f = rng.choice(maps)
             then = [g for g in maps if g.dom == f.cod]
             if then:
-                maps.append(D.compose(f, rng.choice(then)))
+                maps.append(compose(f, rng.choice(then)))
             continue
         F = D.tensor_map(t if kind == 1 else 1 - t, [rng.choice(maps) for _ in range(rng.randint(1, 3))])
         if 0 < _size(D, F.dom) <= 200 and _size(D, F.cod) <= 400:
             maps.append(F)
+    assert fused
     return maps
 
 
@@ -642,3 +659,79 @@ def test_a_map_moving_a_globe_is_caught_by_its_plan(build, message):
     D._compose = (lambda g1, g2: stray,) * 2
     with pytest.raises(AssertionError, match=message):
         D.maps_equal(F, F)
+
+
+def _constant(D, dom, cod):
+    """The map sending every element over a globe to the first element of cod there."""
+    return D.value_map(dom, cod, lambda g, x: D.fiber(cod, g)[0])
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_compose_builds_the_normal_form(par, t):
+    cat, D = par
+    X = D.atom("X", {g: ("x1", "x2") for g in all_globes(cat)})
+    Y = D.atom("Y", {g: ("y",) for g in all_globes(cat)})
+    swap, to_y, to_x = D.value_map(X, X, _swap), _constant(D, X, Y), _constant(D, Y, X)
+    # (a) an identity on either side gives the other map
+    for f, g in [(D.identity(X), swap), (swap, D.identity(X))]:
+        assert D.compose(f, g) is swap and _pointwise_equal(D, swap, _then_on_values(D, f, g))
+    # (b) a composite's second part is never a composite
+    yx = D.compose(to_y, to_x)
+    fgh = D.compose(swap, yx)
+    assert fgh.parts[0] == "then" and fgh.parts[2] is to_x and fgh.parts[1].parts[1:] == (swap, to_y)
+    assert _pointwise_equal(D, fgh, _then_on_values(D, swap, yx))
+    # (c) tensor-t maps whose factors meet one to one compose factorwise
+    f, g = D.tensor_map(t, [swap, to_y]), D.tensor_map(t, [to_y, to_x])
+    fused = D.compose(f, g)
+    assert fused.parts[:2] == ("tensor", t) and [h.parts[1:] for h in fused.parts[2]] == [(swap, to_y), (to_y, to_x)]
+    assert D.support(f.dom) and _pointwise_equal(D, fused, _then_on_values(D, f, g))
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_compose_fuses_only_tensors_whose_factors_meet(par, t):
+    cat, D = par
+    X, Y, Z = (D.atom(n, {g: (n + "1", n + "2") for g in all_globes(cat)}) for n in "XYZ")
+    XY, YZ = D.tensor(t, (X, Y)), D.tensor(t, (Y, Z))
+    swap = D.value_map(X, X, _swap)
+    cases = [
+        # both tensors end at X, Y, Z, but g has a third factor
+        (D.tensor_map(t, [swap, _constant(D, Y, YZ)]), D.tensor_map(t, [_constant(D, c, c) for c in (X, Y, Z)])),
+        # as many factors, but f's first factor ends at X, Y where g's starts at X
+        (D.tensor_map(t, [_constant(D, X, XY), _constant(D, Y, Z)]), D.tensor_map(t, [swap, _constant(D, YZ, Y)])),
+        # one factor each, but tensors of different kinds
+        (D.tensor_map(t, [swap]), D.tensor_map(1 - t, [swap])),
+    ]
+    for f, g in cases:
+        fg = D.compose(f, g)
+        assert fg.parts == ("then", f, g)
+        assert D.support(f.dom) and _pointwise_equal(D, fg, _then_on_values(D, f, g))
+        assert D.maps_equal(fg, _then_on_values(D, f, g))
+
+
+def test_compose_checks_the_middle_objects_before_any_rule(par):
+    cat, D = par
+    X = D.atom("X", {g: ("x1", "x2") for g in all_globes(cat)})
+    Y = D.atom("Y", {g: ("y",) for g in all_globes(cat)})
+    to_y, to_x = _constant(D, X, Y), _constant(D, Y, X)
+    for lhs, rhs in [
+        (D.identity(X), D.identity(Y)),  # (a) would return either side
+        (to_y, D.compose(to_y, to_x)),  # (b) would reassociate
+        (D.tensor_map(0, [to_y, to_y]), D.tensor_map(0, [to_y, to_y])),  # (c) would fuse factorwise
+    ]:
+        with pytest.raises(ValueError, match="^compose: middle objects differ$"):
+            D.compose(lhs, rhs)
+
+
+def test_spans_rejections_say_what_is_wrong(par):
+    cat, D = par
+    X = D.atom("X", {g: ("x1", "x2") for g in all_globes(cat)})
+    uu, ww, stray = Globe("0", "1", "u", "u"), Globe("0", "1", "w", "w"), Globe("0", "1", "u", "z")
+    for build, error, message in [
+        (lambda: D.atom("S", {stray: ("s",)}), ValueError, "atom S: globe (0,1,u,z) not in the base"),
+        (lambda: hcompose(cat, uu, uu), ValueError, "globes not horizontally composable"),
+        (lambda: vcompose(uu, ww), ValueError, "globes not vertically composable"),
+        (lambda: D.hom(X, X, cap=1000), SizeError, "span hom set exceeds cap"),  # 4 tables on each of 6 globes
+    ]:
+        with pytest.raises(error) as err:
+            build()
+        assert str(err.value) == message
