@@ -25,7 +25,7 @@ from .kcat import (
     und_compose,
     und_odot,
 )
-from .report import CheckReport, Memo, evaluate
+from .report import CheckReport, Memo, SizeError, evaluate
 
 
 class OneOperad:
@@ -496,10 +496,27 @@ def certify_cosimplicial_generic(N: int = 4) -> CheckReport:
 class CosimplicialObject:
     D: object  # the instance of the maps; None for a weight system, whose maps are dicts
     levels: dict  # n -> object
-    cofaces: dict  # (n, i) -> map level n -> level n+1
-    codegeneracies: dict  # (n, i) -> map level n+1 -> level n
+    cofaces: dict  # (n, i) -> map level n -> level n+1; a `Memo` built on first use, or a dict
+    codegeneracies: dict  # (n, i) -> map level n+1 -> level n; likewise
     N: int
     name: str = "cosimplicial"
+
+    def __post_init__(self):
+        """`coface_images` and `codegeneracy_images` map (n, i, fiber key, point)
+        to the point's image under d^i or s^i at level n.  They fill on first use
+        and live as long as this object, so every totalization of it applies each
+        map once per point.  An image holding an `FnElt` raises `SizeError`."""
+        D, name = self.D, self.name  # not self, so that the memos make no cycle
+
+        def image(maps, shift, key):
+            n, i, fiber, x = key
+            y = D.apply_at(maps[n, i], fiber, x)
+            if isinstance(y, tuple) and any(isinstance(e, FnElt) for e in y):  # an FnElt compares by identity
+                raise SizeError(f"level {n + shift} of {name} holds lazy function elements, not values")
+            return y
+
+        self.coface_images = Memo(lambda key, maps=self.cofaces: image(maps, 1, key))
+        self.codegeneracy_images = Memo(lambda key, maps=self.codegeneracies: image(maps, 0, key))
 
     def level(self, n):
         return self.levels[n]

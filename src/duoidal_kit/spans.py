@@ -277,12 +277,14 @@ class SpanDuoidal(Tensors):
 
     def tensor(self, t, xs):
         """The flattened tensor-t product (0 = horizontal, 1 = vertical)."""
-        flat = tuple(c for x in xs for c in self._factors(t, x))
-        if not flat:
-            return self._units[t]
+        return self._of_factors(t, [self._factors(t, x) for x in xs])
+
+    def _of_factors(self, t, factors):
+        """The tensor-t product of objects given by their factor lists."""
+        flat = tuple(itertools.chain.from_iterable(factors))
         if len(flat) == 1:
             return flat[0]
-        return self._nodes[t, flat]
+        return self._nodes[t, flat] if flat else self._units[t]
 
     # -- fibers and codes --------------------------------------------------
     def chains(self, t, globe, k):
@@ -534,10 +536,10 @@ class SpanDuoidal(Tensors):
         fs = [self._coded(f) for f in fs]
         if not fs:
             return self.identity(self._units[t])
-        doms = [f.dom for f in fs]
-        cods = [f.cod for f in fs]
-        dom_arities = self.arities(t, doms)
-        cod_arities = self.arities(t, cods)
+        dom_factors = [self._factors(t, f.dom) for f in fs]
+        cod_factors = [self._factors(t, f.cod) for f in fs]
+        dom_arities = tuple(map(len, dom_factors))
+        cod_arities = tuple(map(len, cod_factors))
         chained = sum(dom_arities) > 1
 
         def plan(key):
@@ -553,7 +555,7 @@ class SpanDuoidal(Tensors):
             _, steps, joined = plans[globe, code[0] if chained else None]
             return joined([row[read(code)] for row, read in steps])
 
-        dom, cod = self.tensor(t, doms), self.tensor(t, cods)
+        dom, cod = self._of_factors(t, dom_factors), self._of_factors(t, cod_factors)
         return SpanMor(self, dom, cod, act, ("tensor", t, fs, dom_arities, plans))
 
     # -- duoidal structure ----------------------------------------------

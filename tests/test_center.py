@@ -168,6 +168,25 @@ def test_totalize_rejects_level_zero():
         totalize(D, X3, constant_weights(N=2), N=3)
 
 
+def test_totalize_rejects_a_level_beyond_the_object():
+    A = multiplicative_from_k_monoid(k_monoid_from_monoid(cyclic(2), K), bound=4)
+    X = cosimplicial_from_multiplicative(A, 2)
+    with pytest.raises(ValueError, match="cosimplicial object only defined to level 3"):
+        totalize(D, X, constant_weights(), N=3)
+
+
+def test_totalize_rejects_a_level_of_lazy_function_elements():
+    """Past the enumeration cap the cofaces return `FnElt`s, which compare by
+    identity: s3^7 has 279,936 points, so level 7 is where the points stop
+    being values."""
+    s3 = next(m for m in monoid_corpus() if m.name == "s3")
+    A = multiplicative_from_k_monoid(k_monoid_from_monoid(s3, K), bound=8)
+    X = cosimplicial_from_multiplicative(A, 7)
+    assert len(totalize(D, X, constant_weights(7), N=6).families[None]) == 1
+    with pytest.raises(SizeError, match=r"^level 7 of end\(s3\) holds lazy function elements"):
+        totalize(D, X, constant_weights(7), N=7)
+
+
 def _edge_weights(N=1):
     """The cosimplicial set of monotone maps [1] -> [n], as pairs a <= b:
     the edge (0, 1) of level 1 is hit by no coface, so it is a free slot."""
@@ -239,16 +258,45 @@ class _CountingFinSet(CartesianFinSet):
         return super().apply_at(f, key, elt)
 
 
-@pytest.mark.parametrize("weights", [constant_weights, ordinal_weights, reversed_ordinal_weights])
+_WEIGHTS = (constant_weights, ordinal_weights, reversed_ordinal_weights)
+
+
+def _level3_object(m, D=D):
+    """The cosimplicial object of a monoid to level 4, over the instance D."""
+    A = multiplicative_from_k_monoid(k_monoid_from_monoid(m, CartesianSelfEnriched(D)), bound=4)
+    return cosimplicial_from_multiplicative(A, 3)
+
+
+@pytest.mark.parametrize("weights", _WEIGHTS)
 def test_totalize_applies_each_coface_and_codegeneracy_once_per_point(weights):
     """Every (map, point) pair reaches `apply_at` once: the families share the
     images of their points."""
-    A = multiplicative_from_k_monoid(k_monoid_from_monoid(cyclic(6), K), bound=4)
-    X = cosimplicial_from_multiplicative(A, 3)
     counting = _CountingFinSet()
-    tot = totalize(counting, X, weights(), N=3)
-    assert tot.families == totalize(D, X, weights(), N=3).families
+    tot = totalize(counting, _level3_object(cyclic(6), counting), weights(), N=3)
+    assert tot.families == totalize(D, _level3_object(cyclic(6)), weights(), N=3).families
     assert len(counting.calls) == len(set(counting.calls)) > 0
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_totalizations_sharing_an_object_match_those_of_fresh_objects(order):
+    for m in monoid_corpus():
+        X = _level3_object(m)
+        for weights in _WEIGHTS[::order]:
+            shared = totalize(D, X, weights(), N=3)
+            fresh = totalize(D, _level3_object(m), weights(), N=3)
+            assert vars(shared) == vars(fresh), (m.name, weights.__name__)
+
+
+def test_each_object_applies_each_map_once_per_point_across_weights():
+    """The 20 corpus monoids at N = 3 under the three weight systems: 1,350
+    applications, where images kept per totalization would make 3,594."""
+    counting = _CountingFinSet()
+    objects = [_level3_object(m, counting) for m in monoid_corpus()]
+    for _ in range(2):  # the second pass finds every image kept
+        for X in objects:
+            for weights in _WEIGHTS:
+                totalize(counting, X, weights(), N=3)
+        assert len(counting.calls) == len(set(counting.calls)) == 1350
 
 
 def test_each_multiplication_stores_its_one_value():

@@ -156,6 +156,14 @@ def test_delta_center_exit_codes():
         assert "stabilized: True (from level 1)" in out.stdout
 
 
+def test_delta_center_rejects_a_level_of_lazy_function_elements():
+    """s3^7 has more points than the enumeration cap, so level 7 holds lazy
+    function elements, which have no value to compare."""
+    out = run_cli("delta-center", "--monoid", str(CORPUS / "s3.json"), "--levels", "7")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: level 7 of end(s3) holds lazy function elements, not values\n"
+
+
 def test_tamarkin_subcommand():
     """The whole output of the four corpus runs: both functor files, with
     constant and with ordinal weights, at the default level 2 and computed
