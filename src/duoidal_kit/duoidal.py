@@ -27,6 +27,14 @@ class Tensors:
     of objects, and `tensor_map(t, fs)`, that of a sequence of maps; the
     empty product is the unit of tensor t.  Tensor 0 is box0 with unit e,
     tensor 1 is box1 with unit v.
+
+    Maps record how they were built in `parts`: ("id",), ("then", f, g),
+    ("tensor", t, fs, ...) or None.  `compose` builds normal forms, and
+    `_table` lists a map's images from its parts, a finite function being its
+    vector of images (Patterson, Lynch & Fairbanks, 2022).  An instance gives
+    `_composite(f, g)`; `_points(obj, key)`, at a key such as a size cap or a
+    globe and chain; `_read(f, key, xs)`, the images of a map of no rule;
+    and `_factor_keys(f, key)`, (factor keys, join) pairs of a tensor.
     """
 
     @property
@@ -48,6 +56,58 @@ class Tensors:
 
     def box1_map(self, f, g):
         return self.tensor_map(1, (f, g))
+
+    def dom(self, f):
+        return f.dom
+
+    def cod(self, f):
+        return f.cod
+
+    def memoize(self, f):
+        return f
+
+    def compose(self, f, g):
+        """f then g, in normal form once the middle objects are checked:
+        (a) id;g = g and f;id = f, the unit laws; (b) f;(g1;g2) = (f;g1);g2,
+        associativity; (c) tensor-t maps whose factors meet compose
+        factorwise, tensor t being a bifunctor (one t: box0 and box1 may be
+        different functors)."""
+        if f.cod != g.dom:
+            raise ValueError("compose: middle objects differ")
+        (kf, *fs), (kg, *gs) = f.parts or (None,), g.parts or (None,)
+        if kf == "id" or kg == "id":
+            return g if kf == "id" else f
+        if kg == "then":
+            return self.compose(self.compose(f, gs[0]), gs[1])
+        if kf == kg == "tensor" and fs[0] == gs[0] and len(fs[1]) == len(gs[1]):
+            if all(a.cod == b.dom for a, b in zip(fs[1], gs[1])):
+                return self.tensor_map(fs[0], map(self.compose, fs[1], gs[1]))
+        return self._composite(f, g)
+
+    def _images(self, f, key, xs):
+        """An iterable of f's images at the points xs over key, in order: an
+        identity's are the points, a composite's are its second map's images
+        at its first map's, and any other map's are read (`_read`)."""
+        kind = f.parts[0] if f.parts else None
+        if kind == "id":
+            return xs
+        if kind == "then":
+            return self._images(f.parts[2], key, self._images(f.parts[1], key, xs))
+        return self._read(f, key, xs)
+
+    def _table(self, f, key):
+        """`_images(f, key, _points(f.dom, key))`, a composite's read at its
+        first map's table, a tensor's per entry of `_factor_keys` as the
+        product of its factors' tables, each listed once over its own key."""
+        kind = f.parts[0] if f.parts else None
+        if kind == "then":
+            return self._images(f.parts[2], key, self._table(f.parts[1], key))
+        if kind != "tensor":
+            return self._images(f, key, self._points(f.dom, key))
+        return itertools.chain.from_iterable(
+            map(joined, itertools.product(*map(self._table, f.parts[2], keys)))
+            for keys, joined in self._factor_keys(f, key)
+        )
 
 
 def chain(D, *maps):

@@ -241,10 +241,6 @@ class TableDuoidal(Tensors):
     def maps_equal(self, f, g, cap=None):
         return f == g
 
-    def memoize(self, f):
-        """Maps are arrow names; there is nothing to store."""
-        return f
-
     def tensor(self, t, xs):
         """Fold the object table of tensor t over xs.  The tensor is strictly
         unital, so the fold starts at the first factor."""

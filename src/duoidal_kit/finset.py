@@ -7,14 +7,12 @@ hold on the nose with the empty word as both units.  Function-set letters
 resolve their elements lazily, which keeps endomorphism components such as
 Set(M^n, M) representable without ever enumerating them.
 
-`compose` builds every composite in a normal form by four identities of
-maps, so no value changes: (a) identities drop out; (b) composites nest to
-the left, by associativity; (c) tensors whose factors meet compose
-factorwise, since the product is a bifunctor; (d) a map out of the empty
-word, which has one point, stores its one value.  A map is applied point by
-point; `maps_equal` instead compares two maps' images over the whole domain,
-each computed from how the map was made, so that a tensor of maps evaluates
-each factor once per point of its own domain.
+`compose` builds every composite in the normal form of `Tensors.compose`,
+and adds a fourth identity of maps: (d) a map out of the empty word, which
+has one point, stores its one value.  A map is applied point by point;
+`maps_equal` instead compares two maps' image tables (`Tensors._table`)
+over the whole domain, so that a tensor of maps evaluates each factor once
+per point of its own domain.
 """
 
 from __future__ import annotations
@@ -184,8 +182,9 @@ class CartMap:
     `_memo` holds the values the map stores: its `table`, which for a
     memoized map (see `CartesianFinSet.memoize`) fills in at each point the
     map is applied to.  `parts` records how an identity ("id",), a composite
-    ("then", f, g) or a tensor ("tensor", f1, ..., fn) was built, so that
-    `_table` lists its images from its parts' images; it is None otherwise.
+    ("then", f, g) or a tensor ("tensor", 0, fs) was built (t is 0 for both
+    tensors, which are the product), so that `Tensors._table` lists its
+    images from its parts' images; it is None otherwise.
     """
 
     __slots__ = ("dom", "cod", "apply", "_memo", "parts")
@@ -201,40 +200,6 @@ class CartMap:
         return f"CartMap({len(self.dom)} letters -> {len(self.cod)} letters)"
 
 
-def _images(f, xs):
-    """An iterable of f's images at the points xs, in order, each computed as
-    it is read."""
-    kind, *fs = f.parts or (None,)
-    if kind == "id":
-        return xs
-    if kind == "then":
-        return _images(fs[1], _images(fs[0], xs))
-    if kind != "tensor":
-        return map(f.apply, xs)
-    xs, a = list(xs), 0
-    out = [()] * len(xs)
-    for g in fs:
-        b = a + len(g.dom)
-        out, a = map(tuple.__add__, out, _images(g, map(operator.itemgetter(slice(a, b)), xs))), b
-    return out
-
-
-def _table(f, cap):
-    """`_images(f, word_elements(f.dom, cap))`, a tensor's as the product of its
-    factors' tables, each listed once over its own domain: the elements of a
-    word are the lexicographic product of its letters' elements.
-    """
-    kind, *fs = f.parts or (None,)
-    if kind == "then":
-        return _images(fs[1], _table(fs[0], cap))
-    if kind != "tensor":
-        return _images(f, word_elements(f.dom, cap))
-    out = [()]
-    for g in fs:
-        out = itertools.starmap(tuple.__add__, itertools.product(out, _table(g, cap)))
-    return out
-
-
 class CartesianFinSet(Tensors):
     """The cartesian duoidal instance: both tensors are the product."""
 
@@ -246,36 +211,36 @@ class CartesianFinSet(Tensors):
         return None  # virtual: unboundedly many words
 
     # -- morphisms -----------------------------------------------------
-    def dom(self, f):
-        return f.dom
-
-    def cod(self, f):
-        return f.cod
-
     def identity(self, x):
         return CartMap(x, x, fn=tuple, parts=("id",))  # tuple(t) is t for a point t
 
     def compose(self, f, g):
-        """f then g (diagrammatic order), in normal form once the middle
-        objects are checked: (a) id;g = g and f;id = f; (b) f;(g1;g2) =
-        (f;g1);g2; (c) (f1 x .. x fk);(g1 x .. x gk) = (f1;g1) x .. x (fk;gk)
-        when each fi ends where gi starts, for either t, both tensors being
-        the product; (d) a result on the empty word other than an identity
-        goes through `memoize`, so its one point stores its one value."""
-        if f.cod != g.dom:
-            raise ValueError("compose: middle objects differ")
-        (kf, *fs), (kg, *gs) = f.parts or (None,), g.parts or (None,)
-        if kf == "id":
-            out = g
-        elif kg == "id":
-            out = f
-        elif kg == "then":
-            return self.compose(self.compose(f, gs[0]), gs[1])
-        elif kf == kg == "tensor" and len(fs) == len(gs) and all(a.cod == b.dom for a, b in zip(fs, gs)):
-            out = self.tensor_map(0, map(self.compose, fs, gs))
-        else:
-            out = CartMap(f.dom, g.cod, fn=lambda t, f=f.apply, g=g.apply: g(f(t)), parts=("then", f, g))
+        """f then g in the normal form of `Tensors.compose`, then (d): a
+        result on the empty word other than an identity goes through
+        `memoize`, so its one point stores its one value."""
+        out = super().compose(f, g)
         return out if out.dom or out.parts == ("id",) else self.memoize(out)
+
+    def _composite(self, f, g):
+        return CartMap(f.dom, g.cod, fn=lambda t, f=f.apply, g=g.apply: g(f(t)), parts=("then", f, g))
+
+    def _points(self, word, cap):
+        return word_elements(word, cap)
+
+    def _read(self, f, cap, xs):
+        """f's images at the points xs, a tensor's joined from its factors'."""
+        if not f.parts or f.parts[0] != "tensor":
+            return map(f.apply, xs)
+        xs, a = list(xs), 0
+        out = [()] * len(xs)
+        for g in f.parts[2]:
+            b = a + len(g.dom)
+            out, a = map(tuple.__add__, out, self._images(g, cap, map(operator.itemgetter(slice(a, b)), xs))), b
+        return out
+
+    def _factor_keys(self, f, cap):
+        """One product, as a word's elements are the product of its letters'."""
+        return [([cap] * len(f.parts[2]), lambda images: sum(images, ()))]
 
     def memoize(self, f):
         """f, storing its value at each point it is applied to.
@@ -305,7 +270,7 @@ class CartesianFinSet(Tensors):
         image tables (`_table`); a domain with an empty letter builds none."""
         if f.dom != g.dom or f.cod != g.cod:
             return False
-        return not all(_letter_elements(f.dom, cap)) or all(map(operator.eq, _table(f, cap), _table(g, cap)))
+        return not all(_letter_elements(f.dom, cap)) or all(map(operator.eq, self._table(f, cap), self._table(g, cap)))
 
     # -- tensors -------------------------------------------------------
     def tensor(self, t, xs):
@@ -328,7 +293,7 @@ class CartesianFinSet(Tensors):
                 out += f.apply(x[a:b])
             return out
 
-        return CartMap(dom, cod, fn=act, parts=("tensor", *fs))
+        return CartMap(dom, cod, fn=act, parts=("tensor", 0, fs))
 
     # -- duoidal structure ----------------------------------------------
     def interchange(self, a, b, c, d):

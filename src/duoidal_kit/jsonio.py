@@ -134,7 +134,8 @@ def monoid_from_doc(doc) -> Monoid:
     try:
         table = {(a, b): doc["table"][a][b] for a in elements for b in elements}
     except KeyError as exc:
-        raise ValidationError(f"monoid {doc['name']}: table has no entry for {exc}") from exc
+        pair = next((a, b) for a in elements for b in elements if b not in doc["table"].get(a, ()))
+        raise ValidationError(f"monoid {doc['name']}: table has no entry at {pair}") from exc
     except TypeError as exc:
         raise ValidationError(f"monoid {doc['name']}: malformed elements or table ({exc})") from exc
     where = f"monoid {doc['name']}: table"

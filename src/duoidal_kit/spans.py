@@ -20,21 +20,14 @@ Applied at a code (`at`), it stores its value there, one `report.Memo` per
 globe; a tensor of maps and the interchange are planned per chain: `_parts`
 splits a chain among the factors once per chain, not once per element.
 
-`compose` builds every composite in normal form by identities of maps, so
-no value changes: (a) identities drop out, by the unit laws; (b) composites
-nest to the left, by associativity; (c) two tensor-t maps whose factors meet
-compose factorwise, as tensor t is a bifunctor; t must match, as box0 and
-box1 are different functors.  `maps_equal` lists a fused tensor as a product.
-
-`maps_equal` compares two maps' image tables, one globe at a time, each
-listed in the order of the domain's codes and built from how the map was
-made (`SpanMor.parts`), as a finite function is its vector of images
-(Patterson, Lynch & Fairbanks, "Categorical data structures for technical
-computing", 2022): an identity's images are the codes, a composite's are
-its second map's images at its first map's table, and a tensor's table is
-listed chain by chain as the product of its factors' tables, each factor
-read once per code of its own fiber.  Any other map reads its stored
-values.  The instance's own caches (tensor nodes, atom pools, fiber codes
+`compose` builds every composite in the normal form of `Tensors.compose`,
+whose rule (c) fuses two tensor-t maps only for the same t, as box0 and
+box1 are different functors; a map of another instance is re-coded first.
+`maps_equal` compares two maps' image tables (`Tensors._table`), one globe
+at a time, each listed in the order of the domain's codes: a tensor's table
+is listed chain by chain as the product of its factors' tables, each factor
+read once per code of its own fiber, and any other map of no rule reads its
+stored values.  The instance's own caches (tensor nodes, atom pools, fiber codes
 by globe and by chain, horizontal composites of globes) are `Memo`s too,
 and live as long as it.  Values appear only at the boundary: `fiber`,
 `SpanMor.apply`/`apply_at`, and the maps given on values
@@ -172,7 +165,7 @@ class SpanMor:
     per globe.  `parts` records how an identity ("id",), a composite
     ("then", f, g) or a tensor ("tensor", t, fs, arities, plans) was built, so
     that `SpanDuoidal.maps_equal` lists its images from its parts' images
-    (`SpanDuoidal._table`); it is None otherwise.
+    (`Tensors._table`); it is None otherwise.
     """
 
     __slots__ = ("owner", "dom", "cod", "code", "_rows", "parts")
@@ -416,73 +409,36 @@ class SpanDuoidal(Tensors):
         """f on the codes of this instance; another instance's map goes through values."""
         return f if f.owner is self else self.value_map(f.dom, f.cod, f.apply)
 
-    def _images(self, f, globe, codes):
-        """The list of f's images at the given codes over globe: an
-        identity's are the codes, a composite's are its second map's images
-        at its first map's, and any other map reads them from its rows."""
-        kind = f.parts[0] if f.parts else None
-        if kind == "id":
-            return list(codes)
-        if kind == "then":
-            return self._images(f.parts[2], globe, self._images(f.parts[1], globe, codes))
-        return list(map(f._rows[globe].__getitem__, codes))
+    def _points(self, obj, key):
+        """The codes of obj over a globe, or over one chain id of it."""
+        globe, cid = key
+        return self._codes[obj, globe] if cid is None else self._blocks[obj, cid]
 
-    def _table(self, f, globe, cid=None):
-        """f's images at the codes of its domain over globe, in `_codes`
-        order, or at those over one chain id of the domain.  A composite
-        reads its second map only at its first map's images; a tensor's are
-        listed chain by chain as the product of its factors' tables."""
-        kind = f.parts[0] if f.parts else None
-        if kind == "then":
-            return self._images(f.parts[2], globe, self._table(f.parts[1], globe, cid))
-        if kind != "tensor":
-            return self._images(f, globe, self._codes[f.dom, globe] if cid is None else self._blocks[f.dom, cid])
-        fs, arities, plans = f.parts[2:]
+    def _read(self, f, key, codes):
+        return map(f._rows[key[0]].__getitem__, codes)
+
+    def _factor_keys(self, f, key):
+        """Per chain of a tensor's domain over the key, each factor's key and
+        the plan's join.  A factor of arity 1 lists its whole fiber over its
+        globe (or the chain of an unchained tensor's one factor), one of arity
+        k > 1 the block of its subchain, one of arity 0 the unit code 0."""
+        globe, cid = key
+        arities, plans = f.parts[3:]
         if sum(arities) <= 1:
             keys, whole = [(globe, None)], cid
         else:
             keys, whole = [(globe, c) for c in (self._cids[f.dom, globe] if cid is None else (cid,))], None
-        out = []
-        for key in keys:
-            parts, _, joined = plans[key]
-            # a factor of arity 1 lists its whole fiber over its globe (or the chain of
-            # an unchained tensor's one factor), one of arity k > 1 the block of its
-            # subchain, one of arity 0 the unit code 0
-            columns = [
-                self._table(h, g, sub if k > 1 else whole) if k else self._images(h, g, (0,))
-                for h, k, (g, sub, _) in zip(fs, arities, parts)
-            ]
-            out.extend(map(joined, itertools.product(*columns)))
-        return out
-
-    def dom(self, f):
-        return f.dom
-
-    def cod(self, f):
-        return f.cod
+        for parts, _, joined in map(plans.__getitem__, keys):
+            yield [(g, whole if k == 1 else sub) for k, (g, sub, _) in zip(arities, parts)], joined
 
     def identity(self, x):
         return SpanMor(self, x, x, lambda g, c: c, ("id",))
 
     def compose(self, f, g):
-        """f then g, in normal form once the middle objects are checked:
-        (a) id;g = g and f;id = f, the unit laws; (b) f;(g1;g2) = (f;g1);g2,
-        associativity; (c) tensor-t maps whose factors meet compose factorwise,
-        tensor t being a bifunctor (one t: box0 and box1 are different functors)."""
-        if f.cod != g.dom:
-            raise ValueError("compose: middle objects differ")
-        return self._then(self._coded(f), self._coded(g))
+        """`Tensors.compose` of f and g on this instance's codes."""
+        return super().compose(self._coded(f), self._coded(g))
 
-    def _then(self, f, g):
-        """`compose` of this instance's maps, whose middle objects are known to be equal."""
-        (kf, *fs), (kg, *gs) = f.parts or (None,), g.parts or (None,)
-        if kf == "id" or kg == "id":
-            return g if kf == "id" else f
-        if kg == "then":
-            return self._then(self._then(f, gs[0]), gs[1])
-        if kf == kg == "tensor" and fs[0] == gs[0] and len(fs[1]) == len(gs[1]):
-            if all(a.cod == b.dom for a, b in zip(fs[1], gs[1])):
-                return self.tensor_map(fs[0], map(self._then, fs[1], gs[1]))
+    def _composite(self, f, g):
         f_rows, g_rows = f._rows, g._rows
         return SpanMor(self, f.dom, g.cod, lambda gl, c: g_rows[gl][f_rows[gl][c]], ("then", f, g))
 
@@ -495,15 +451,11 @@ class SpanDuoidal(Tensors):
         f, g = self._coded(f), self._coded(g)
         equal = True
         for globe in self.support(f.dom):
-            tables = self._table(f, globe), self._table(g, globe)
+            tables = list(self._table(f, (globe, None))), list(self._table(g, (globe, None)))
             if not set(self._codes[f.cod, globe]).issuperset(itertools.chain(*tables)):
                 raise ValueError(f"morphism leaves the codomain fiber at {globe.render()}")
             equal = equal and tables[0] == tables[1]
         return equal
-
-    def memoize(self, f):
-        """Every `SpanMor` already stores its values."""
-        return f
 
     def apply_at(self, f, key, elt):
         return f.apply(key, elt)

@@ -379,6 +379,36 @@ def test_wrong_json_types_exit_2(tmp_path, name, patch, argv, message):
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize("drop", [lambda table: table["1"].pop("0"), lambda table: table.pop("1")], ids=["entry", "row"])
+def test_a_monoid_table_missing_an_entry_names_the_pair(tmp_path, drop):
+    out = run_cli("center", "--monoid", _patched(tmp_path, "z2.json", lambda d: drop(d["table"])))
+    assert out.returncode == 2 and out.stdout == "", out.stderr
+    assert out.stderr == "error: monoid z2: table has no entry at ('1', '0')\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("tamarkin", "--functor", str(CORPUS / "id_bz2_functor.json"), "--globe", "nope,id_*"),
+            "globe arrows 'nope', 'id_*' not in the base category",
+        ),
+        (
+            ("tamarkin", "--functor", str(CORPUS / "pair_bz2_functor.json"), "--globe", "id_0,u"),
+            "globe arrows must be parallel",
+        ),
+        (
+            ("check-duoid", "--builtin", "cartesian", "--duoid", str(CORPUS / "duoid_v_bool_lattice.json")),
+            "a duoid document names objects and arrows of a table instance",
+        ),
+    ],
+)
+def test_a_bad_globe_or_a_duoid_of_another_instance_exits_2_with_one_line(argv, message):
+    out = run_cli(*argv)
+    assert out.returncode == 2 and out.stdout == "", out.stderr
+    assert out.stderr == f"error: {message}\n"
+
+
 def _deep_term(depth):
     """w(l,w(l,...w(l,l)...)) with depth white vertices."""
     return "w(l," * depth + "l" + ")" * depth

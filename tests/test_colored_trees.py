@@ -250,6 +250,13 @@ def test_operad_map_sweep_reports_what_graft_then_contract_finds(bound, wrong, m
     assert set(failures) <= set(_graft_then_contract(bound)[1])
 
 
+def test_operad_map_streams_tree_by_tree_to_the_end_after_one_failure(monkeypatch):
+    # one streamed target fails, so its key fails and the leaf's graftees are
+    # checked tree by tree; with a single failure the stream runs to its end
+    _corrupt_right_side(monkeypatch, lambda ap, t, s: s == LEAF and ap.render(t) == "w(b(l,l),b(l,l))")
+    assert check_contraction_operad_map(4) == _graft_then_contract(4) == (5353, [("w(b(l,l),b(l,l))", "l", 1)])
+
+
 @pytest.mark.parametrize(
     "bound, target, checked",
     [

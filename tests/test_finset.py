@@ -186,7 +186,7 @@ def test_compose_builds_the_normal_form():
     assert fgh.parts[0] == "then" and fgh.parts[2] is h and fgh.parts[1].parts[1:] == (f, g)
     # (c) tensors whose factors meet one to one compose factorwise
     fused = D.compose(D.tensor_map(0, [f, g]), D.tensor_map(1, [g, f]))
-    assert fused.parts[0] == "tensor" and [p.parts[1:] for p in fused.parts[1:]] == [(f, g), (g, f)]
+    assert fused.parts[0] == "tensor" and [p.parts[1:] for p in fused.parts[2]] == [(f, g), (g, f)]
     assert _pointwise(fused, CartMap(X + Y, X + Y, fn=lambda t: (g.apply(f.apply(t[:1])) + f.apply(g.apply(t[1:])))))
     # (d) a composite on the empty word stores its one value
     point = CartMap((), X, fn=lambda t: ("p",))
@@ -213,6 +213,14 @@ def test_compose_fuses_only_tensors_whose_factors_meet():
         assert fg.parts == ("then", f, g)
         assert _pointwise(fg, CartMap(f.dom, g.cod, fn=lambda t: g.apply(f.apply(t))))
         assert D.maps_equal(fg, _tabled(fg))
+
+
+def test_compose_with_a_tensor_of_no_maps_compares_equal_to_the_map():
+    # the tensor of no maps is a map () -> () whose one image is (), read at
+    # every image of f though it has no factor to read from
+    f = CartMap((A2, B3), (), fn=lambda t: ())
+    fe = D.compose(f, D.tensor_map(0, []))
+    assert fe.parts[0] == "then" and D.maps_equal(fe, f) and D.maps_equal(f, fe)
 
 
 def test_compose_checks_the_middle_objects_before_any_rule():

@@ -207,7 +207,7 @@ def test_a_substituting_coface_computes_its_constant_inner_tensor_once():
     d = coface(A, 1, 1)
     # the feed of gamma is the tensor of m(2) in the inner slot with A(1)'s identity
     feed, _ = d.parts[1:]
-    inner, ident = feed.parts[1:]
+    inner, ident = feed.parts[2]
     assert feed.parts[0] == "tensor" and ident.parts == ("id",) and not inner.dom
     oracle = hochschild_oracle_coface(m, K, 1, 1, carrier=M.carrier)
     points = word_elements(d.dom)[:2]
