@@ -19,6 +19,7 @@ from .operads import (
     codegeneracy,
     coface,
     cosimplicial_from_multiplicative,
+    intern,
     multiplicative_from_k_monoid,
 )
 from .report import SizeError, sorted_elements
@@ -93,57 +94,51 @@ _FREE_CAP = 4096  # the most choices enumerated for the free weight slots of one
 
 
 def _families_at(D, X: CosimplicialObject, delta: CosimplicialObject, N: int, key):
-    """Families at every truncation level k <= N over one fiber key, reading
-    the images of the points from X's memos, which outlive this call."""
+    """Families at every truncation level k <= N over one fiber key, each a
+    tuple over k of tuples of point ids of X's pools, one per point of
+    delta(k).  Each weight map is read once per (n, i) as a list of
+    positions, and the images of the points from X's memos, which outlive
+    this call."""
     cofaces, codegeneracies = X.coface_images, X.codegeneracy_images
-    level0 = list(D.fiber(X.level(0), key))
-    fams = []
-    for choice in itertools.product(level0, repeat=len(delta.level(0))):
-        fams.append((choice,))
+
+    def pool_ids(n):
+        pool = X.pools[n, key]
+        return [intern(pool, x) for x in D.fiber(X.level(n), key)]
+
+    fams = [(choice,) for choice in itertools.product(pool_ids(0), repeat=len(delta.level(0)))]
     snapshots = [tuple(fams)]
     for n in range(N):
+        pts, next_pts = delta.level(n), delta.level(n + 1)
+        here, there = ({p: j for j, p in enumerate(ps)} for ps in (pts, next_pts))
+        d_pos = [(i, [there[delta.d(n, i)[u]] for u in pts]) for i in range(n + 2)]
+        s_pos = [(i, [here[delta.s(n, i)[w]] for w in next_pts]) for i in range(n + 1)]
+        free = [w for w in range(len(next_pts)) if all(w not in ws for _, ws in d_pos)]
+        choices = None  # the free slots' fillings, listed when a family first needs them
         next_fams = []
-        pts = delta.level(n)
-        next_pts = delta.level(n + 1)
         for fam in fams:
-            xn = dict(zip(pts, fam[n]))
-            forced = {}
-            dead = False
-            for i in range(n + 2):
-                dmap = delta.d(n, i)
-                for u in pts:
-                    w = dmap[u]
-                    val = cofaces[n, i, key, xn[u]]
-                    if w in forced and forced[w] != val:
-                        dead = True
+            xn = fam[n]
+            forced = [None] * len(next_pts)
+            for i, ws in d_pos:
+                for x, w in zip(xn, ws):
+                    val = cofaces[n, i, key, x]
+                    if forced[w] is None:
+                        forced[w] = val
+                    elif forced[w] != val:
                         break
-                    forced[w] = val
-                if dead:
-                    break
-            if dead:
-                continue
-            free = [w for w in next_pts if w not in forced]
-            if free:
-                pool = list(D.fiber(X.level(n + 1), key))
-                if len(pool) ** len(free) > _FREE_CAP:
-                    raise SizeError("free weight slots exceed the enumeration cap")
-                choices = itertools.product(pool, repeat=len(free))
+                else:
+                    continue
+                break  # two cofaces disagree on a point: no family extends fam
             else:
-                choices = [()]
-            for extra in choices:
-                xn1 = dict(forced)
-                xn1.update(zip(free, extra))
-                ok = True
-                for i in range(n + 1):
-                    smap = delta.s(n, i)
-                    for w in next_pts:
-                        if codegeneracies[n, i, key, xn1[w]] != xn[smap[w]]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    next_fams.append(fam + (tuple(xn1[w] for w in next_pts),))
+                if choices is None:
+                    pool = pool_ids(n + 1) if free else ()
+                    if free and len(pool) ** len(free) > _FREE_CAP:
+                        raise SizeError("free weight slots exceed the enumeration cap")
+                    choices = list(itertools.product(pool, repeat=len(free)))
+                for extra in choices:
+                    for w, x in zip(free, extra):
+                        forced[w] = x
+                    if all(codegeneracies[n, i, key, x] == xn[u] for i, us in s_pos for x, u in zip(forced, us)):
+                        next_fams.append(fam + (tuple(forced),))
         fams = next_fams
         snapshots.append(tuple(fams))
     return snapshots
@@ -161,7 +156,9 @@ def totalize(D, X: CosimplicialObject, delta: CosimplicialObject, N: int = 3, ke
     is a bijection; `stabilized_from` is the least k >= 1 from which every
     later restriction is bijective (None when the last step still moved).
     Globe-indexed instances compute fiberwise; `keys` restricts the fibers.
-    X keeps its maps' images, which any later totalization of X reuses.
+    The families are found and restricted as tuples of X's point ids and
+    decoded to values once, at the end.  X keeps its point pools and its
+    maps' images, which any later totalization of X reuses.
     """
     if N < 1:
         raise ValueError("totalization needs N >= 1")
@@ -171,19 +168,16 @@ def totalize(D, X: CosimplicialObject, delta: CosimplicialObject, N: int = 3, ke
         raise ValueError(f"weights only defined to level {delta.N + 1}")
     if keys is None:
         keys = D.support(X.level(0))
-    by_level = {key: _families_at(D, X, delta, N, key) for key in keys}
+    ids = {key: _families_at(D, X, delta, N, key) for key in keys}
+    bij = [all(_restriction_bijective(ids[key][k + 1], ids[key][k], k) for key in keys) for k in range(N)]
+
+    def decoded(key, fam):
+        return tuple(tuple(map(X.pools[k, key][0].__getitem__, x)) for k, x in enumerate(fam))
+
+    by_level = {key: [tuple(decoded(key, f) for f in fams) for fams in snaps] for key, snaps in ids.items()}
     families = {key: by_level[key][N] for key in keys}
-    bij = []
-    for k in range(N):
-        bij.append(all(_restriction_bijective(by_level[key][k + 1], by_level[key][k], k) for key in keys))
-    stabilized = bool(bij and bij[-1])
-    stabilized_from = None
-    for start in range(1, N + 1):
-        if all(bij[j] for j in range(start, N)):
-            stabilized_from = start
-            break
-    if stabilized_from == N and not stabilized:
-        stabilized_from = None
+    stabilized = bij[-1]
+    stabilized_from = next(k for k in range(1, N + 1) if all(bij[k:])) if stabilized else None
     return TotResult(delta.name, N, families, by_level, stabilized, stabilized_from)
 
 

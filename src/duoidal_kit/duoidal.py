@@ -67,21 +67,25 @@ class Tensors:
         return f
 
     def compose(self, f, g):
-        """f then g, in normal form once the middle objects are checked:
-        (a) id;g = g and f;id = f, the unit laws; (b) f;(g1;g2) = (f;g1);g2,
-        associativity; (c) tensor-t maps whose factors meet compose
-        factorwise, tensor t being a bifunctor (one t: box0 and box1 may be
-        different functors)."""
+        """f then g, in normal form: the middle objects are checked once, and
+        `_then` applies the rules."""
         if f.cod != g.dom:
             raise ValueError("compose: middle objects differ")
+        return self._then(f, g)
+
+    def _then(self, f, g):
+        """f then g for maps whose middle objects meet: (a) id;g = g and
+        f;id = f, the unit laws; (b) f;(g1;g2) = (f;g1);g2, associativity;
+        (c) tensor-t maps whose factors meet compose factorwise, tensor t
+        being a bifunctor (one t: box0 and box1 may be different functors)."""
         (kf, *fs), (kg, *gs) = f.parts or (None,), g.parts or (None,)
         if kf == "id" or kg == "id":
             return g if kf == "id" else f
         if kg == "then":
-            return self.compose(self.compose(f, gs[0]), gs[1])
+            return self._then(self._then(f, gs[0]), gs[1])
         if kf == kg == "tensor" and fs[0] == gs[0] and len(fs[1]) == len(gs[1]):
             if all(a.cod == b.dom for a, b in zip(fs[1], gs[1])):
-                return self.tensor_map(fs[0], map(self.compose, fs[1], gs[1]))
+                return self.tensor_map(fs[0], map(self._then, fs[1], gs[1]))
         return self._composite(f, g)
 
     def _images(self, f, key, xs):

@@ -214,11 +214,11 @@ class CartesianFinSet(Tensors):
     def identity(self, x):
         return CartMap(x, x, fn=tuple, parts=("id",))  # tuple(t) is t for a point t
 
-    def compose(self, f, g):
-        """f then g in the normal form of `Tensors.compose`, then (d): a
-        result on the empty word other than an identity goes through
-        `memoize`, so its one point stores its one value."""
-        out = super().compose(f, g)
+    def _then(self, f, g):
+        """f then g by the rules of `Tensors._then`, then (d) at each of
+        their steps: a result on the empty word other than an identity goes
+        through `memoize`, so its one point stores its one value."""
+        out = super()._then(f, g)
         return out if out.dom or out.parts == ("id",) else self.memoize(out)
 
     def _composite(self, f, g):

@@ -502,18 +502,23 @@ class CosimplicialObject:
     name: str = "cosimplicial"
 
     def __post_init__(self):
-        """`coface_images` and `codegeneracy_images` map (n, i, fiber key, point)
-        to the point's image under d^i or s^i at level n.  They fill on first use
-        and live as long as this object, so every totalization of it applies each
-        map once per point.  An image holding an `FnElt` raises `SizeError`."""
+        """`pools` maps (level, fiber key) to a point pool: a list of values and
+        a dict from each value to its position, its id, so a point is hashed
+        once, when `intern` adds it (hash-consing).  `coface_images` and
+        `codegeneracy_images` map (n, i, fiber key, point id) to the id of its
+        image under d^i or s^i at level n; equal images are one stored value.
+        All three fill on first use and live as long as this object, so every
+        totalization of it applies each map once per point.  An image holding
+        an `FnElt` raises `SizeError`."""
         D, name = self.D, self.name  # not self, so that the memos make no cycle
+        pools = self.pools = Memo(lambda key: ([], {}))
 
         def image(maps, shift, key):
             n, i, fiber, x = key
-            y = D.apply_at(maps[n, i], fiber, x)
+            y = D.apply_at(maps[n, i], fiber, pools[n + 1 - shift, fiber][0][x])
             if isinstance(y, tuple) and any(isinstance(e, FnElt) for e in y):  # an FnElt compares by identity
                 raise SizeError(f"level {n + shift} of {name} holds lazy function elements, not values")
-            return y
+            return intern(pools[n + shift, fiber], y)
 
         self.coface_images = Memo(lambda key, maps=self.cofaces: image(maps, 1, key))
         self.codegeneracy_images = Memo(lambda key, maps=self.codegeneracies: image(maps, 0, key))
@@ -526,6 +531,15 @@ class CosimplicialObject:
 
     def s(self, n, i):
         return self.codegeneracies[(n, i)]
+
+
+def intern(pool, value):
+    """The id of value in a point pool, adding it when it is new."""
+    values, ids = pool
+    i = ids.setdefault(value, len(values))
+    if i == len(values):
+        values.append(value)
+    return i
 
 
 def cosimplicial_from_multiplicative(A: MultOperad, N: int) -> CosimplicialObject:

@@ -19,6 +19,7 @@ sets of the induced functors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -229,6 +230,11 @@ class CatValuedFunctor:
     values: tuple = ()  # sorted tuple of (object, FiniteCategory)
     functors: tuple = ()  # sorted tuple of (arrow, CatFunctor)
     name: str = "F"
+    # (N, bound) -> (J, X) of `tamarkin_fiber`, built on first use
+    complexes: Memo = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "complexes", Memo(functools.partial(_hom_complex, self)))
 
     def value(self, a) -> FiniteCategory:
         return dict(self.values)[a]
@@ -394,17 +400,6 @@ def pullback_family(phi: dict, O1: ObjectFunctor, E: GraphFamily) -> GraphFamily
     return graph_family(f"{E.name}*", data)
 
 
-def pullback_hom_element(phi: dict, O1: ObjectFunctor, globe: Globe, elem):
-    """Reindex one hom-family element along the transformation."""
-    table = dict(elem)
-    out = []
-    for b1 in O1.set_of(globe.a):
-        for b2 in O1.set_of(globe.a):
-            src_graph = dict(table[(phi[globe.a][b1], phi[globe.a][b2])])
-            out.append(((b1, b2), tuple(sorted(src_graph.items(), key=lambda p: skey(p[0])))))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # the Tamarkin fiber
 
@@ -414,15 +409,23 @@ def tamarkin_fiber(F: CatValuedFunctor, globe: Globe, weights=None, N: int = 2, 
 
     With constant weights and a parallel-pair base this computes the natural
     transformations between the induced functors; with the ordinal weights
-    it computes the unnatural families.
+    it computes the unnatural families.  The complex (J, X) is built once
+    per (N, bound) and kept on F, so every totalization of it, under any
+    weights, shares X's point pools and images.
     """
     from .center import constant_weights, totalize
+
+    J, X = F.complexes[N, bound]
+    tot = totalize(J.D, X, weights or constant_weights(N), N=N, keys=(globe,))
+    return tot.families.get(globe, ()), tot
+
+
+def _hom_complex(F: CatValuedFunctor, key):
+    """The enriched graph category of F and the cosimplicial object of its
+    distinguished monoid's endomorphism operad, to level N + 1."""
     from .operads import cosimplicial_from_multiplicative, multiplicative_from_k_monoid
 
-    weights = weights or constant_weights(N)
+    N, bound = key
     J = EnrichedGraphCategory(object_functor_of(F))
-    M = monoid_from_factorization(F, J)
-    A = multiplicative_from_k_monoid(M, bound=bound)
-    X = cosimplicial_from_multiplicative(A, N)
-    tot = totalize(J.D, X, weights, N=N, keys=(globe,))
-    return tot.families.get(globe, ()), tot
+    A = multiplicative_from_k_monoid(monoid_from_factorization(F, J), bound=bound)
+    return J, cosimplicial_from_multiplicative(A, N)

@@ -18,12 +18,16 @@ from duoidal_kit.duoidal import check_duoid_axioms
 from duoidal_kit.finset import CartesianFinSet, atom_letter
 from duoidal_kit.kcat import CartesianSelfEnriched, k_monoid_from_monoid
 from duoidal_kit.monoids import cyclic, full_transformation2, left_zero_plus_unit, monoid_corpus
+from duoidal_kit.instances import functor_pair_corpus, parallel_pair_cat
 from duoidal_kit.operads import (
     CosimplicialObject,
     cosimplicial_from_multiplicative,
+    intern,
     multiplicative_from_k_monoid,
 )
-from duoidal_kit.report import SizeError
+from duoidal_kit.report import Memo, SizeError
+from duoidal_kit.spans import Globe
+from duoidal_kit.tamarkin import cat_valued_functor, tamarkin_fiber
 
 D = CartesianFinSet()
 K = CartesianSelfEnriched(D)
@@ -187,12 +191,13 @@ def test_totalize_rejects_a_level_of_lazy_function_elements():
         totalize(D, X, constant_weights(7), N=7)
 
 
-def _edge_weights(N=1):
-    """The cosimplicial set of monotone maps [1] -> [n], as pairs a <= b:
-    the edge (0, 1) of level 1 is hit by no coface, so it is a free slot."""
+def _edge_weights(N=1, dim=1):
+    """The cosimplicial set of monotone maps [dim] -> [n], as tuples a <= b
+    <= ...: for dim = 1 the edge (0, 1) of level 1 is hit by no coface, so it
+    is a free slot; for dim = 2 levels 1 and 2 have free slots."""
 
     def level(n):
-        return tuple((a, b) for a in range(n + 1) for b in range(a, n + 1))
+        return tuple(itertools.combinations_with_replacement(range(n + 1), dim + 1))
 
     def along(f, points):
         return {p: tuple(map(f, p)) for p in points}
@@ -230,7 +235,7 @@ def test_free_weight_slots_are_filled_as_brute_force_finds():
         for x1 in itertools.product(level1, repeat=len(pts1))
         if compatible(x0, x1)
     }
-    snapshots = center._families_at(D, X, delta, 1, None)
+    snapshots = totalize(D, X, delta, N=1).by_level[None]
     assert set(snapshots[1]) == brute and len(snapshots[1]) == len(brute) > 0
     # the free slot takes more than one value, so it is enumerated, not forced
     assert len({x1[pts1.index((0, 1))] for _, x1 in brute}) > 1
@@ -325,3 +330,98 @@ def test_cofaces_and_codegeneracies_are_built_on_first_use_within_the_truncation
         with pytest.raises(KeyError):
             X.s(n, i)
     assert max(n for n, _ in X.cofaces) == max(n for n, _ in X.codegeneracies) == X.N
+
+
+def _value_families_at(D, X, delta, N, key):
+    """The family loop on values, as `center._families_at` ran before it
+    worked on point ids: each family level is a dict from delta's points to
+    X's points, and the images are keyed by value."""
+    cofaces = Memo(lambda k: D.apply_at(X.d(k[0], k[1]), key, k[2]))
+    codegeneracies = Memo(lambda k: D.apply_at(X.s(k[0], k[1]), key, k[2]))
+    fams = [(choice,) for choice in itertools.product(D.fiber(X.level(0), key), repeat=len(delta.level(0)))]
+    snapshots = [tuple(fams)]
+    for n in range(N):
+        next_fams = []
+        pts, next_pts = delta.level(n), delta.level(n + 1)
+        for fam in fams:
+            xn = dict(zip(pts, fam[n]))
+            forced = {}
+            dead = False
+            for i in range(n + 2):
+                for u in pts:
+                    w, val = delta.d(n, i)[u], cofaces[n, i, xn[u]]
+                    dead = dead or (w in forced and forced[w] != val)
+                    forced[w] = val
+            if dead:
+                continue
+            free = [w for w in next_pts if w not in forced]
+            pool = list(D.fiber(X.level(n + 1), key)) if free else []
+            for extra in itertools.product(pool, repeat=len(free)):
+                xn1 = dict(forced)
+                xn1.update(zip(free, extra))
+                if all(
+                    codegeneracies[n, i, xn1[w]] == xn[delta.s(n, i)[w]] for i in range(n + 1) for w in next_pts
+                ):
+                    next_fams.append(fam + (tuple(xn1[w] for w in next_pts),))
+        fams = next_fams
+        snapshots.append(tuple(fams))
+    return snapshots
+
+
+def _value_totalize(D, X, delta, N, keys):
+    """(families, by_level, stabilized, stabilized_from) of the value loop,
+    the restrictions compared on values."""
+    by_level = {key: _value_families_at(D, X, delta, N, key) for key in keys}
+    bij = [
+        all(
+            len({f[: k + 1] for f in by_level[key][k + 1]}) == len(by_level[key][k + 1])
+            and {f[: k + 1] for f in by_level[key][k + 1]} == set(by_level[key][k])
+            for key in keys
+        )
+        for k in range(N)
+    ]
+    start = next((s for s in range(1, N + 1) if all(bij[s:])), None)
+    stabilized_from = None if start == N and not bij[-1] else start
+    return {key: by_level[key][N] for key in keys}, by_level, bij[-1], stabilized_from
+
+
+def _as_values(tot):
+    return tot.families, tot.by_level, tot.stabilized, tot.stabilized_from
+
+
+def test_totalize_on_point_ids_agrees_with_the_value_loop():
+    """The id loop gives the value loop's families, snapshots and flags on
+    every corpus monoid under the three weight systems and on every functor
+    pair of the Tamarkin corpus under constant and ordinal weights, the two
+    totalizations of one functor sharing its cosimplicial object.  The
+    monoids of order 2 also take the weights of monotone maps out of [2],
+    whose free slots at levels 1 and 2 make a restriction fail to be
+    injective or surjective."""
+    for m in monoid_corpus():
+        X = cosimplicial_from_multiplicative(multiplicative_from_k_monoid(k_monoid_from_monoid(m, K), bound=4), 3)
+        systems = [constant_weights(3), ordinal_weights(3), reversed_ordinal_weights(3)]
+        for weights in systems + [_edge_weights(3, dim=2)] * (len(m.elements) == 2):
+            assert _as_values(totalize(D, X, weights, N=3)) == _value_totalize(D, X, weights, 3, (None,)), m.name
+    par, globe = parallel_pair_cat(), Globe("0", "1", "u", "w")
+    for F0, G0 in functor_pair_corpus():
+        F = cat_valued_functor(par, {"0": F0.src, "1": F0.tgt}, {"u": F0, "w": G0}, name="p")
+        for weights in (constant_weights(2), ordinal_weights(2)):
+            _, tot = tamarkin_fiber(F, globe, weights=weights, N=2, bound=3)
+            J, X = F.complexes[2, 3]
+            assert _as_values(tot) == _value_totalize(J.D, X, weights, 2, (globe,))
+
+
+def test_equal_images_are_one_stored_point():
+    """Hash-consing: the (map, point) pairs (d^0, x) and (d^1, x) of a
+    commutative monoid have equal images, which get one id and are stored
+    once in the pool of level 1."""
+    X = _z2_hochschild()
+    level0 = D.fiber(X.level(0), None)
+    xs = [intern(X.pools[0, None], x) for x in level0]
+    ids = {(i, x): X.coface_images[0, i, None, x] for i in (0, 1) for x in xs}
+    values, pool_ids = X.pools[1, None]
+    assert all(ids[0, x] == ids[1, x] for x in xs) and sorted(set(ids.values())) == [0, 1]
+    assert values == [D.apply_at(X.d(0, 0), None, x) for x in level0]
+    assert pool_ids == {y: i for i, y in enumerate(values)}
+    assert intern(X.pools[1, None], D.apply_at(X.d(0, 1), None, level0[1])) == ids[0, xs[1]] == 1
+    assert len(values) == 2

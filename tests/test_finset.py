@@ -192,6 +192,10 @@ def test_compose_builds_the_normal_form():
     point = CartMap((), X, fn=lambda t: ("p",))
     const = D.compose(point, f)
     assert const._memo is not None and const.apply(()) == (0,) and const._memo == {(): (0,)}
+    # (d) also at each step of (b) and on each factor composite of (c)
+    assert D.compose(point, D.compose(f, g))._memo is not None
+    fused = D.compose(D.tensor_map(0, [point, f]), D.tensor_map(0, [f, g]))
+    assert fused.parts[0] == "tensor" and fused.parts[2][0]._memo is not None and fused.parts[2][1]._memo is None
 
 
 def test_compose_fuses_only_tensors_whose_factors_meet():

@@ -612,6 +612,27 @@ def test_an_identity_equals_the_composites_and_tensors_it_is_built_as(par):
         assert D.maps_equal(D.identity(XX), D.tensor_map(t, (D.compose(swap, swap), D.identity(X))))
 
 
+def test_compose_recodes_its_operands_once(par, monkeypatch):
+    """One outer `compose` re-codes its two operands (`_coded`) and checks
+    their middle objects once, however often rule (b) recurses into a
+    composite of composites and tensors."""
+    cat, D = par
+    X = D.atom("X", {g: ("x1", "x2") for g in all_globes(cat)})
+    swap = D.value_map(X, X, _swap)
+    XX = D.tensor(0, (X, X))
+    flip = D.value_map(XX, XX, lambda g, el: (el[0], el[1][::-1]))
+    g = D.identity(XX)
+    for step in (flip, D.tensor_map(0, (swap, swap)), flip, D.tensor_map(0, (D.identity(X), swap)), flip):
+        g = D.compose(g, step)
+    f = D.tensor_map(0, (swap, D.identity(X)))
+    calls = []
+    coded = D._coded
+    monkeypatch.setattr(D, "_coded", lambda m: calls.append(m) or coded(m))
+    fg = D.compose(f, g)
+    assert len(calls) <= 2 and fg.parts[0] == "then"
+    assert _pointwise_equal(D, fg, _then_on_values(D, f, g))
+
+
 @pytest.mark.parametrize("t", [0, 1])
 def test_maps_equal_reads_each_map_only_where_it_is_needed(t):
     """The second map of a composite is read only at the first map's images,

@@ -1,4 +1,6 @@
+import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,9 @@ from duoidal_kit.instances import (
     parallel_pair_cat,
 )
 from duoidal_kit.finset import CartesianFinSet, atom_letter
+from duoidal_kit.jsonio import cat_valued_functor_from_doc, load_document
 from duoidal_kit.kcat import CartesianSelfEnriched, check_k_category, hom_tensor, sigma, und_compose
+from duoidal_kit.report import skey
 from duoidal_kit.spans import Globe, arrow_globe, identity_globe
 from duoidal_kit.tamarkin import (
     CatValuedFunctor,
@@ -248,9 +252,18 @@ def test_pullback_functoriality():
         check_transformation(O1, O2, {"0": {"s": "a"}, "1": {"s": "b"}})
 
 
-def test_pullback_reindexes_hom_elements():
-    from duoidal_kit.tamarkin import pullback_hom_element
+def pullback_hom_element(phi, O1, globe, elem):
+    """Reindex one hom-family element along the transformation."""
+    table = dict(elem)
+    out = []
+    for b1 in O1.set_of(globe.a):
+        for b2 in O1.set_of(globe.a):
+            src_graph = dict(table[(phi[globe.a][b1], phi[globe.a][b2])])
+            out.append(((b1, b2), tuple(sorted(src_graph.items(), key=lambda p: skey(p[0])))))
+    return tuple(out)
 
+
+def test_pullback_reindexes_hom_elements():
     arr = arrow_cat()
     O2 = object_functor(
         arr,
@@ -298,6 +311,41 @@ def test_tamarkin_fiber_computes_at_the_level_asked_for(id_bz2_pair):
     with pytest.raises(ValueError, match="exceeds operad bound"):
         tamarkin_fiber(id_bz2_pair, globe, weights=ordinal_weights(5), N=5, bound=3)
     assert tamarkin_fiber(id_bz2_pair, globe, N=7, bound=8)[1].N == 7  # the default weights reach level 7
+
+
+def _load_pair_bz2():
+    path = Path(__file__).resolve().parent.parent / "corpus" / "pair_bz2_functor.json"
+    return cat_valued_functor_from_doc(load_document(path))
+
+
+def _fields(tot):
+    return tot.weights, tot.N, tot.families, tot.by_level, tot.stabilized, tot.stabilized_from
+
+
+def test_tamarkin_fiber_builds_one_complex_per_functor():
+    """Both weight systems on one functor share its (J, X); a repeated call
+    applies no map again, a call that raises leaves nothing behind, and the
+    results equal those on fresh functors."""
+    F, globe = _load_pair_bz2(), Globe("0", "1", "u", "w")
+    assert not F.complexes
+    const = tamarkin_fiber(F, globe, N=2, bound=3)
+    ordinal = tamarkin_fiber(F, globe, weights=ordinal_weights(), N=2, bound=3)
+    assert list(F.complexes) == [(2, 3)]
+    J, X = F.complexes[2, 3]
+    sizes = len(X.coface_images), len(X.codegeneracy_images)
+    again = tamarkin_fiber(F, globe, N=2, bound=3)
+    assert (len(X.coface_images), len(X.codegeneracy_images)) == sizes and F.complexes[2, 3][1] is X
+    assert _fields(again[1]) == _fields(const[1])
+    with pytest.raises(ValueError, match="exceeds operad bound"):
+        tamarkin_fiber(F, globe, weights=ordinal_weights(5), N=5, bound=3)
+    assert list(F.complexes) == [(2, 3)]
+    assert tamarkin_fiber(F, globe, weights=ordinal_weights(5), N=5, bound=6)[1].stabilized_from == 1
+    fresh_const = tamarkin_fiber(_load_pair_bz2(), globe, N=2, bound=3)
+    fresh_ordinal = tamarkin_fiber(_load_pair_bz2(), globe, weights=ordinal_weights(), N=2, bound=3)
+    assert const[0] == fresh_const[0] and _fields(const[1]) == _fields(fresh_const[1])
+    assert ordinal[0] == fresh_ordinal[0] and _fields(ordinal[1]) == _fields(fresh_ordinal[1])
+    # the memo takes no part in equality or hashing
+    assert F == dataclasses.replace(F) and hash(F) == hash(dataclasses.replace(F))
 
 
 def test_tamarkin_point_base_is_the_center(id_bz2_pair):
